@@ -1,4 +1,4 @@
-"""Record the performance trajectory: run key scenarios, write ``BENCH_pr10.json``.
+"""Record the performance trajectory: run key scenarios, write ``BENCH_pr12.json``.
 
 The benchmark suite asserts floors; this script *records* the measured
 numbers so the repo carries its own perf history.  It times the load-bearing
@@ -12,7 +12,9 @@ reference, and the distributed fleet — a full round trip over a localhost
 2-worker fleet plus the cold-vs-warm transfer bytes of its spec-hash
 artifact cache — the calibrated shape-aware kernel dispatch against the
 static preference order, and the throughput-weighted fleet scheduler
-against FIFO-uniform on a skewed 2-worker fleet — and writes one JSON
+against FIFO-uniform on a skewed 2-worker fleet, and the two set-up phases
+every paper-scale CLI run pays (``import repro.cli`` in a fresh interpreter
+and the synthetic-MNIST corpus) — and writes one JSON
 artifact with per-scenario timings and ratios at the repo root.  CI
 uploads the file so every run of the pipeline leaves a comparable data
 point; compare artifacts across PRs with ``python benchmarks/trajectory.py``
@@ -20,7 +22,7 @@ point; compare artifacts across PRs with ``python benchmarks/trajectory.py``
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/record.py [--output BENCH_pr10.json]
+    PYTHONPATH=src python benchmarks/record.py [--output BENCH_pr12.json]
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.onn.inference import monte_carlo_accuracy  # noqa: E402
 from repro.variation.models import UncertaintyModel  # noqa: E402
 
 #: Artifact label — bump per PR so the trajectory files line up with history.
-LABEL = "pr10"
+LABEL = "pr12"
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -59,6 +61,45 @@ def _time(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _spread(name: str, samples) -> dict:
+    """Median and interquartile range of repeated wall-clock samples."""
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {f"{name}_median_s": float(median), f"{name}_iqr_s": float(q3 - q1)}
+
+
+def record_setup_phases(repeats: int = 5) -> dict:
+    """The set-up every paper-scale ``spnn-repro`` run pays before its study.
+
+    ``import_cli`` times ``import repro.cli`` inside a fresh interpreter
+    (interpreter start-up excluded); ``synthesis`` times the paper-scale
+    ``load_synthetic_mnist()`` corpus (4000 train + 1000 test images).
+    Raw seconds as median + IQR over ``repeats`` runs, recorded for context
+    and never gated.
+    """
+    import os
+    import subprocess
+
+    from repro.datasets import load_synthetic_mnist
+
+    code = "import time; t = time.perf_counter(); import repro.cli; print(time.perf_counter() - t)"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    imports = [
+        float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+        for _ in range(repeats)
+    ]
+    synthesis = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        train, test = load_synthetic_mnist()
+        synthesis.append(time.perf_counter() - start)
+    return {
+        "repeats": repeats,
+        "images": len(train) + len(test),
+        **_spread("import_cli", imports),
+        **_spread("synthesis", synthesis),
+    }
 
 
 def record_noise_aware_step(config, train_x, train_y) -> dict:
@@ -558,6 +599,8 @@ def main(argv=None) -> int:
     train_x, train_y, _, _ = prepare_feature_sets(config.training)
 
     scenarios = {}
+    print("recording set-up phases ...")
+    scenarios["setup_phases"] = record_setup_phases()
     print("recording noise-aware step timings ...")
     scenarios["noise_aware_step"] = record_noise_aware_step(config, train_x, train_y)
     print("recording layer recompile timings ...")

@@ -56,6 +56,8 @@ HEADLINE_METRICS: Tuple[Tuple[str, str], ...] = (
     ("adaptive_dispatch", "speedup"),
     ("adaptive_dispatch", "small_shape_speedup"),
     ("weighted_fleet", "speedup"),
+    ("setup_phases", "import_cli_median_s"),
+    ("setup_phases", "synthesis_median_s"),
 )
 
 #: Metric keys the --check gate enforces: dimensionless ratios only.  Raw

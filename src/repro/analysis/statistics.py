@@ -12,7 +12,17 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtri
+
+
+def _two_sided_z(confidence: float) -> float:
+    """Standard-normal quantile at ``0.5 + confidence / 2``.
+
+    ``ndtri`` is the kernel behind ``scipy.stats.norm.ppf`` (which returns
+    ``ndtri(q) * 1 + 0``), so the value is bit-identical without importing
+    ``scipy.stats``, whose import alone costs most of a CLI start.
+    """
+    return ndtri(0.5 + confidence / 2.0)
 
 
 @dataclass(frozen=True)
@@ -45,7 +55,7 @@ def margin_of_error(samples: Sequence[float], confidence: float = 0.95) -> float
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if samples.size == 1:
         return float("inf")
-    z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _two_sided_z(confidence)
     return float(z * samples.std(ddof=1) / np.sqrt(samples.size))
 
 
@@ -61,7 +71,7 @@ def worst_case_margin_of_error(iterations: int, confidence: float = 0.95, propor
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _two_sided_z(confidence)
     return float(z * proportion_std / np.sqrt(iterations))
 
 
@@ -93,5 +103,5 @@ def required_iterations(target_margin: float, confidence: float = 0.95, proporti
     """Iterations needed so the worst-case margin of error falls below ``target_margin``."""
     if target_margin <= 0:
         raise ValueError(f"target_margin must be positive, got {target_margin}")
-    z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _two_sided_z(confidence)
     return int(np.ceil((z * proportion_std / target_margin) ** 2))

@@ -9,6 +9,14 @@ same shape, value range and class structure as MNIST, so every downstream
 code path of the reproduction — FFT feature extraction, complex-valued
 training, SVD-to-mesh compilation and Monte Carlo uncertainty analysis —
 is exercised identically.  The substitution is documented in DESIGN.md.
+
+Random-stream contract: every image consumes normals from its generator in
+a fixed order — first the 7 style normals of :func:`random_style` (dx, dy,
+scale, rotation, shear, stroke width, blur), then ``image_size**2`` pixel
+noise normals in row-major order (none when the noise level is 0, i.e. at
+``variability=0``).  :func:`generate_dataset` draws the labels first and
+then renders the images in order, so a dataset is a pure function of its
+seed and arguments, independent of how the images are blocked internally.
 """
 
 from __future__ import annotations
@@ -88,8 +96,21 @@ def _digit_strokes() -> Dict[int, List[Stroke]]:
     return strokes
 
 
-#: Module-level cache of the digit skeletons.
-_DIGIT_STROKES = _digit_strokes()
+#: Module-level cache of the digit skeletons, one ``(points, 2)`` array per stroke.
+_DIGIT_STROKES = {
+    digit: [np.asarray(stroke, dtype=np.float64) for stroke in strokes]
+    for digit, strokes in _digit_strokes().items()
+}
+
+#: Polyline segments per digit (a stroke of ``p`` points has ``p - 1``).
+_SEGMENTS = np.array([sum(len(stroke) - 1 for stroke in _DIGIT_STROKES[digit]) for digit in range(NUM_CLASSES)])
+
+#: Spread of each style normal at ``variability=1``, in draw order:
+#: dx, dy, scale, rotation, shear, stroke width, blur.
+_STYLE_SPREADS = np.array([0.04, 0.04, 0.08, 0.12, 0.15, 0.35, 0.15])
+
+#: Images rendered together; bounds the per-block temporaries to a few MB.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -126,17 +147,84 @@ def random_style(rng: RNGLike = None, variability: float = 1.0) -> DigitStyle:
     glyph, 1 the default MNIST-like spread.
     """
     gen = ensure_rng(rng)
+    v = _check_variability(variability)
+    return _styles(gen.normal(0.0, _STYLE_SPREADS * v)[None, :], v)[0]
+
+
+def _check_variability(variability: float) -> float:
     v = float(variability)
-    return DigitStyle(
-        dx=float(gen.normal(0.0, 0.04 * v)),
-        dy=float(gen.normal(0.0, 0.04 * v)),
-        scale=float(1.0 + gen.normal(0.0, 0.08 * v)),
-        rotation=float(gen.normal(0.0, 0.12 * v)),
-        shear=float(gen.normal(0.0, 0.15 * v)),
-        stroke_width=float(np.clip(1.4 + gen.normal(0.0, 0.35 * v), 0.8, 2.6)),
-        blur=float(np.clip(0.6 + gen.normal(0.0, 0.15 * v), 0.3, 1.2)),
-        noise=float(np.clip(0.02 * v, 0.0, 0.08)),
-    )
+    if not (np.isfinite(v) and v >= 0.0):
+        raise ConfigurationError(f"variability must be finite and >= 0, got {variability}")
+    return v
+
+
+def _noise_level(variability: float) -> float:
+    return float(np.clip(0.02 * variability, 0.0, 0.08))
+
+
+def _styles(draws: np.ndarray, variability: float) -> List[DigitStyle]:
+    """One style per row of ``(n, 7)`` normals drawn at ``_STYLE_SPREADS * variability``."""
+    fields = draws.copy()
+    fields[:, 2] += 1.0
+    fields[:, 5] = np.clip(1.4 + draws[:, 5], 0.8, 2.6)
+    fields[:, 6] = np.clip(0.6 + draws[:, 6], 0.3, 1.2)
+    noise = _noise_level(variability)
+    return [DigitStyle(*row, noise=noise) for row in fields.tolist()]
+
+
+def _normalized(canvas: np.ndarray) -> np.ndarray:
+    """Scale each image of the block to peak 1 (all-zero images stay zero)."""
+    peak = canvas.max(axis=(1, 2))
+    return canvas / np.where(peak > 0, peak, 1.0)[:, None, None]
+
+
+def _render_block(
+    digits: Sequence[int],
+    styles: Sequence[DigitStyle],
+    noise: np.ndarray | None,
+    image_size: int,
+) -> np.ndarray:
+    """Render ``(len(digits), image_size, image_size)`` images in [0, 1].
+
+    ``noise`` is the additive pixel noise per image, or ``None`` for none.
+    Every polyline segment is densified to ``max(int(2 * length * size), 2)``
+    evenly spaced samples, endpoints included, exactly as ``np.linspace``
+    spaces them; the samples land on the nearest pixel.
+    """
+    starts, deltas = [], []
+    for digit, style in zip(digits, styles):
+        for stroke in _DIGIT_STROKES[digit]:
+            points = style.transform(stroke)
+            starts.append(points[:-1])
+            deltas.append(points[1:] - points[:-1])
+    starts, deltas = np.concatenate(starts), np.concatenate(deltas)
+    owner = np.repeat(np.arange(len(digits)), _SEGMENTS[np.asarray(digits)])
+
+    # Densify every segment at once: sample k of n sits at k * (1 / (n - 1)),
+    # the last one pinned to 1.0, as np.linspace(0.0, 1.0, n) computes it.
+    samples = np.maximum((np.hypot(deltas[:, 0], deltas[:, 1]) * image_size * 2).astype(np.int64), 2)
+    segment = np.repeat(np.arange(len(samples)), samples)
+    ends = np.cumsum(samples)
+    ts = (np.arange(ends[-1]) - (ends - samples)[segment]) * (1.0 / (samples - 1))[segment]
+    ts[ends - 1] = 1.0
+    dense = starts[segment] + ts[:, None] * deltas[segment]
+
+    cols = dense[:, 0] * (image_size - 1)
+    rows = dense[:, 1] * (image_size - 1)
+    valid = (cols >= 0) & (cols <= image_size - 1) & (rows >= 0) & (rows <= image_size - 1)
+    canvas = np.zeros((len(digits), image_size, image_size), dtype=np.float64)
+    canvas[owner[segment][valid], np.round(rows[valid]).astype(int), np.round(cols[valid]).astype(int)] = 1.0
+
+    # Thicken the strokes and soften edges; each image has its own sigmas.
+    for image, style in zip(canvas, styles):
+        image[...] = gaussian_filter(image, sigma=style.stroke_width * 0.45)
+    canvas = np.clip(_normalized(canvas) * 1.6, 0.0, 1.0)
+    for image, style in zip(canvas, styles):
+        image[...] = gaussian_filter(image, sigma=style.blur * 0.5)
+    canvas = _normalized(canvas)
+    if noise is not None:
+        canvas = np.clip(canvas + noise, 0.0, 1.0)
+    return canvas
 
 
 def render_digit(
@@ -163,35 +251,8 @@ def render_digit(
     gen = ensure_rng(rng)
     if style is None:
         style = random_style(gen)
-
-    canvas = np.zeros((image_size, image_size), dtype=np.float64)
-    for stroke in _DIGIT_STROKES[digit]:
-        points = style.transform(np.asarray(stroke, dtype=np.float64))
-        # Densify the polyline so the rasterization has no gaps.
-        dense: List[np.ndarray] = []
-        for start, stop in zip(points[:-1], points[1:]):
-            seg_len = np.hypot(*(stop - start))
-            samples = max(int(seg_len * image_size * 2), 2)
-            ts = np.linspace(0.0, 1.0, samples)
-            dense.append(start[None, :] + ts[:, None] * (stop - start)[None, :])
-        for chunk in dense:
-            cols = chunk[:, 0] * (image_size - 1)
-            rows = chunk[:, 1] * (image_size - 1)
-            valid = (cols >= 0) & (cols <= image_size - 1) & (rows >= 0) & (rows <= image_size - 1)
-            cols, rows = cols[valid], rows[valid]
-            canvas[np.round(rows).astype(int), np.round(cols).astype(int)] = 1.0
-
-    # Thicken the strokes and soften edges.
-    canvas = gaussian_filter(canvas, sigma=style.stroke_width * 0.45)
-    if canvas.max() > 0:
-        canvas = canvas / canvas.max()
-    canvas = np.clip(canvas * 1.6, 0.0, 1.0)
-    canvas = gaussian_filter(canvas, sigma=style.blur * 0.5)
-    if canvas.max() > 0:
-        canvas = canvas / canvas.max()
-    if style.noise > 0:
-        canvas = np.clip(canvas + gen.normal(0.0, style.noise, canvas.shape), 0.0, 1.0)
-    return canvas
+    noise = gen.normal(0.0, style.noise, (image_size, image_size)) if style.noise > 0 else None
+    return _render_block([int(digit)], [style], noise, image_size)[0]
 
 
 @dataclass
@@ -234,15 +295,27 @@ def generate_dataset(
     """
     if num_samples < 1:
         raise ConfigurationError(f"num_samples must be >= 1, got {num_samples}")
+    v = _check_variability(variability)
     gen = ensure_rng(rng)
     if balanced:
         labels = np.arange(num_samples) % NUM_CLASSES
         gen.shuffle(labels)
     else:
         labels = gen.integers(0, NUM_CLASSES, size=num_samples)
-    images = np.zeros((num_samples, image_size, image_size), dtype=np.float64)
-    for i, label in enumerate(labels):
-        images[i] = render_digit(int(label), rng=gen, image_size=image_size, style=random_style(gen, variability))
+    # One row of normals per image, in stream order: 7 style draws, then
+    # the pixel noise (absent when the noise level is 0).  Broadcasting the
+    # spreads through ``gen.normal`` evaluates ``0.0 + spread * z`` in the
+    # same C routine as one scalar draw, so the block reproduces the
+    # per-image stream exactly on every platform.
+    noise = _noise_level(v)
+    pixels = image_size * image_size if noise > 0 else 0
+    spreads = np.concatenate([_STYLE_SPREADS * v, np.full(pixels, noise)])
+    images = np.empty((num_samples, image_size, image_size), dtype=np.float64)
+    for start in range(0, num_samples, _BLOCK):
+        block = labels[start : start + _BLOCK]
+        draws = gen.normal(0.0, spreads, size=(len(block), spreads.size))
+        block_noise = draws[:, 7:].reshape(-1, image_size, image_size) if pixels else None
+        images[start : start + len(block)] = _render_block(block, _styles(draws[:, :7], v), block_noise, image_size)
     return Dataset(images=images, labels=np.asarray(labels, dtype=np.int64))
 
 

@@ -153,3 +153,34 @@ class TestStatistics:
             summarize(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             required_iterations(0.0)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999])
+    def test_z_values_equal_scipy_norm_ppf(self, confidence):
+        """The quantile is bit-identical to ``scipy.stats.norm.ppf`` (the oracle)."""
+        from scipy.stats import norm
+
+        from repro.analysis.statistics import _two_sided_z
+
+        expected = norm.ppf(0.5 + confidence / 2.0)
+        assert _two_sided_z(confidence) == expected
+        samples = np.random.default_rng(3).normal(0.0, 1.0, 40)
+        assert margin_of_error(samples, confidence) == float(
+            expected * samples.std(ddof=1) / np.sqrt(samples.size)
+        )
+        assert worst_case_margin_of_error(1000, confidence) == float(expected * 0.5 / np.sqrt(1000))
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        """``import repro.cli`` in a fresh interpreter never pulls in ``scipy.stats``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+        code = "import sys, repro.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"

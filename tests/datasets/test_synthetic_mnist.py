@@ -89,14 +89,23 @@ class TestDataset:
     def test_load_is_deterministic_in_seed(self):
         a_train, _ = load_synthetic_mnist(num_train=10, num_test=5, seed=7)
         b_train, _ = load_synthetic_mnist(num_train=10, num_test=5, seed=7)
-        assert np.allclose(a_train.images, b_train.images)
+        assert np.array_equal(a_train.images, b_train.images)
 
     def test_train_and_test_are_independent_streams(self):
         _, test_small = load_synthetic_mnist(num_train=10, num_test=15, seed=7)
         _, test_large = load_synthetic_mnist(num_train=50, num_test=15, seed=7)
-        assert np.allclose(test_small.images, test_large.images)
+        assert np.array_equal(test_small.images, test_large.images)
 
     def test_different_seeds_differ(self):
         a_train, _ = load_synthetic_mnist(num_train=10, num_test=5, seed=1)
         b_train, _ = load_synthetic_mnist(num_train=10, num_test=5, seed=2)
         assert not np.allclose(a_train.images, b_train.images)
+
+    @pytest.mark.parametrize("variability", [-0.5, float("nan"), float("inf")])
+    def test_rejects_invalid_variability(self, variability):
+        with pytest.raises(ConfigurationError, match="variability"):
+            random_style(0, variability=variability)
+        with pytest.raises(ConfigurationError, match="variability"):
+            generate_dataset(5, rng=0, variability=variability)
+        with pytest.raises(ConfigurationError, match="variability"):
+            load_synthetic_mnist(num_train=5, num_test=5, variability=variability)
