@@ -1,4 +1,4 @@
-"""Record the performance trajectory: run key scenarios, write ``BENCH_pr12.json``.
+"""Record the performance trajectory: run key scenarios, write ``BENCH_pr13.json``.
 
 The benchmark suite asserts floors; this script *records* the measured
 numbers so the repo carries its own perf history.  It times the load-bearing
@@ -10,9 +10,7 @@ with its warm re-null price, the device-resident engine behind
 ``--device gpu``, the fused mesh column-sweep megakernel against the looped
 reference, and the distributed fleet — a full round trip over a localhost
 2-worker fleet plus the cold-vs-warm transfer bytes of its spec-hash
-artifact cache — the calibrated shape-aware kernel dispatch against the
-static preference order, and the throughput-weighted fleet scheduler
-against FIFO-uniform on a skewed 2-worker fleet, and the two set-up phases
+artifact cache — and the two set-up phases
 every paper-scale CLI run pays (``import repro.cli`` in a fresh interpreter
 and the synthetic-MNIST corpus) — and writes one JSON
 artifact with per-scenario timings and ratios at the repo root.  CI
@@ -22,7 +20,7 @@ point; compare artifacts across PRs with ``python benchmarks/trajectory.py``
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/record.py [--output BENCH_pr12.json]
+    PYTHONPATH=src python benchmarks/record.py [--output BENCH_pr13.json]
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from repro.onn.inference import monte_carlo_accuracy  # noqa: E402
 from repro.variation.models import UncertaintyModel  # noqa: E402
 
 #: Artifact label — bump per PR so the trajectory files line up with history.
-LABEL = "pr12"
+LABEL = "pr13"
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -410,172 +408,6 @@ def record_artifact_cache_hit(config) -> dict:
     }
 
 
-def record_adaptive_dispatch() -> dict:
-    """Calibrated shape-aware kernel choice vs. the static preference order.
-
-    Calibrates the per-machine cost table (the same ``spnn-repro
-    calibrate`` one-shot), installs it, and then — for each grid shape —
-    times the kernel the static order would pick against the kernel the
-    hinted dispatch actually chooses.  ``speedup`` is the *worst* ratio
-    across the grid (the acceptance bar is "never slower than static
-    beyond the tolerance", not "faster somewhere"), and
-    ``small_shape_speedup`` isolates the (n=8, batch=1) point the static
-    order historically over-paid: when the looped kernel wins there the
-    table must route to it; when the fused kernel genuinely wins on this
-    machine both ratios sit at 1.0.
-    """
-    import os
-
-    from scipy.stats import unitary_group
-
-    from repro.arrays import HOST_BACKEND, apply_column_sweep
-    from repro.arrays.sweep import SweepShape, select_sweep_kernel
-    from repro.tuning import install_table, reset_tuning_state, run_calibration
-    from repro.utils.rng import spawn_rngs
-    from repro.variation.sampler import sample_mesh_perturbation_batch
-
-    shapes = ((8, 1), (8, 32), (16, 256), (32, 2048))
-    backend = HOST_BACKEND
-    previous = os.environ.get("REPRO_AUTOTUNE")
-    os.environ["REPRO_AUTOTUNE"] = "on"
-    try:
-        reset_tuning_state()
-        table = run_calibration()
-        install_table(table)
-
-        def sweep_seconds(kernel_name, program, components, eye, batch, repeats=5):
-            work = np.empty((batch, program.n, program.n), dtype=np.complex128)
-            samples = []
-            # loop tiny shapes so each sample is well above timer resolution
-            iterations = max(1, 2048 // (batch * program.n))
-            for _ in range(repeats):
-                work[...] = eye
-                start = time.perf_counter()
-                for _ in range(iterations):
-                    apply_column_sweep(backend, work, components, program, kernel=kernel_name)
-                samples.append((time.perf_counter() - start) / iterations)
-            return float(np.median(samples))
-
-        per_shape = {}
-        for n, batch in shapes:
-            mesh_unitary = unitary_group.rvs(n, random_state=n)
-            from repro.mesh.mesh import MZIMesh
-
-            mesh = MZIMesh.from_unitary(mesh_unitary, scheme="clements")
-            perturbation = sample_mesh_perturbation_batch(
-                mesh, UncertaintyModel.both(0.01), spawn_rngs(11, batch)
-            )
-            components, _ = mesh._blocks_and_phases(perturbation, backend)
-            program = mesh.column_program(backend)
-            components = tuple(c[..., program.perm] for c in components)
-            eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
-
-            os.environ["REPRO_AUTOTUNE"] = "off"
-            static_name = select_sweep_kernel(
-                backend, SweepShape(n, batch, program.num_columns, "clements")
-            ).name
-            os.environ["REPRO_AUTOTUNE"] = "on"
-            chosen_name = select_sweep_kernel(
-                backend, SweepShape(n, batch, program.num_columns, "clements")
-            ).name
-            static_seconds = sweep_seconds(static_name, program, components, eye, batch)
-            chosen_seconds = (
-                static_seconds
-                if chosen_name == static_name
-                else sweep_seconds(chosen_name, program, components, eye, batch)
-            )
-            entry = {
-                "static_kernel": static_name,
-                "chosen_kernel": chosen_name,
-                "static_seconds": static_seconds,
-                "chosen_seconds": chosen_seconds,
-                "speedup": static_seconds / chosen_seconds,
-            }
-            if (n, batch) == (8, 1):
-                fused_seconds = (
-                    static_seconds
-                    if static_name == "fused"
-                    else sweep_seconds("fused", program, components, eye, batch)
-                )
-                entry["fused_seconds"] = fused_seconds
-                small_shape_speedup = fused_seconds / chosen_seconds
-            per_shape[f"n{n}_b{batch}"] = entry
-        return {
-            "grid_points": len(table.grid.get("fused", {})),
-            "shapes": per_shape,
-            "speedup": min(entry["speedup"] for entry in per_shape.values()),
-            "small_shape_speedup": small_shape_speedup,
-        }
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_AUTOTUNE", None)
-        else:
-            os.environ["REPRO_AUTOTUNE"] = previous
-        reset_tuning_state()
-
-
-def record_weighted_fleet() -> dict:
-    """Throughput-weighted chunk assignment vs. FIFO on a skewed fleet.
-
-    Two workers, one slowed ~4x via a per-worker ``REPRO_SYNTH_SLEEP``
-    overlay, evaluating sleep chunks whose cost is purely the configured
-    delay — the cleanest stand-in for a heterogeneous fleet.  After a
-    warm-up request measures both links, the same task list runs under
-    ``fifo`` (every idle link claims the head, so the slow link strands
-    one ~1.2s chunk on the critical path) and under ``weighted`` (the
-    slow link abstains and the fast link drains the queue).  The headline
-    ``speedup`` is FIFO wall time over weighted wall time; the trajectory
-    gate holds it at >= 1.3x.  Both runs must stay bit-identical to the
-    serial evaluation.
-    """
-    from repro.execution.fleet import local_fleet
-    from repro.execution.fleet.synthetic import SYNTH_SLEEP_ENV, SleepChunkEvaluator
-
-    evaluator = SleepChunkEvaluator(default_seconds=0.15)
-    tasks = [("chunk", index) for index in range(4)]
-    expected = [("synth", task) for task in tasks]
-    overlay = [{SYNTH_SLEEP_ENV: "1.2"}, None]
-    with local_fleet(workers=2, worker_env=overlay) as fleet:
-        # Warm-up: cold links always claim, so both get measured here.  The
-        # warm-up map can return early (the fast link duplicates the slow
-        # link's straggling chunk), so wait until the slow link has actually
-        # posted its result — i.e. both links are measured AND idle — before
-        # timing, or the FIFO run would start with the slow worker still
-        # busy and degenerate into a single-worker fleet.
-        warmup = [("warm", index) for index in range(2)]
-        assert fleet.map(evaluator, warmup) == [("synth", task) for task in warmup]
-        deadline = time.monotonic() + 30.0
-        while (
-            any(rate is None for rate in fleet.server.worker_rates().values())
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.05)
-
-        fleet.server.scheduling = "fifo"
-        start = time.perf_counter()
-        fifo_results = fleet.map(evaluator, tasks)
-        fifo_seconds = time.perf_counter() - start
-
-        fleet.server.scheduling = "weighted"
-        start = time.perf_counter()
-        weighted_results = fleet.map(evaluator, tasks)
-        weighted_seconds = time.perf_counter() - start
-        duplicates = fleet.request_log[-1]["duplicates"]
-    return {
-        "workers": 2,
-        "slow_sleep_seconds": 1.2,
-        "fast_sleep_seconds": 0.15,
-        "tasks": len(tasks),
-        "fifo_seconds": fifo_seconds,
-        "weighted_seconds": weighted_seconds,
-        "speedup": fifo_seconds / weighted_seconds,
-        "weighted_duplicates": duplicates,
-        "bit_identical_to_serial": bool(
-            fifo_results == expected and weighted_results == expected
-        ),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -623,10 +455,6 @@ def main(argv=None) -> int:
     scenarios["fleet_round_trip"] = record_fleet_round_trip(config)
     print("recording artifact cache hit ...")
     scenarios["artifact_cache_hit"] = record_artifact_cache_hit(config)
-    print("recording adaptive kernel dispatch ...")
-    scenarios["adaptive_dispatch"] = record_adaptive_dispatch()
-    print("recording weighted fleet scheduling ...")
-    scenarios["weighted_fleet"] = record_weighted_fleet()
 
     report = {
         "schema": 1,

@@ -53,9 +53,6 @@ HEADLINE_METRICS: Tuple[Tuple[str, str], ...] = (
     ("fleet_round_trip", "seconds"),
     ("artifact_cache_hit", "reduction"),
     ("artifact_cache_hit", "stream_floor_headroom"),
-    ("adaptive_dispatch", "speedup"),
-    ("adaptive_dispatch", "small_shape_speedup"),
-    ("weighted_fleet", "speedup"),
     ("setup_phases", "import_cli_median_s"),
     ("setup_phases", "synthesis_median_s"),
 )
@@ -67,7 +64,6 @@ RATIO_KEYS = (
     "reduction",
     "renull_speedup",
     "stream_floor_headroom",
-    "small_shape_speedup",
 )
 
 #: Absolute floors the newest artifact must clear whenever it records the
@@ -82,24 +78,7 @@ ABSOLUTE_FLOORS: Dict[Tuple[str, str], float] = {
     ("mesh_megakernel", "speedup"): 2.0,
     ("artifact_cache_hit", "reduction"): 3.0,
     ("artifact_cache_hit", "stream_floor_headroom"): 1.0,
-    # PR 10 bar: on a skewed 2-worker fleet (one link ~4x slower) the
-    # weighted scheduler must beat FIFO-uniform by at least 1.3x.
-    ("weighted_fleet", "speedup"): 1.3,
 }
-
-#: Parity floors gated at the *run tolerance* rather than a fixed value:
-#: these ratios compare calibrated dispatch against the static order on
-#: the same run, so 1.0 means "never slower"; the tolerance absorbs timer
-#: noise exactly as it does for cross-artifact comparisons.  The PR 10
-#: acceptance bar: autotuned kernel choice must not lose to the static
-#: order anywhere on the recorded grid, and the small (n=8, batch=1)
-#: shape must not pay the fused kernel when the looped one wins.
-TOLERANCE_FLOORS: frozenset = frozenset(
-    {
-        ("adaptive_dispatch", "speedup"),
-        ("adaptive_dispatch", "small_shape_speedup"),
-    }
-)
 
 #: Fraction of the best earlier value the newest artifact must reach.
 DEFAULT_TOLERANCE = float(os.environ.get("REPRO_TRAJECTORY_TOLERANCE", "0.6"))
@@ -206,12 +185,6 @@ def check_regressions(
             failures.append(
                 f"{name}: {newest} measured {values[newest]:.2f}, below the "
                 f"absolute floor {absolute:.2f}"
-            )
-        if (scenario, key) in TOLERANCE_FLOORS and values[newest] < tolerance:
-            failures.append(
-                f"{name}: {newest} measured {values[newest]:.2f}, below the "
-                f"parity floor {tolerance:.2f} (calibrated dispatch must not "
-                f"lose to the static order beyond the run tolerance)"
             )
         earlier = [value for label, value in values.items() if label != newest]
         if not earlier:

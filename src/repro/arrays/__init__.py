@@ -18,7 +18,6 @@ from .sweep import (
     FusedSweepKernel,
     LoopedSweepKernel,
     SweepKernel,
-    SweepShape,
     apply_column_sweep,
     available_sweep_kernels,
     get_sweep_kernel,
@@ -50,7 +49,6 @@ __all__ = [
     "kernels",
     "ColumnProgram",
     "SweepKernel",
-    "SweepShape",
     "LoopedSweepKernel",
     "FusedSweepKernel",
     "SWEEP_KERNEL_ENV",

@@ -27,10 +27,11 @@ This module makes the sweep pluggable:
     device launch per batch chunk (:mod:`repro.arrays.cupy_sweep`), with
     graceful fallback to ``fused`` when compilation is unavailable.
 
-* :func:`apply_column_sweep` — the runtime dispatch used by
-  :meth:`repro.mesh.mesh.MZIMesh.matrix_batch`: pick the best available
-  kernel for the active backend (or honor the ``REPRO_SWEEP_KERNEL``
-  environment override) and run it.
+* :func:`apply_column_sweep` — the dispatch used by
+  :meth:`repro.mesh.mesh.MZIMesh.matrix_batch`: pick the first available
+  kernel in the static order ``cupy_raw > numba > fused > looped`` for the
+  active backend (or honor the ``REPRO_SWEEP_KERNEL`` environment
+  override) and run it.  The choice never depends on measured timings.
 
 Every kernel must be *conformant*: bit-identical to ``looped`` on host
 and mock backends (same ufunc sequence), allclose on CuPy (same math,
@@ -47,16 +48,15 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..exceptions import ConfigurationError
-from ..observability.dispatch import active_collector, active_feedback
+from ..observability.dispatch import active_collector
 from ..observability.recorder import perf_seconds
 
 __all__ = [
     "ColumnProgram",
     "SweepKernel",
-    "SweepShape",
     "LoopedSweepKernel",
     "FusedSweepKernel",
     "SWEEP_KERNEL_ENV",
@@ -170,23 +170,6 @@ class ColumnProgram:
             spans=self.spans,
             bases=self.bases,
         )
-
-
-class SweepShape(NamedTuple):
-    """Shape hint for kernel selection: one sweep call's problem size.
-
-    Callers that know their shape (``MZIMesh.matrix_batch`` knows ``n``,
-    the realization batch, the column count and the mesh scheme) pass
-    this to :func:`select_sweep_kernel` so the autotuned cost model
-    (:mod:`repro.tuning`) can pick the cheapest kernel for *this* shape
-    instead of the static preference order.  ``scheme`` is optional —
-    it only narrows which calibration points the model interpolates.
-    """
-
-    n: int
-    batch: int
-    columns: int
-    scheme: Optional[str] = None
 
 
 class SweepKernel:
@@ -521,7 +504,7 @@ def available_sweep_kernels(backend=None) -> Tuple[str, ...]:
     )
 
 
-def select_sweep_kernel(backend, shape: Optional[SweepShape] = None) -> SweepKernel:
+def select_sweep_kernel(backend) -> SweepKernel:
     """The kernel serving ``backend``: env override or best available.
 
     ``REPRO_SWEEP_KERNEL`` names a registered kernel and fails loudly when
@@ -529,16 +512,9 @@ def select_sweep_kernel(backend, shape: Optional[SweepShape] = None) -> SweepKer
     active backend — a silent fallback would hide a misconfigured run.
     Without the override, the first available kernel in the preference
     order ``cupy_raw > numba > fused > looped`` that supports the backend
-    wins; ``fused`` is the universal default, ``looped`` the safety net.
-
-    With a :class:`SweepShape` hint the autotuned cost model
-    (:mod:`repro.tuning.policy`) may reorder *within* the available set
-    — it picks the kernel its per-machine calibration predicts cheapest
-    for this shape.  The hint never widens the candidate set (only
-    available+supported kernels compete), the env pin always wins over
-    it, and ``REPRO_AUTOTUNE=off`` restores the static order exactly.
-    Every candidate is conformant with the ``looped`` reference, so the
-    choice affects time, never results.
+    wins; ``fused`` is the universal default, ``looped`` the safety net
+    and test oracle.  Every candidate is conformant with the ``looped``
+    reference, so the choice affects time, never results.
     """
     override = os.environ.get(SWEEP_KERNEL_ENV)
     if override:
@@ -555,24 +531,13 @@ def select_sweep_kernel(backend, shape: Optional[SweepShape] = None) -> SweepKer
                 f"available here: {available_sweep_kernels(backend)}"
             )
         return kernel
-    candidates = tuple(
-        name
-        for name in _DEFAULT_ORDER
-        if name in _KERNELS
-        and _KERNELS[name].available()
-        and _KERNELS[name].supports(backend)
-    )
-    if not candidates:
-        raise ConfigurationError(
-            f"no sweep kernel supports array backend {backend.name!r}"
-        )  # pragma: no cover - looped supports everything
-    if shape is not None and len(candidates) > 1:
-        from ..tuning.policy import choose_kernel_name
-
-        chosen = choose_kernel_name(backend, shape, candidates)
-        if chosen is not None:
-            return _KERNELS[chosen]
-    return _KERNELS[candidates[0]]
+    for name in _DEFAULT_ORDER:
+        kernel = _KERNELS.get(name)
+        if kernel is not None and kernel.available() and kernel.supports(backend):
+            return kernel
+    raise ConfigurationError(
+        f"no sweep kernel supports array backend {backend.name!r}"
+    )  # pragma: no cover - looped supports everything
 
 
 def apply_column_sweep(
@@ -595,36 +560,28 @@ def apply_column_sweep(
     (:mod:`repro.observability.dispatch`), each call records
     ``(kernel, backend, n, batch, columns, seconds)`` — shapes and wall
     time only, never the array contents, so recording cannot perturb
-    results.  The same timing feeds the autotune feedback sink when a
-    cost table is active, refining its observed layer online.  With
-    neither installed the instrumentation is two module-global reads per
-    call.
+    results.  Without a collector the instrumentation is one module-global
+    read per call.
     """
-    batch = 1
-    for extent in matrices.shape[:-2]:
-        batch *= int(extent)
     if kernel is None:
-        selected = select_sweep_kernel(
-            backend, SweepShape(program.n, batch, program.num_columns)
-        )
+        selected = select_sweep_kernel(backend)
     elif isinstance(kernel, SweepKernel):
         selected = kernel
     else:
         selected = get_sweep_kernel(kernel)
     collector = active_collector()
-    sink = active_feedback()
-    if collector is None and sink is None:
+    if collector is None:
         selected(backend, matrices, components, program)
         return
+    batch = 1
+    for extent in matrices.shape[:-2]:
+        batch *= int(extent)
     started = perf_seconds()
     selected(backend, matrices, components, program)
-    elapsed = perf_seconds() - started
-    if collector is not None:
-        collector.record(
-            selected.name, backend.name, program.n, batch, program.num_columns, elapsed
-        )
-    if sink is not None:
-        sink(backend.name, selected.name, program.n, batch, program.num_columns, elapsed)
+    collector.record(
+        selected.name, backend.name, program.n, batch, program.num_columns,
+        perf_seconds() - started,
+    )
 
 
 register_sweep_kernel(LoopedSweepKernel())

@@ -79,9 +79,7 @@ def _run_info() -> dict:
     from .arrays.sweep import SWEEP_KERNEL_ENV, available_sweep_kernels, get_sweep_kernel, sweep_kernel_names
     from .execution.backends import GPU_ARRAY_BACKEND_ENV, available_workers
     from .execution.fleet import FLEET_ADDRESS_ENV, artifact_store, default_fleet_address, parse_address
-    from .execution.fleet.server import FLEET_SCHEDULING_ENV
     from .observability import TRACE_ENV
-    from .tuning import AUTOTUNE_ENV, tuning_status
 
     info: dict = {
         "platform": platform.platform(),
@@ -123,15 +121,9 @@ def _run_info() -> dict:
         "transport_error": bind_error,
         "artifact_cache": artifact_store().stats(),
     }
-    info["autotune"] = tuning_status()
-    overrides = (
-        SWEEP_KERNEL_ENV,
-        TRACE_ENV,
-        GPU_ARRAY_BACKEND_ENV,
-        FLEET_ADDRESS_ENV,
-        AUTOTUNE_ENV,
-        FLEET_SCHEDULING_ENV,
-    )
+    # Always null: kept because perfbench/run.py reads report["autotune"].
+    info["autotune"] = None
+    overrides = (SWEEP_KERNEL_ENV, TRACE_ENV, GPU_ARRAY_BACKEND_ENV, FLEET_ADDRESS_ENV)
     info["env_overrides"] = {
         variable: os.environ[variable] for variable in overrides if os.environ.get(variable)
     }
@@ -187,24 +179,6 @@ def _run_info() -> dict:
         )
     )
     print()
-    autotune = info["autotune"]
-    if autotune["cached"] == "stale":
-        cache_state = "stale (re-run 'spnn-repro calibrate')"
-    elif autotune["cached"]:
-        cache_state = f"calibrated ({autotune['grid_points']} grid points)"
-    else:
-        cache_state = "cold (calibrates lazily on first hinted dispatch)"
-    print(
-        format_table(
-            ["autotune", "value"],
-            [
-                ["enabled", "yes" if autotune["enabled"] else f"no ({AUTOTUNE_ENV}=off)"],
-                ["cost table", cache_state],
-                ["cache path", autotune["cache_path"]],
-            ],
-        )
-    )
-    print()
     if info["env_overrides"]:
         print(
             format_table(
@@ -215,29 +189,6 @@ def _run_info() -> dict:
     else:
         print("no REPRO_* environment overrides active")
     return info
-
-
-def _run_calibrate() -> dict:
-    """``spnn-repro calibrate`` — fit and cache the machine's cost table.
-
-    Runs the one-shot sweep-kernel micro-benchmark eagerly (the same one
-    hinted dispatch triggers lazily on a cold cache), prints the measured
-    grid, and writes the table under the per-user cache directory so every
-    later process on this machine starts warm.
-    """
-    from .tuning import cache_path, install_table
-    from .tuning.calibrate import run_calibration
-
-    print("calibrating sweep kernels (one-shot per-machine micro-benchmark)...")
-    table = run_calibration(progress=lambda line: print(f"  {line}"))
-    path = table.save(cache_path(table.fingerprint))
-    install_table(table, backend_name=table.backend)
-    print(f"\ncost table written to {path}")
-    print(
-        f"{sum(len(v) for v in table.grid.values())} grid points over "
-        f"kernels: {', '.join(table.kernels())}"
-    )
-    return table.to_payload()
 
 
 def _positive_int(value: str) -> int:
@@ -256,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help=(
             "experiment id (fig2, fig3, exp1, exp2, exp3/robust, yield, "
-            "drift/exp4, baseline), 'summary', 'info', 'calibrate' (fit the "
-            "per-machine sweep-kernel cost table), 'list' or 'worker' "
+            "drift/exp4, baseline), 'summary', 'info', 'list' or 'worker' "
             "(join a sweep fleet; requires --connect)"
         ),
     )
@@ -411,15 +361,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.backend = "fleet"
     if args.fleet is not None and args.backend != "fleet":
         parser.error("--fleet only applies to --backend fleet")
-    if identifier in ("list", "summary", "info", "calibrate") and args.workers is not None:
+    if identifier in ("list", "summary", "info") and args.workers is not None:
         parser.error(f"{identifier!r} does not support --workers")
-    if identifier in ("list", "summary", "info", "calibrate") and args.bisect:
+    if identifier in ("list", "summary", "info") and args.bisect:
         parser.error(f"{identifier!r} does not support --bisect")
-    if identifier in ("list", "summary", "info", "calibrate") and args.device is not None:
+    if identifier in ("list", "summary", "info") and args.device is not None:
         parser.error(f"{identifier!r} does not support --device")
-    if identifier in ("list", "summary", "info", "calibrate") and args.backend is not None:
+    if identifier in ("list", "summary", "info") and args.backend is not None:
         parser.error(f"{identifier!r} does not support --backend/--fleet")
-    if identifier in ("list", "info", "calibrate") and (args.trace or args.metrics_out or args.progress):
+    if identifier in ("list", "info") and (args.trace or args.metrics_out or args.progress):
         parser.error(f"{identifier!r} does not support --trace/--metrics-out/--progress")
     if args.device == "gpu" and args.workers is not None and args.workers > 1:
         parser.error(
@@ -433,11 +383,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         info = _run_info()
         if args.output:
             save_json(info, args.output)
-        return 0
-    if identifier == "calibrate":
-        payload = _run_calibrate()
-        if args.output:
-            save_json(payload, args.output)
         return 0
     if identifier == "summary":
         tracing = (

@@ -69,10 +69,6 @@ class FleetBackend:
         Per-request deadline — a request never hangs longer than this.
     connect_timeout:
         How long to wait for ``min_workers`` workers at first use.
-    scheduling:
-        Chunk-assignment policy forwarded to :class:`FleetServer`
-        (``"weighted"``/``"fifo"``; ``None`` defers to
-        ``REPRO_FLEET_SCHEDULING``, default weighted).
     """
 
     #: The fleet always crosses a process (and possibly machine) boundary,
@@ -86,7 +82,6 @@ class FleetBackend:
         timeout: float = 300.0,
         connect_timeout: float = 60.0,
         server: Optional[FleetServer] = None,
-        scheduling: Optional[str] = None,
     ):
         if min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {min_workers}")
@@ -95,7 +90,6 @@ class FleetBackend:
         self.timeout = float(timeout)
         self.connect_timeout = float(connect_timeout)
         self._server = server
-        self._scheduling = scheduling
         self._ready = False
 
     # ------------------------------------------------------------------ #
@@ -108,7 +102,7 @@ class FleetBackend:
             from .protocol import parse_address
 
             host, port = parse_address(self._address)
-            self._server = FleetServer(host=host, port=port, scheduling=self._scheduling)
+            self._server = FleetServer(host=host, port=port)
         return self._server
 
     @property
@@ -237,8 +231,6 @@ def local_fleet(
     timeout: float = 300.0,
     connect_timeout: float = 60.0,
     via_cli: bool = False,
-    scheduling: Optional[str] = None,
-    worker_env: Optional[Sequence[Optional[dict]]] = None,
 ) -> Iterator[FleetBackend]:
     """A localhost fleet: coordinator plus ``workers`` worker processes.
 
@@ -252,38 +244,21 @@ def local_fleet(
     uses ``multiprocessing`` children, which start faster.  Teardown closes
     the coordinator — the workers see EOF and exit — then reaps the
     processes.
-
-    ``scheduling`` forwards to the coordinator (weighted/fifo).
-    ``worker_env`` optionally gives per-worker environment overlays (one
-    dict or ``None`` per worker, applied in the child before it dials) —
-    the scheduling tests and the skewed-fleet benchmark use it to slow a
-    single worker via ``REPRO_SYNTH_SLEEP`` without touching the others.
     """
-    if worker_env is not None and len(worker_env) != workers:
-        raise ValueError(
-            f"worker_env must list one overlay per worker "
-            f"({workers}), got {len(worker_env)}"
-        )
     backend = FleetBackend(
         address=address, min_workers=workers, timeout=timeout,
-        connect_timeout=connect_timeout, scheduling=scheduling,
+        connect_timeout=connect_timeout,
     )
     bound = backend.address  # bind before the workers dial
     processes: List[Any] = []
     try:
         if via_cli:
-            for slot in range(workers):
-                overlay = worker_env[slot] if worker_env is not None else None
-                env = None
-                if overlay:
-                    env = dict(os.environ)
-                    env.update({str(k): str(v) for k, v in overlay.items()})
+            for _ in range(workers):
                 processes.append(
                     subprocess.Popen(
                         [sys.executable, "-m", "repro.cli", "worker", "--connect", bound],
                         stdout=subprocess.DEVNULL,
                         stderr=subprocess.DEVNULL,
-                        env=env,
                     )
                 )
         else:
@@ -291,10 +266,9 @@ def local_fleet(
 
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
             context = multiprocessing.get_context(method)
-            for slot in range(workers):
-                overlay = worker_env[slot] if worker_env is not None else None
+            for _ in range(workers):
                 process = context.Process(
-                    target=_worker_entry, args=(bound, overlay), daemon=True
+                    target=_worker_entry, args=(bound,), daemon=True
                 )
                 process.start()
                 processes.append(process)
@@ -318,10 +292,8 @@ def local_fleet(
                     pass
 
 
-def _worker_entry(address: str, env_overlay: Optional[dict] = None) -> None:
+def _worker_entry(address: str) -> None:
     """Module-level multiprocessing target for :func:`local_fleet` workers."""
-    if env_overlay:
-        os.environ.update({str(k): str(v) for k, v in env_overlay.items()})
     from .worker import run_worker
 
     run_worker(address)

@@ -10,19 +10,6 @@ caller-side by ``plan_chunk_size``, so dynamic pull only changes who
 evaluates a chunk, never what it contains), and results are reassembled in
 task order — the same determinism contract every other backend keeps.
 
-Scheduling within the active request is **throughput-weighted** by
-default: each link keeps an EWMA of rows/second from its returned chunk
-frames, a measurably slower link abstains from claiming a chunk the
-faster links will drain sooner (so chunk counts land roughly proportional
-to throughput instead of FIFO-uniform), and once the queue is empty an
-idle fast link *re-dispatches* a straggler's in-flight tail chunk —
-first result wins, the duplicate is dropped on reassembly
-(:meth:`_Request.post` ignores posts to completed slots).  All of this
-only moves chunks between workers; the task-ordered reassembly is
-untouched, so results stay bit-identical to ``SerialBackend`` for any
-fleet size, skew, or cache state.  ``REPRO_FLEET_SCHEDULING=fifo`` (or
-``FleetServer(scheduling="fifo")``) restores plain FIFO claiming.
-
 Artifact flow: a request names the spec-hash digests it ``requires``; each
 worker link pushes only the blobs that link has not already sent
 (tracked per connection), so a warm repeat request transfers nothing but
@@ -40,7 +27,6 @@ This module is numpy-free (enforced by ``tools/check_numpy_seam.py``).
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
@@ -56,23 +42,7 @@ from .protocol import (
     send_frame,
 )
 
-__all__ = ["FleetRequestError", "FleetServer", "FLEET_SCHEDULING_ENV"]
-
-#: Chunk-assignment policy override: ``weighted`` (default) or ``fifo``.
-FLEET_SCHEDULING_ENV = "REPRO_FLEET_SCHEDULING"
-
-#: EWMA weight of a link's newest rows/second sample (recent chunks
-#: dominate — throughput shifts with competing load, not just hardware).
-_RATE_DECAY = 0.5
-
-#: A link must be this much faster than another before the scheduler
-#: treats them as different classes; within the band they behave FIFO,
-#: so homogeneous fleets never abstain or duplicate on timing noise.
-_RATE_MARGIN = 1.2
-
-#: A chunk owner this much slower than an idle link is a straggler worth
-#: duplicating immediately once the queue is empty.
-_STRAGGLER_MARGIN = 1.5
+__all__ = ["FleetRequestError", "FleetServer"]
 
 
 class FleetRequestError(RuntimeError):
@@ -89,39 +59,10 @@ class _WorkerLink:
         self.sent_digests: set = set()
         self.request_id: Optional[int] = None
         self.lock = threading.Lock()
-        #: EWMA rows/second over returned chunks; ``None`` until the first
-        #: chunk lands (an unmeasured link is scheduled like the fastest —
-        #: it must claim work to get measured at all).
-        self.rate: Optional[float] = None
-        self.rows_done = 0
-        self.seconds_busy = 0.0
-
-    def note_result(self, rows: int, seconds: float) -> None:
-        sample = max(1, rows) / max(seconds, 1e-9)
-        self.rate = sample if self.rate is None else (
-            _RATE_DECAY * sample + (1.0 - _RATE_DECAY) * self.rate
-        )
-        self.rows_done += max(1, rows)
-        self.seconds_busy += max(seconds, 0.0)
 
     @property
     def name(self) -> str:
         return f"{self.host}/pid {self.pid}"
-
-
-def _task_rows(task: Any) -> int:
-    """A chunk's workload weight: its realization count when discoverable.
-
-    Engine chunk tasks carry their stream run last (``(start, trial,
-    streams)``), and both materialized generator lists and ``StreamSlice``
-    recipes are sized; anything else weighs 1 — with uniform weights the
-    proportional scheduler degrades to chunk counting, which is exactly
-    right when chunks are planned equal-size.
-    """
-    try:
-        return max(1, len(task[-1]))
-    except (TypeError, IndexError, KeyError):
-        return 1
 
 
 class _Request:
@@ -145,12 +86,6 @@ class _Request:
         self.pending: deque = deque(range(len(self.tasks)))
         self.results: List[Any] = [None] * len(self.tasks)
         self.done: List[bool] = [False] * len(self.tasks)
-        self.rows: List[int] = [_task_rows(task) for task in self.tasks]
-        self.pending_rows = sum(self.rows)
-        #: index -> [(link, started_at)] of live in-flight assignments;
-        #: entries are pruned when their link returns or disconnects, so
-        #: the duplicate scheduler sees only real outstanding work.
-        self.assigned: Dict[int, List[Tuple[Any, float]]] = {}
         self.completed = 0
         self.error: Optional[BaseException] = None
         self.stats: Dict[str, int] = {
@@ -160,7 +95,6 @@ class _Request:
             "artifacts_sent": 0,
             "artifact_bytes": 0,
             "requeues": 0,
-            "duplicates": 0,
         }
 
     @property
@@ -181,39 +115,13 @@ class _Request:
     def requeue(self, index: int) -> None:
         if not self.done[index]:
             self.pending.appendleft(index)
-            self.pending_rows += self.rows[index]
             self.stats["requeues"] += 1
-
-    def release_assignment(self, index: int, link: Any) -> List[Tuple[Any, float]]:
-        """Drop ``link``'s in-flight entry for ``index``; return survivors."""
-        entries = [e for e in self.assigned.get(index, ()) if e[0] is not link]
-        if entries:
-            self.assigned[index] = entries
-        else:
-            self.assigned.pop(index, None)
-        return entries
 
 
 class FleetServer:
-    """Socket coordinator: accepts workers, schedules FIFO requests.
+    """Socket coordinator: accepts workers, schedules FIFO requests."""
 
-    ``scheduling`` picks the within-request chunk-assignment policy:
-    ``"weighted"`` (the default; throughput-proportional claiming with
-    tail-chunk re-dispatch) or ``"fifo"`` (every idle link claims the
-    queue head unconditionally).  ``REPRO_FLEET_SCHEDULING`` sets the
-    default; the attribute stays mutable for benchmarks comparing both
-    policies over one fleet.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, scheduling: Optional[str] = None):
-        if scheduling is None:
-            scheduling = os.environ.get(FLEET_SCHEDULING_ENV, "").strip().lower() or "weighted"
-        if scheduling not in ("weighted", "fifo"):
-            raise ValueError(
-                f"unknown fleet scheduling {scheduling!r} "
-                f"({FLEET_SCHEDULING_ENV}); expected 'weighted' or 'fifo'"
-            )
-        self.scheduling = scheduling
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -252,11 +160,6 @@ class FleetServer:
     def worker_names(self) -> List[str]:
         with self._condition:
             return [link.name for link in self._links]
-
-    def worker_rates(self) -> Dict[str, Optional[float]]:
-        """Per-link measured throughput (rows/second EWMA; ``None`` = unmeasured)."""
-        with self._condition:
-            return {link.name: link.rate for link in self._links}
 
     def wait_for_workers(self, count: int, timeout: float = 60.0) -> None:
         """Block until ``count`` workers are connected (or raise)."""
@@ -447,80 +350,13 @@ class FleetServer:
                 if self._closed or link not in self._links:
                     return None
                 request = self._active_request()
-                if request is not None:
-                    index = self._next_index(request, link)
-                    if index is not None:
-                        request.assigned.setdefault(index, []).append(
-                            (link, time.monotonic())
-                        )
-                        return request, index
+                if request is not None and request.pending:
+                    index = request.pending.popleft()
+                    return request, index
                 self._condition.wait(0.1)
-
-    def _next_index(self, request: "_Request", link: _WorkerLink) -> Optional[int]:
-        # Condition held.  FIFO: claim the head unconditionally.  Weighted:
-        # a measurably slower link abstains while faster links would drain
-        # the remaining queue sooner than it could finish the head chunk;
-        # with the queue empty, an idle link may duplicate a straggler's
-        # in-flight tail chunk instead of going idle.
-        if request.pending:
-            if self.scheduling != "weighted" or self._worth_claiming(request, link):
-                index = request.pending.popleft()
-                request.pending_rows -= request.rows[index]
-                return index
-            return None
-        if self.scheduling == "weighted":
-            return self._duplicate_index(request, link)
-        return None
-
-    def _worth_claiming(self, request: "_Request", link: _WorkerLink) -> bool:
-        # Condition held.  An unmeasured link always claims (that is how it
-        # gets measured), and so does any link no other is clearly faster
-        # than — the fastest class never abstains, so the queue always
-        # drains.  Otherwise compare finishing the head chunk here against
-        # the faster links draining the whole remaining queue.
-        if link.rate is None:
-            return True
-        faster = [
-            other.rate
-            for other in self._links
-            if other is not link
-            and other.rate is not None
-            and other.rate > link.rate * _RATE_MARGIN
-        ]
-        if not faster:
-            return True
-        head_seconds = request.rows[request.pending[0]] / link.rate
-        drain_seconds = request.pending_rows / sum(faster)
-        return head_seconds <= drain_seconds
-
-    def _duplicate_index(self, request: "_Request", link: _WorkerLink) -> Optional[int]:
-        # Condition held.  Tail re-dispatch: the queue is empty but chunks
-        # are still in flight.  Give this idle link the lowest unfinished
-        # chunk whose sole owner is either a measured straggler or has held
-        # the chunk well past this link's own expected time — first result
-        # wins, the loser's post lands on a completed slot and is ignored.
-        if link.rate is None:
-            return None
-        now = time.monotonic()
-        for index, entries in sorted(request.assigned.items()):
-            if request.done[index] or len(entries) != 1:
-                continue
-            owner, started = entries[0]
-            if owner is link:
-                continue
-            expected = request.rows[index] / link.rate
-            straggling = (
-                owner.rate is not None and owner.rate * _STRAGGLER_MARGIN < link.rate
-            )
-            overdue = (now - started) > max(2.0 * expected, 0.05)
-            if straggling or overdue:
-                request.stats["duplicates"] += 1
-                return index
-        return None
 
     def _serve_link(self, link: _WorkerLink) -> None:
         """One worker's send/recv loop: artifacts + fn once, then chunks."""
-        store = artifact_store()
         while True:
             claimed = self._claim(link)
             if claimed is None:
@@ -528,38 +364,20 @@ class FleetServer:
             request, index = claimed
             try:
                 if link.request_id != request.id:
-                    request.stats["fn_bytes"] += send_frame(
-                        link.sock,
+                    self._send(
+                        link, request, "fn_bytes",
                         {"type": "request", "id": request.id, "fn": request.fn,
                          "required": request.required},
                     )
                     link.request_id = request.id
                 for digest in request.required:
                     if digest not in link.sent_digests:
-                        request.stats["artifact_bytes"] += send_frame(
-                            link.sock,
-                            {"type": "artifact", "digest": digest,
-                             "payload": store.get(digest)},
-                        )
-                        request.stats["artifacts_sent"] += 1
-                        link.sent_digests.add(digest)
-                started = time.monotonic()
+                        self._push_artifact(link, request, digest)
                 reply = self._send_task(link, request, index)
-                elapsed = time.monotonic() - started
                 with self._condition:
-                    request.release_assignment(index, link)
                     if reply.get("type") == "result":
-                        # Prefer the worker's own evaluation time (no queue
-                        # or transfer latency) for the throughput EWMA; the
-                        # coordinator-side wall clock is the fallback for
-                        # older workers that don't stamp it.
-                        seconds = reply.get("seconds")
-                        link.note_result(
-                            request.rows[index],
-                            float(seconds) if seconds is not None else elapsed,
-                        )
                         request.post(index, reply["payload"])
-                    elif not request.done[index]:
+                    else:
                         request.fail(
                             FleetRequestError(
                                 f"worker {link.name} failed chunk {index}: "
@@ -571,32 +389,37 @@ class FleetServer:
                 self._drop_link(link, request, index, error)
                 return
 
-    def _send_task(self, link: _WorkerLink, request: "_Request", index: int) -> dict:
-        request.stats["task_bytes"] += send_frame(
-            link.sock,
-            {"type": "task", "id": request.id, "index": index,
-             "payload": request.tasks[index]},
+    def _send(self, link: _WorkerLink, request: "_Request", key: str, frame: dict) -> None:
+        """Send ``frame`` to ``link`` and add its wire size to ``request.stats[key]``.
+
+        Links send concurrently, so the sum is taken under the condition:
+        a plain ``+=`` around the blocking send would lose one link's bytes
+        whenever another link's send overlaps it.
+        """
+        size = send_frame(link.sock, frame)
+        with self._condition:
+            request.stats[key] += size
+
+    def _push_artifact(self, link: _WorkerLink, request: "_Request", digest: str) -> None:
+        self._send(
+            link, request, "artifact_bytes",
+            {"type": "artifact", "digest": digest, "payload": artifact_store().get(digest)},
         )
+        with self._condition:
+            request.stats["artifacts_sent"] += 1
+        link.sent_digests.add(digest)
+
+    def _send_task(self, link: _WorkerLink, request: "_Request", index: int) -> dict:
+        task = {"type": "task", "id": request.id, "index": index, "payload": request.tasks[index]}
+        self._send(link, request, "task_bytes", task)
         while True:
             reply = recv_frame(link.sock)
-            kind = reply.get("type")
-            if kind == "need":
+            if reply.get("type") == "need":
                 # The worker's LRU evicted blobs this link already sent:
-                # forget our bookkeeping for them and resend with the task.
-                store = artifact_store()
+                # resend them, then the task.
                 for digest in reply.get("digests", ()):
-                    request.stats["artifact_bytes"] += send_frame(
-                        link.sock,
-                        {"type": "artifact", "digest": digest,
-                         "payload": store.get(digest)},
-                    )
-                    request.stats["artifacts_sent"] += 1
-                    link.sent_digests.add(digest)
-                request.stats["task_bytes"] += send_frame(
-                    link.sock,
-                    {"type": "task", "id": request.id, "index": index,
-                     "payload": request.tasks[index]},
-                )
+                    self._push_artifact(link, request, digest)
+                self._send(link, request, "task_bytes", task)
                 continue
             return reply
 
@@ -611,12 +434,7 @@ class FleetServer:
             if link in self._links:
                 self._links.remove(link)
             if request is not None and index is not None and not request.done[index]:
-                survivors = request.release_assignment(index, link)
-                if survivors:
-                    # A duplicate of this chunk is still in flight on a
-                    # live link; nothing to requeue.
-                    pass
-                elif self._links:
+                if self._links:
                     request.requeue(index)
                 else:
                     request.fail(

@@ -128,7 +128,6 @@ def run_worker(
                 if missing:
                     send_frame(sock, {"type": "need", "index": index, "digests": missing})
                     continue
-                started = time.perf_counter()
                 try:
                     result = evaluator(message["payload"])
                 except BaseException as error:  # ship the failure, keep serving
@@ -139,14 +138,7 @@ def run_worker(
                          "traceback": traceback.format_exc()},
                     )
                     continue
-                # The evaluation wall time rides the result frame so the
-                # coordinator's throughput EWMA (weighted scheduling)
-                # measures compute, not queueing or transfer.
-                send_frame(
-                    sock,
-                    {"type": "result", "index": index, "payload": result,
-                     "seconds": time.perf_counter() - started},
-                )
+                send_frame(sock, {"type": "result", "index": index, "payload": result})
                 chunks += 1
                 if max_requests is not None and requests >= max_requests:
                     break

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..arrays import HOST_BACKEND, active_array_backend
-from ..arrays.sweep import ColumnProgram, SweepShape, apply_column_sweep, select_sweep_kernel
+from ..arrays.sweep import ColumnProgram, apply_column_sweep, select_sweep_kernel
 from ..exceptions import ShapeError, VariationModelError
 from ..photonics import constants
 from ..photonics.mzi import mzi_transfer_components
@@ -398,10 +398,7 @@ class MZIMesh:
         # run the packed program through the selected sweep kernel.
         program = self._column_program
         sorted_components = tuple(c[..., program.perm] for c in components)
-        kernel = select_sweep_kernel(
-            HOST_BACKEND, SweepShape(self.n, 1, program.num_columns, self.scheme)
-        )
-        apply_column_sweep(HOST_BACKEND, matrix, sorted_components, program, kernel=kernel)
+        apply_column_sweep(HOST_BACKEND, matrix, sorted_components, program)
         return np.exp(1j * output_phases)[:, np.newaxis] * matrix  # host-only path
 
     def _blocks_and_phases(self, perturbation, backend=None) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
@@ -521,9 +518,7 @@ class MZIMesh:
         # cache-resident during the column sweep.
         program = self.column_program(backend)
         sorted_components = tuple(c[..., program.perm] for c in components)
-        kernel = select_sweep_kernel(
-            backend, SweepShape(self.n, batch, program.num_columns, self.scheme)
-        )
+        kernel = select_sweep_kernel(backend)
         if kernel.blocks_internally:
             apply_column_sweep(backend, matrices, sorted_components, program, kernel=kernel)
         else:

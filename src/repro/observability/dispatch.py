@@ -5,9 +5,9 @@ collector before every dispatch.  ``None`` (the default) means disabled —
 the sweep's only overhead is one module-global read per call.  While a
 collector is installed, every dispatch records ``(kernel_name, backend,
 n, batch, columns, seconds)``; the :class:`DispatchAggregator` folds the
-calls into per-shape totals, which is exactly the raw data the
-shape-aware adaptive kernel-selection roadmap item needs (where is the
-fused/looped crossover on *this* machine?).
+calls into per-shape totals: which kernel served which shapes, and how
+long each took.  Recording is observation only — kernel selection never
+reads it.
 
 Collectors are installed two ways:
 
@@ -26,15 +26,13 @@ registry) and never touches the swept arrays — only their shapes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "DispatchAggregator",
     "active_collector",
     "set_collector",
     "use_collector",
-    "active_feedback",
-    "set_feedback",
 ]
 
 
@@ -113,25 +111,6 @@ def set_collector(collector: Optional[DispatchAggregator]) -> None:
     """Install ``collector`` process-wide (``None`` disables)."""
     global _COLLECTOR
     _COLLECTOR = collector
-
-
-#: Autotune feedback sink: called as ``sink(backend, kernel, n, batch,
-#: columns, seconds)`` for every timed dispatch.  Unlike the collector —
-#: an *observer* installed per trace/chunk — the sink is a process-wide
-#: *consumer* (the cost-model's online refinement in
-#: :mod:`repro.tuning.policy`) and stays installed across traces.
-_FEEDBACK: Optional[Callable[[str, str, int, int, int, float], None]] = None
-
-
-def active_feedback() -> Optional[Callable[[str, str, int, int, int, float], None]]:
-    """The installed autotune feedback sink, or ``None`` when inactive."""
-    return _FEEDBACK
-
-
-def set_feedback(sink: Optional[Callable[[str, str, int, int, int, float], None]]) -> None:
-    """Install the dispatch feedback ``sink`` process-wide (``None`` disables)."""
-    global _FEEDBACK
-    _FEEDBACK = sink
 
 
 @contextmanager

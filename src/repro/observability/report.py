@@ -38,8 +38,7 @@ class MetricsReport:
     ``workers``  — per-``(host, pid)`` chunk counts, busy seconds, row
     totals and measured ``rows_per_second`` throughput (with the fleet
     backend chunks evaluate on other machines, so a pid alone is not an
-    identity; the throughput column is what the weighted fleet scheduler
-    estimates link-side).
+    identity).
     ``imbalance`` — max/mean worker busy time (1.0 = perfectly balanced),
     ``None`` when no worker was busy.  :attr:`worker_imbalance` breaks the
     same ratio out per host.
@@ -242,8 +241,7 @@ def _worker_table(chunks: List[dict]) -> List[dict]:
             "chunks": int(count),
             "seconds": float(seconds),
             "rows": int(rows),
-            # Measured throughput — the quantity the weighted fleet
-            # scheduler estimates link-side; ``None`` when never busy.
+            # Measured throughput; ``None`` when never busy.
             "rows_per_second": (float(rows) / seconds) if seconds > 0.0 else None,
         }
         for (host, worker), (count, seconds, rows) in sorted(totals.items())

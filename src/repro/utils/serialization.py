@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -43,12 +44,24 @@ def to_jsonable(value: Any) -> Any:
 
 
 def save_json(data: Any, path: str | Path, indent: int = 2) -> Path:
-    """Write ``data`` (dataclass / dict / arrays) to ``path`` as JSON."""
+    """Write ``data`` (dataclass / dict / arrays) to ``path`` as JSON.
+
+    The write is atomic: the document goes to a temporary file in the same
+    directory, which then replaces ``path``.  A failure part-way (e.g. an
+    unserializable value) leaves any existing file untouched and removes
+    the temporary file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(_to_jsonable(data), handle, indent=indent, sort_keys=True)
-        handle.write("\n")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w", encoding="utf-8") as handle:
+            json.dump(_to_jsonable(data), handle, indent=indent, sort_keys=True)
+            handle.write("\n")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path
 
 

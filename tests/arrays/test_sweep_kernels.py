@@ -10,9 +10,15 @@ never failed — the registry's whole point is graceful degradation.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.arrays import (
     HOST_BACKEND,
     SWEEP_KERNEL_ENV,
@@ -127,6 +133,46 @@ class TestRegistry:
             assert selected.name == "numba"
         else:
             assert selected.name == "fused"
+
+    def test_kernel_availability_probe_memoized(self):
+        for name in ("fused", "looped"):
+            kernel = get_sweep_kernel(name)
+            first = kernel.availability()
+            assert kernel.availability() is first, "probe result must be memoized"
+            assert first == (True, None)
+
+    def test_static_dispatch_on_numpy_backend(self, monkeypatch):
+        monkeypatch.delenv(SWEEP_KERNEL_ENV, raising=False)
+        if get_sweep_kernel("numba").available():  # pragma: no cover
+            pytest.skip("numba installed; it precedes fused in the static order")
+        numpy_backend = get_array_backend("numpy")
+        assert select_sweep_kernel(numpy_backend).name == "fused"
+        monkeypatch.setenv(SWEEP_KERNEL_ENV, "looped")
+        assert select_sweep_kernel(numpy_backend).name == "looped"
+
+    def test_dispatch_writes_no_cache(self, tmp_path):
+        # A fresh interpreter with an empty cache directory and no REPRO_*
+        # overrides: building a mesh and sweeping a batch must not measure
+        # anything into, or write anything under, the cache directory.
+        cache = tmp_path / "xdg-cache"
+        cache.mkdir()
+        env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        env["XDG_CACHE_HOME"] = str(cache)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        script = (
+            "from repro.mesh.mesh import MZIMesh\n"
+            "from repro.utils import random_unitary\n"
+            "from repro.utils.rng import spawn_rngs\n"
+            "from repro.variation.models import UncertaintyModel\n"
+            "from repro.variation.sampler import sample_mesh_perturbation_batch\n"
+            "mesh = MZIMesh.from_unitary(random_unitary(8, rng=3), scheme='clements')\n"
+            "batch = sample_mesh_perturbation_batch(mesh, UncertaintyModel.both(0.01), spawn_rngs(5, 16))\n"
+            "assert mesh.matrix_batch(batch).shape == (16, 8, 8)\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+        assert list(cache.iterdir()) == []
 
     def test_apply_accepts_kernel_instance(self):
         backend = HOST_BACKEND

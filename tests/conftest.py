@@ -2,14 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-# Keep the suite on the static kernel-preference order: a cold cache
-# would otherwise trigger a lazy autotune calibration mid-test (slow,
-# writes under ~/.cache) and make dispatch machine-dependent.  The
-# tuning tests opt back in explicitly via monkeypatch.
-os.environ.setdefault("REPRO_AUTOTUNE", "off")
-
 import numpy as np
 import pytest
 

@@ -87,34 +87,22 @@ class TestMainWarnsOnGaps:
         assert trajectory.missing_labels(artifacts) == ["pr8", "pr11"]
 
 
-class TestToleranceFloors:
-    def test_parity_floor_fails_below_tolerance(self):
+class TestAbsoluteFloors:
+    def test_megakernel_absolute_floor(self):
         artifacts = {
-            "pr10": {
-                "label": "pr10",
-                "scenarios": {"adaptive_dispatch": {"speedup": 0.4}},
+            "pr13": {
+                "label": "pr13",
+                "scenarios": {"mesh_megakernel": {"speedup": 1.5}},
             }
         }
         failures = trajectory.check_regressions(artifacts, tolerance=0.6)
-        assert any("parity floor" in failure for failure in failures)
+        assert any("absolute floor 2.00" in failure for failure in failures)
 
-    def test_parity_floor_passes_at_one(self):
+    def test_floor_cleared_passes(self):
         artifacts = {
-            "pr10": {
-                "label": "pr10",
-                "scenarios": {
-                    "adaptive_dispatch": {"speedup": 1.0, "small_shape_speedup": 1.0}
-                },
+            "pr13": {
+                "label": "pr13",
+                "scenarios": {"mesh_megakernel": {"speedup": 2.5}},
             }
         }
         assert trajectory.check_regressions(artifacts, tolerance=0.6) == []
-
-    def test_weighted_fleet_absolute_floor(self):
-        artifacts = {
-            "pr10": {
-                "label": "pr10",
-                "scenarios": {"weighted_fleet": {"speedup": 1.1}},
-            }
-        }
-        failures = trajectory.check_regressions(artifacts, tolerance=0.6)
-        assert any("absolute floor 1.30" in failure for failure in failures)

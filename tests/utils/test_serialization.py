@@ -64,3 +64,13 @@ def test_format_table_alignment_and_floats():
 def test_format_table_empty_rows():
     table = format_table(["col"], [])
     assert "col" in table
+
+
+def test_failed_save_json_leaves_existing_file_untouched(tmp_path):
+    path = tmp_path / "result.json"
+    save_json({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_json({"a": object()}, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]

@@ -61,15 +61,7 @@ NUMPY_FREE_MODULES: Tuple[str, ...] = (
     "repro/execution/fleet/cache.py",
     "repro/execution/fleet/protocol.py",
     "repro/execution/fleet/server.py",
-    "repro/execution/fleet/synthetic.py",
     "repro/execution/fleet/worker.py",
-    # The autotuning cost model and dispatch policy are consulted from the
-    # numpy-free kernel registry on every hinted dispatch; they are dicts,
-    # floats and JSON only.  The measurement side (calibrate.py) builds
-    # real meshes and is a seam module instead.
-    "repro/tuning/__init__.py",
-    "repro/tuning/costmodel.py",
-    "repro/tuning/policy.py",
 )
 
 #: Core numerics modules riding on the array seam (rule 2).
@@ -86,9 +78,6 @@ SEAM_MODULES: Tuple[str, ...] = (
     "repro/analysis/monte_carlo.py",
     "repro/analysis/timeline.py",
     "repro/analysis/recalibration.py",
-    # The calibration micro-benchmark: allocates through the backend and
-    # times apply_column_sweep — it must never compute on arrays itself.
-    "repro/tuning/calibrate.py",
 )
 
 #: NumPy compute functions that must go through ``xp`` on seam modules.
