@@ -75,7 +75,8 @@ def test_yield_smoke_runs_with_workers(tmp_path, capsys):
     assert "estimates" in payload and "nominal_accuracy" in payload
 
 
-def test_info_command(capsys):
+def test_info_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert main(["info"]) == 0
     out = capsys.readouterr().out
     assert "spnn-repro environment diagnostics" in out
@@ -86,7 +87,8 @@ def test_info_command(capsys):
     assert "numpy" in out
 
 
-def test_info_writes_json(tmp_path, capsys):
+def test_info_writes_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     output = tmp_path / "info.json"
     assert main(["info", "--output", str(output)]) == 0
     capsys.readouterr()
@@ -96,6 +98,14 @@ def test_info_writes_json(tmp_path, capsys):
     assert "looped" in payload["sweep_kernels"]
     for entry in payload["sweep_kernels"].values():
         assert entry["available"] == (entry["reason"] is None)
+    assert payload["autotune"] is None
+    # The kernel table is recorded once per distinct table, in the XDG cache.
+    tables = list((tmp_path / "cache" / "spnn-repro").glob("cost_table_*.json"))
+    assert [str(path) for path in tables] == [payload["kernel_table"]]
+    table = json.loads(tables[0].read_text())
+    assert table["sweep_kernels"] == payload["sweep_kernels"]
+    assert main(["info"]) == 0
+    assert list((tmp_path / "cache" / "spnn-repro").glob("cost_table_*.json")) == tables
 
 
 def test_info_rejects_run_only_flags(capsys):
