@@ -1,4 +1,4 @@
-"""Record the performance trajectory: run key scenarios, write ``BENCH_pr13.json``.
+"""Record the performance trajectory: run key scenarios, write ``BENCH_pr14.json``.
 
 The benchmark suite asserts floors; this script *records* the measured
 numbers so the repo carries its own perf history.  It times the load-bearing
@@ -10,9 +10,10 @@ with its warm re-null price, the device-resident engine behind
 ``--device gpu``, the fused mesh column-sweep megakernel against the looped
 reference, and the distributed fleet — a full round trip over a localhost
 2-worker fleet plus the cold-vs-warm transfer bytes of its spec-hash
-artifact cache — and the two set-up phases
-every paper-scale CLI run pays (``import repro.cli`` in a fresh interpreter
-and the synthetic-MNIST corpus) — and writes one JSON
+artifact cache — the two set-up phases every paper-scale CLI run pays
+(``import repro.cli`` in a fresh interpreter and the synthetic-MNIST
+corpus), and the stages of one paper-shape Monte Carlo chunk (draws,
+hardware matrices, forward) — and writes one JSON
 artifact with per-scenario timings and ratios at the repo root.  CI
 uploads the file so every run of the pipeline leaves a comparable data
 point; compare artifacts across PRs with ``python benchmarks/trajectory.py``
@@ -20,7 +21,7 @@ point; compare artifacts across PRs with ``python benchmarks/trajectory.py``
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/record.py [--output BENCH_pr13.json]
+    PYTHONPATH=src python benchmarks/record.py [--output BENCH_pr14.json]
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.onn.inference import monte_carlo_accuracy  # noqa: E402
 from repro.variation.models import UncertaintyModel  # noqa: E402
 
 #: Artifact label — bump per PR so the trajectory files line up with history.
-LABEL = "pr13"
+LABEL = "pr14"
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -97,6 +98,58 @@ def record_setup_phases(repeats: int = 5) -> dict:
         "images": len(train) + len(test),
         **_spread("import_cli", imports),
         **_spread("synthesis", synthesis),
+    }
+
+
+def record_paper_forward(repeats: int = 5) -> dict:
+    """The stages of one paper-shape Monte Carlo chunk, timed separately.
+
+    A random-weight 16-16-16-10 SPNN (no training needed) scores
+    ``batch = 250`` realizations on ``samples = 1000`` random complex
+    feature vectors: the perturbation draws, the per-layer hardware
+    matrices, and the forward of :meth:`SPNN.accuracy_batch` with those
+    matrices precomputed.  Raw seconds as median + IQR over ``repeats``
+    runs, recorded for context and never gated.
+    """
+    from repro.onn import SPNN, SPNNArchitecture
+    from repro.utils.rng import spawn_rngs
+    from repro.variation.sampler import sample_network_perturbation_batch
+
+    samples, batch = 1000, 250
+    gen = np.random.default_rng(1)
+    architecture = SPNNArchitecture(layer_dims=(16, 16, 16, 10))
+    weights = [
+        (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / 4.0
+        for shape in architecture.weight_shapes()
+    ]
+    spnn = SPNN(weights, architecture)
+    features = gen.standard_normal((samples, 16)) + 1j * gen.standard_normal((samples, 16))
+    labels = gen.integers(0, architecture.output_size, samples)
+    model = UncertaintyModel.both(0.05)
+    draws, matrices, forward = [], [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        perturbations = sample_network_perturbation_batch(
+            spnn.photonic_layers, model, spawn_rngs(3, batch)
+        )
+        draws.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        stacked = spnn.hardware_matrices_batch(perturbations)
+        matrices.append(time.perf_counter() - start)
+        # Shadow the matrix stage on the instance so only the forward is timed.
+        spnn.hardware_matrices_batch = lambda *args, stacked=stacked, **kwargs: stacked
+        start = time.perf_counter()
+        spnn.accuracy_batch(features, labels, perturbations)
+        forward.append(time.perf_counter() - start)
+        del spnn.hardware_matrices_batch
+    return {
+        "dims": list(architecture.layer_dims),
+        "samples": samples,
+        "batch": batch,
+        "repeats": repeats,
+        **_spread("draws", draws),
+        **_spread("matrices", matrices),
+        **_spread("forward", forward),
     }
 
 
@@ -433,6 +486,8 @@ def main(argv=None) -> int:
     scenarios = {}
     print("recording set-up phases ...")
     scenarios["setup_phases"] = record_setup_phases()
+    print("recording paper-shape forward stages ...")
+    scenarios["paper_forward"] = record_paper_forward()
     print("recording noise-aware step timings ...")
     scenarios["noise_aware_step"] = record_noise_aware_step(config, train_x, train_y)
     print("recording layer recompile timings ...")

@@ -55,6 +55,8 @@ HEADLINE_METRICS: Tuple[Tuple[str, str], ...] = (
     ("artifact_cache_hit", "stream_floor_headroom"),
     ("setup_phases", "import_cli_median_s"),
     ("setup_phases", "synthesis_median_s"),
+    ("paper_forward", "matrices_median_s"),
+    ("paper_forward", "forward_median_s"),
 )
 
 #: Metric keys the --check gate enforces: dimensionless ratios only.  Raw

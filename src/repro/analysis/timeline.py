@@ -59,8 +59,10 @@ __all__ = [
     "timeline_sweep_multi",
 ]
 
-#: Matches the Monte Carlo chunk target: one scheduled chunk's working set
-#: (forward activations, stacked matrices, state matrices) stays near this.
+#: Same budget as the Monte Carlo chunk target: one scheduled chunk's
+#: working set (forward activations, stacked matrices, state matrices) stays
+#: near this.  It sizes the scheduled chunk only; each step's forward runs
+#: in the smaller sub-chunks of :meth:`~repro.onn.SPNN.accuracy_batch`.
 CHUNK_TARGET_BYTES = 8 * 1024 * 1024
 
 

@@ -15,12 +15,8 @@ fully overwrite any buffer they receive.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 __all__ = [
-    "broadcast_shapes",
     "is_complex",
-    "matmul_result_shape",
     "matmul_transposed",
     "softplus",
     "log_softmax",
@@ -30,58 +26,28 @@ __all__ = [
 ]
 
 
-def broadcast_shapes(*shapes: Tuple[int, ...]) -> Tuple[int, ...]:
-    """NumPy-style broadcast of shape tuples (pure host-side integer math)."""
-    ndim = max((len(shape) for shape in shapes), default=0)
-    result = []
-    for axis in range(ndim):
-        extent = 1
-        for shape in shapes:
-            index = axis - (ndim - len(shape))
-            if index < 0:
-                continue
-            dim = int(shape[index])
-            if dim == 1 or dim == extent:
-                continue
-            if extent == 1:
-                extent = dim
-            else:
-                raise ValueError(f"shapes {shapes} are not broadcastable")
-        result.append(extent)
-    return tuple(result)
-
-
 def is_complex(array) -> bool:
     """Whether ``array`` holds complex values (dtype-kind test, any namespace)."""
     return getattr(array, "dtype", None) is not None and array.dtype.kind == "c"
 
 
-def matmul_result_shape(activations, matrix) -> Tuple[int, ...]:
-    """Shape of ``activations @ swapaxes(matrix, -2, -1)`` under broadcasting."""
-    return broadcast_shapes(
-        tuple(activations.shape[:-1]), tuple(matrix.shape[:-2]) + (1,)
-    ) + (int(matrix.shape[-2]),)
-
-
-def matmul_transposed(xp, activations, matrix, out=None):
+def matmul_transposed(xp, activations, matrix):
     """``activations @ matrix.T`` with a real/complex split on the hot path.
 
     After the modulus-Softplus the activations are real while the hardware
     matrices stay complex; multiplying through a complex matmul would spend
     half its work on the zero imaginary part, so the real and imaginary
     products are computed separately.  ``matrix`` may carry a leading batch
-    axis (stacked matmuls run the same per-slice kernel as the 2-D ones on
-    the reference namespace, keeping the looped and batched paths
-    bit-identical).  ``out`` optionally supplies the result buffer.
+    axis: the stacked matmul then runs, slice by slice, the same BLAS call
+    as the 2-D product, which keeps the batched forward bit-identical to
+    the single-realization one.
     """
     transposed = xp.swapaxes(matrix, -2, -1)
     if is_complex(activations):
-        if out is None:
-            return xp.matmul(activations, transposed)
-        return xp.matmul(activations, transposed, out=out)
-    if out is None:
-        out = xp.empty(matmul_result_shape(activations, matrix), dtype=xp.complex128)
-    out.real = xp.matmul(activations, transposed.real)
+        return xp.matmul(activations, transposed)
+    real = xp.matmul(activations, transposed.real)
+    out = xp.empty(real.shape, dtype=xp.complex128)
+    out.real = real
     out.imag = xp.matmul(activations, transposed.imag)
     return out
 
@@ -89,15 +55,24 @@ def matmul_transposed(xp, activations, matrix, out=None):
 def softplus(xp, x, beta: float = 1.0, threshold: float = 30.0, out=None):
     """Numerically stable Softplus, ``log(1 + exp(beta x)) / beta``.
 
-    ``out`` optionally supplies the result buffer (it must not alias ``x``,
-    which is still read for the saturated branch); one buffer is reused for
-    the chained elementwise steps either way.
+    ``out`` optionally supplies the result buffer and may be ``x`` itself
+    (an in-place Softplus); with a saturated entry the result lands in a
+    fresh array instead, because ``x`` is still read for that branch.  Two
+    passes are skipped where they are exact: the scaling at ``beta == 1.0``
+    and the clamp when no entry is above ``threshold`` (neither changes a
+    single bit, NaN and inf included).
     """
-    scaled = xp.multiply(beta, x, out=out) if out is not None else beta * x
+    scaled = x if beta == 1.0 else beta * x
     saturated = scaled > threshold
     any_saturated = bool(saturated.any())
-    result = xp.minimum(scaled, threshold, out=scaled)
-    xp.exp(result, out=result)
+    if out is None and scaled is not x:
+        out = scaled  # the scaled copy is scratch
+    if any_saturated:
+        # `x` is read again by the where() below, so never clamp into it.
+        result = xp.minimum(scaled, threshold, out=None if out is x else out)
+        xp.exp(result, out=result)
+    else:
+        result = xp.exp(scaled, out=out)
     xp.log1p(result, out=result)
     if beta != 1.0:
         result /= beta

@@ -42,11 +42,12 @@ from ..variation.models import UncertaintyModel
 from ..variation.process import IIDGaussianProcess, PerturbationProcess
 from .spnn import SPNN, NetworkPerturbation, stack_network_perturbations
 
-#: Target working-set bytes of one scheduled Monte Carlo chunk — matches the
-#: ~8 MB activation-chunk target of :meth:`SPNN.accuracy_batch`, so the
-#: runner's default chunking keeps a whole chunk (sampling buffers, stacked
-#: matrices and one forward block) near cache-friendly size no matter how
-#: large the evaluation set grows.
+#: Target working-set bytes of one scheduled Monte Carlo chunk: the runner's
+#: default chunking keeps a whole chunk (sampling buffers, stacked matrices
+#: and the chunk's forward activations) near this size no matter how large
+#: the evaluation set grows.  It sizes the scheduled chunk only; the forward
+#: inside :meth:`SPNN.accuracy_batch` runs in its own, smaller sub-chunks
+#: (:data:`repro.onn.spnn.FORWARD_CHUNK_BYTES`).
 CHUNK_TARGET_BYTES = 8 * 1024 * 1024
 
 
@@ -151,8 +152,8 @@ class NetworkAccuracyBatchTrial:
         the perturbation sampling buffers — so the default chunk shrinks as
         the evaluation set grows (the paper's 10k MNIST test set lands at a
         handful of realizations per chunk) instead of letting a whole
-        1000-iteration run blow past the ~8 MB activation-chunk target in
-        one call.  Chunking never changes the samples.
+        1000-iteration run blow past :data:`CHUNK_TARGET_BYTES` in one
+        call.  Chunking never changes the samples.
         """
         spnn = resolve_network(self.spnn)
         features = resolve_array(self.features)

@@ -21,6 +21,7 @@ measured exactly as in the paper's EXP 1 / EXP 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,11 @@ NetworkPerturbation = List[Optional[LayerPerturbation]]
 #: Batched network perturbation: one stacked entry per linear layer
 #: (None = that layer ideal in every realization).
 NetworkPerturbationBatch = List[Optional[LayerPerturbationBatch]]
+
+#: Activation bytes of one forward sub-chunk of :meth:`SPNN.accuracy_batch`
+#: (complex128 at the widest layer): small enough that a sub-chunk's
+#: activations stay cache-resident from one layer pass to the next.
+FORWARD_CHUNK_BYTES = 512 * 1024
 
 
 def stack_network_perturbations(
@@ -119,36 +125,6 @@ class SPNNArchitecture:
         return [
             (self.layer_dims[i + 1], self.layer_dims[i]) for i in range(self.num_linear_layers)
         ]
-
-
-# --------------------------------------------------------------------------- #
-# numerically stable real helpers (thin wrappers over the xp kernels)
-# --------------------------------------------------------------------------- #
-# The arithmetic lives in :mod:`repro.arrays.kernels` and targets the active
-# array backend's namespace; with the default (NumPy) backend the call
-# sequences are exactly the historical ones, so results are bit-identical.
-
-
-def _softplus(
-    x: np.ndarray, beta: float = 1.0, threshold: float = 30.0, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    return _kernels.softplus(active_array_backend().xp, x, beta=beta, threshold=threshold, out=out)
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    return _kernels.log_softmax(active_array_backend().xp, x)
-
-
-def _matmul_result_shape(activations: np.ndarray, matrix: np.ndarray) -> Tuple[int, ...]:
-    """Shape of ``activations @ swapaxes(matrix, -2, -1)`` under broadcasting."""
-    return _kernels.matmul_result_shape(activations, matrix)
-
-
-def _matmul_transposed(
-    activations: np.ndarray, matrix: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``activations @ matrix.T`` (see :func:`repro.arrays.kernels.matmul_transposed`)."""
-    return _kernels.matmul_transposed(active_array_backend().xp, activations, matrix, out=out)
 
 
 class SPNN:
@@ -347,8 +323,8 @@ class SPNN:
             Required when ``perturbations`` is ``None`` or all-``None``.
         workspace:
             Optional :class:`~repro.training.workspace.VectorizedWorkspace`
-            backing the activation buffers with reusable allocations.
-            Values are bit-identical with and without it.
+            backing the stacked hardware matrices with reusable
+            allocations.  Values are bit-identical with and without it.
 
         Returns
         -------
@@ -360,9 +336,7 @@ class SPNN:
         matrices = self.hardware_matrices_batch(
             perturbations, batch_size=batch_size, workspace=workspace
         )
-        return self._forward_batch_with_matrices(
-            self._validated_features(features), matrices, workspace=workspace
-        )
+        return self._forward_batch_with_matrices(self._validated_features(features), matrices)
 
     def _validated_features(self, features: np.ndarray) -> np.ndarray:
         features = as_complex_array(features, "features")
@@ -375,60 +349,37 @@ class SPNN:
         return features
 
     def _forward_batch_with_matrices(
-        self, features: np.ndarray, matrices: Sequence[np.ndarray], workspace=None
+        self, features: np.ndarray, matrices: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Forward pass of validated ``(samples, n)`` features through stacked matrices."""
-        return _log_softmax(
-            self._modulus_batch_with_matrices(features, matrices, workspace=workspace) ** 2
-        )
+        modulus = self._modulus_batch_with_matrices(features, matrices)
+        return _kernels.log_softmax(active_array_backend().xp, modulus**2)
 
     def _modulus_batch_with_matrices(
-        self, features: np.ndarray, matrices: Sequence[np.ndarray], workspace=None
+        self, features: np.ndarray, matrices: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Batched counterpart of :meth:`_modulus_with_matrices`, ``(B, samples, out)``.
 
-        With a ``workspace`` the per-stage activation blocks (stacked
-        matmul results, modulus and Softplus outputs) live in reusable
-        arena buffers, one key per pipeline stage so no two live
-        intermediates alias; every buffer is fully overwritten, keeping the
-        values bit-identical to the allocating path.  The returned modulus
-        may be a workspace view — valid until the next workspace-backed
-        call.  Under a device array backend the features move across once
-        (cached transfer) and the whole pipeline runs device-resident.
+        Each realization's layer product is the very BLAS call of the
+        single-realization path (the stacked matmul loops over the leading
+        axis with the same operand layouts), which keeps the two
+        bit-identical on every shape.  Carrying the activations
+        feature-major, or stacking products across realizations, changes
+        which BLAS micro-kernel computes an entry and with it the last bit.
+        Buffers are fresh per call and Softplus runs in place over the
+        modulus.  Under a device array backend the features move across
+        once (cached transfer) and the whole pipeline runs device-resident.
         """
         backend = active_array_backend()
         xp = backend.xp
         if not backend.is_host:
             features = backend.asarray_cached(features)
-        activations = features[None, :, :]  # (1, samples, n) broadcasts over B
-        last = len(matrices) - 1
         beta = self.architecture.softplus_beta
-        for index, matrix in enumerate(matrices):
-            out = None
-            if workspace is not None:
-                out = workspace.buffer(
-                    ("spnn/matmul", index), _matmul_result_shape(activations, matrix), np.complex128
-                )
-            activations = _matmul_transposed(activations, matrix, out=out)
-            if index != last:
-                if workspace is not None:
-                    modulus = xp.abs(
-                        activations,
-                        out=workspace.buffer(("spnn/modulus", index), activations.shape, np.float64),
-                    )
-                    activations = _softplus(
-                        modulus,
-                        beta=beta,
-                        out=workspace.buffer(("spnn/softplus", index), activations.shape, np.float64),
-                    )
-                else:
-                    activations = _softplus(xp.abs(activations), beta=beta)
-        if workspace is not None:
-            return xp.abs(
-                activations,
-                out=workspace.buffer(("spnn/modulus", last), activations.shape, np.float64),
-            )
-        return xp.abs(activations)
+        activations = features  # (samples, n) broadcasts over B
+        for matrix in matrices[:-1]:
+            modulus = xp.abs(_kernels.matmul_transposed(xp, activations, matrix))
+            activations = _kernels.softplus(xp, modulus, beta=beta, out=modulus)
+        return xp.abs(_kernels.matmul_transposed(xp, activations, matrices[-1]))
 
     def accuracy_batch(
         self,
@@ -443,13 +394,18 @@ class SPNN:
 
         The perturbed hardware matrices are evaluated for the whole batch at
         once (they are small), while the forward pass over the evaluation
-        set runs in chunks of ``chunk_size`` realizations so the activation
-        workspace stays cache-resident; the chunk size is picked
-        automatically when omitted.  Chunking does not change the results.
-        A :class:`~repro.training.workspace.VectorizedWorkspace` passed as
-        ``workspace`` recycles the per-chunk activation buffers across
-        chunks (and across calls); results are bit-identical either way.
+        set runs in sub-chunks of ``chunk_size`` realizations so the
+        activations stay cache-resident; the size is picked from
+        :data:`FORWARD_CHUNK_BYTES` when omitted.  Chunking does not change
+        the results.  A :class:`~repro.training.workspace.VectorizedWorkspace`
+        passed as ``workspace`` backs the hardware matrices; the forward's
+        activation buffers are always fresh.  Results are bit-identical
+        either way.
         """
+        if chunk_size is not None and (
+            isinstance(chunk_size, bool) or not isinstance(chunk_size, Integral) or chunk_size < 1
+        ):
+            raise ValueError(f"chunk_size must be a positive integer, got {chunk_size!r}")
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
@@ -468,8 +424,6 @@ class SPNN:
         batch = int(matrices[0].shape[0])
         if chunk_size is None:
             chunk_size = self._forward_chunk_size(features.shape[0])
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         device_labels = labels if backend.is_host else backend.asarray_cached(labels)
         accuracies = xp.empty(batch, dtype=xp.float64)
         for start in range(0, batch, chunk_size):
@@ -478,17 +432,17 @@ class SPNN:
             # log-probabilities (see _modulus_with_matrices), so the
             # normalization is skipped on this hot path.
             modulus = self._modulus_batch_with_matrices(
-                features, [matrix[start:stop] for matrix in matrices], workspace=workspace
+                features, [matrix[start:stop] for matrix in matrices]
             )
             predictions = xp.argmax(modulus, axis=-1)
             accuracies[start:stop] = xp.mean(predictions == device_labels[None, :], axis=1)
         return accuracies
 
-    def _forward_chunk_size(self, num_samples: int, target_bytes: int = 8 * 1024 * 1024) -> int:
-        """Realizations per forward chunk keeping activations near cache size."""
+    def _forward_chunk_size(self, num_samples: int) -> int:
+        """Realizations per forward sub-chunk (activations near :data:`FORWARD_CHUNK_BYTES`)."""
         width = max(self.architecture.layer_dims)
         bytes_per_realization = max(1, num_samples) * width * 16  # complex128
-        return max(1, target_bytes // bytes_per_realization)
+        return max(1, FORWARD_CHUNK_BYTES // bytes_per_realization)
 
     # ------------------------------------------------------------------ #
     # shared forward pass

@@ -4,8 +4,8 @@ Both vectorized evaluation engines of this library — the batched Monte
 Carlo path (``B`` uncertainty realizations stacked along a leading axis)
 and the noise-aware training step (``K`` perturbation draws stacked the
 same way) — churn through the same kind of short-lived arrays every call:
-stacked hardware matrices, activation blocks, modulus buffers, tiled
-targets.  At smoke scale those allocations are a measurable slice of the
+perturbation draws, stacked hardware matrices, injected weight offsets,
+tiled targets.  At smoke scale those allocations are a measurable slice of the
 per-step cost; at the paper's 10k-MNIST scale they are tens of megabytes
 of allocator traffic per Monte Carlo chunk.
 
@@ -24,9 +24,9 @@ Contract
   results are bit-identical with and without a workspace.
 * A key hands out **one** buffer; requesting the same key twice without an
   intervening full overwrite aliases the two uses.  Hot paths therefore
-  namespace their keys per pipeline stage (``("spnn/matmul", layer)``,
-  ``("injector/offsets", layer)``, ...), which keeps every concurrently
-  live intermediate on a distinct allocation.
+  namespace their keys per pipeline stage (``(("spnn/layer", layer),
+  "svd/matrix")``, ``("injector/offsets", layer)``, ...), which keeps
+  every concurrently live intermediate on a distinct allocation.
 * A workspace is **not** thread-safe and must not be shared across
   processes.  Worker processes of the multiprocess backend each use their
   own process-local arena (:func:`process_workspace`), which is what makes
