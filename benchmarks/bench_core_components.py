@@ -3,7 +3,7 @@
 These are plain performance benchmarks (not paper reproductions): the
 Clements decomposition of a 16x16 unitary, perturbed mesh evaluation
 (single and batched), and the Monte Carlo accuracy engine of the full SPNN
-in both its looped and vectorized forms — the operations every experiment
+against its looped reference trial — the operations every experiment
 in the paper loops over.
 """
 
@@ -14,8 +14,10 @@ import time
 
 import numpy as np
 
+from repro.analysis.monte_carlo import MonteCarloRunner
 from repro.mesh import MZIMesh, clements_decompose
 from repro.onn import monte_carlo_accuracy
+from repro.onn.inference import NetworkAccuracyTrial
 from repro.utils import random_unitary
 from repro.utils.rng import spawn_rngs
 from repro.variation import (
@@ -97,7 +99,6 @@ def test_spnn_monte_carlo_batched_1000(benchmark, spnn_task):
         model,
         iterations=PAPER_MC_ITERATIONS,
         rng=0,
-        vectorized=True,
     )
     assert accuracies.shape == (PAPER_MC_ITERATIONS,)
     assert np.all((accuracies >= 0) & (accuracies <= 1))
@@ -122,12 +123,13 @@ def test_spnn_monte_carlo_batched_speedup(spnn_task):
     # Warm caches / lazy BLAS initialisation outside the measured windows.
     monte_carlo_accuracy(**{**kwargs, "iterations": 20})
 
+    oracle = NetworkAccuracyTrial(spnn, features, labels, model)
     start = time.perf_counter()
-    looped = monte_carlo_accuracy(vectorized=False, **kwargs)
+    looped = MonteCarloRunner(iterations=PAPER_MC_ITERATIONS).run(oracle, rng=7).samples
     looped_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = monte_carlo_accuracy(vectorized=True, **kwargs)
+    batched = monte_carlo_accuracy(**kwargs)
     batched_seconds = time.perf_counter() - start
 
     assert np.array_equal(looped, batched), "batched MC path must be bit-identical to the loop"

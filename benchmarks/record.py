@@ -45,7 +45,8 @@ from repro.experiments.exp3_robust_training import train_baseline_model  # noqa:
 from repro.experiments.registry import get_experiment  # noqa: E402
 from repro.mesh.svd_layer import PhotonicLinearLayer  # noqa: E402
 from repro.onn.builder import build_trained_spnn, prepare_feature_sets  # noqa: E402
-from repro.onn.inference import monte_carlo_accuracy  # noqa: E402
+from repro.analysis.monte_carlo import MonteCarloRunner  # noqa: E402
+from repro.onn.inference import NetworkAccuracyTrial, monte_carlo_accuracy  # noqa: E402
 from repro.variation.models import UncertaintyModel  # noqa: E402
 
 #: Artifact label — bump per PR so the trajectory files line up with history.
@@ -198,15 +199,13 @@ def record_mc_engine(config) -> dict:
     features = task.test_features[:64]
     labels = task.test_labels[:64]
     model = UncertaintyModel.both(0.01)
-    kwargs = dict(iterations=200, rng=7)
+    iterations, seed = 200, 7
+    oracle = NetworkAccuracyTrial(task.spnn, features, labels, model)
     previous = os.environ.get(SWEEP_KERNEL_ENV)
     os.environ[SWEEP_KERNEL_ENV] = "looped"
     try:
         looped = _time(
-            lambda: monte_carlo_accuracy(
-                task.spnn, features, labels, model, vectorized=False, **kwargs
-            ),
-            repeats=1,
+            lambda: MonteCarloRunner(iterations=iterations).run(oracle, rng=seed), repeats=1
         )
     finally:
         if previous is None:
@@ -214,7 +213,9 @@ def record_mc_engine(config) -> dict:
         else:
             os.environ[SWEEP_KERNEL_ENV] = previous
     batched = _time(
-        lambda: monte_carlo_accuracy(task.spnn, features, labels, model, **kwargs),
+        lambda: monte_carlo_accuracy(
+            task.spnn, features, labels, model, iterations=iterations, rng=seed
+        ),
         repeats=1,
     )
     return {"looped_seconds": looped, "batched_seconds": batched, "speedup": looped / batched}

@@ -190,7 +190,6 @@ def per_mzi_rvd_criticality(
     iterations: int = 1000,
     rng: RNGLike = None,
     rvd_eps: float = 0.0,
-    vectorized: bool = True,
     backend: BackendLike = None,
     workers: Optional[int] = None,
 ) -> CriticalityReport:
@@ -200,12 +199,14 @@ def per_mzi_rvd_criticality(
     perturbations applied to that device only; the average RVD against the
     nominal unitary is that device's criticality score.
 
-    The vectorized path (default) stacks the ``iterations`` realizations of
-    one device and evaluates them with :meth:`MZIMesh.matrix_batch`; it
-    draws from the same per-device streams as the loop and produces
-    bit-identical scores.  With ``workers=N`` the devices are sharded
-    across worker processes — again bit-identical, each device's stream is
-    spawned up front and consumed in one place.
+    The ``iterations`` realizations of one device are stacked and
+    evaluated with :meth:`MZIMesh.matrix_batch`
+    (:meth:`SingleMZIRVDMetric.batched`); they draw from the same
+    per-device streams as the scalar reference
+    (:meth:`SingleMZIRVDMetric.scalar`) and give bit-identical scores.
+    With ``workers=N`` the devices are sharded across worker processes —
+    again bit-identical, each device's stream is spawned up front and
+    consumed in one place.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -214,11 +215,10 @@ def per_mzi_rvd_criticality(
     )
     return score_components(
         range(mesh.num_mzis),
-        metric_fn=None if vectorized else scorer.scalar,
         iterations=iterations,
         rng=rng,
         metric="mean_rvd",
-        batch_metric_fn=scorer.batched if vectorized else None,
+        batch_metric_fn=scorer.batched,
         backend=backend,
         workers=workers,
     )

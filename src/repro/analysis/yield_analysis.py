@@ -146,15 +146,16 @@ def _folded_sigma_samples(
 ) -> Dict[float, np.ndarray]:
     """Monte Carlo samples for every sigma, folded into one scheduling pass.
 
-    The per-sigma loop runs one batched Monte Carlo pass — one scheduling
-    barrier, one ``backend.map`` — per uncertainty level.  This folds the
-    sigma axis into the leading Monte Carlo batch axis instead: all
-    ``len(sigmas) * iterations`` realizations form one task list whose
+    A per-sigma loop would run one batched Monte Carlo pass — one
+    scheduling barrier, one ``backend.map`` — per uncertainty level.  This
+    folds the sigma axis into the leading Monte Carlo batch axis instead:
+    all ``len(sigmas) * iterations`` realizations form one task list whose
     chunks may freely mix sigmas, each row scaled by its own level's
-    physical stds (:class:`~repro.onn.inference.
-    SigmaFoldedAccuracyBatchTrial`).  One map pass covers the whole sweep,
-    so worker pools stay saturated across sigma boundaries and fused
-    column-sweep chunks stay full even when ``iterations`` is small.
+    physical stds (the ``*_std_rows`` fields of
+    :class:`~repro.onn.inference.NetworkAccuracyBatchTrial`).  One map pass
+    covers the whole sweep, so worker pools stay saturated across sigma
+    boundaries and fused column-sweep chunks stay full even when
+    ``iterations`` is small.
 
     Bit-identity with the per-sigma loop: each sigma's child streams are
     spawned exactly as :class:`~repro.analysis.monte_carlo.
@@ -165,7 +166,7 @@ def _folded_sigma_samples(
     accuracy but still consume their position's stream, exactly like the
     unfolded loop.
     """
-    from ..onn.inference import SigmaFoldedAccuracyBatchTrial
+    from ..onn.inference import NetworkAccuracyBatchTrial
     from .monte_carlo import chunk_stream_payload, evaluate_batch_chunk, plan_chunk_size
 
     samples_per_sigma: Dict[float, np.ndarray] = {}
@@ -191,7 +192,7 @@ def _folded_sigma_samples(
         return samples_per_sigma
     phase_rows = np.concatenate(phase_blocks)[:, None]
     splitter_rows = np.concatenate(splitter_blocks)[:, None]
-    base_trial = SigmaFoldedAccuracyBatchTrial(
+    base_trial = NetworkAccuracyBatchTrial(
         spnn=network,
         features=eval_features,
         labels=eval_labels,
@@ -308,7 +309,6 @@ def yield_sweep(
     workers: Optional[int] = None,
     device: Optional[str] = None,
     use_workspace: bool = False,
-    fold_sigmas: bool = True,
 ) -> YieldSweepResult:
     """Sweep the uncertainty level and estimate the parametric yield at each.
 
@@ -321,12 +321,12 @@ def yield_sweep(
     positionally, so reordering or extending the sigma list changes the
     draws a given sigma receives.
 
-    By default the sigma axis is *folded* into the Monte Carlo batch axis
+    The sigma axis is *folded* into the Monte Carlo batch axis
     (:func:`_folded_sigma_samples`): the whole sweep is one task list
     scheduled through a single ``backend.map`` pass, with each realization
     row scaled by its own sigma's physical stds.  Samples are bit-identical
-    to the per-sigma loop at every worker count; ``fold_sigmas=False``
-    keeps the historical one-pass-per-sigma scheduling.
+    to a per-sigma loop of :func:`~repro.onn.inference.monte_carlo_accuracy`
+    on the same streams, at every worker count.
 
     Parameters
     ----------
@@ -368,10 +368,6 @@ def yield_sweep(
         Recycle the vectorized engine's scratch buffers through each
         process's workspace arena (bit-identical; allocation reuse only).
     """
-    # Imported lazily: the analysis package must stay importable before the
-    # onn package (which itself imports the Monte Carlo engine) is built.
-    from ..onn.inference import monte_carlo_accuracy
-
     sigmas = tuple(float(sigma) for sigma in sigmas)
     if not sigmas:
         raise ValueError("yield_sweep requires at least one sigma")
@@ -397,14 +393,11 @@ def yield_sweep(
         raise ValueError(f"accuracy_threshold must be in [0, 1], got {accuracy_threshold}")
 
     streams = spawn_rngs(rng, len(sigmas))
-    samples_per_sigma: Dict[float, np.ndarray] = {}
-    # One backend for the whole sweep, with its worker pool (if any) kept
-    # alive across the per-sigma runs — forking a fresh pool per sigma would
-    # dominate small sharded runs.  The eval arrays *and* the compiled mesh
-    # parameters are hosted in shared memory for the same scope (unless the
-    # caller already hosts them), so they cross the process boundary once
-    # per worker, not once per chunk — the per-chunk payload shrinks to the
-    # perturbation draws.
+    # One backend for the whole sweep.  The eval arrays *and* the compiled
+    # mesh parameters are hosted in shared memory for the same scope (unless
+    # the caller already hosts them), so they cross the process boundary
+    # once per worker, not once per chunk — the per-chunk payload shrinks to
+    # the perturbation draws.
     resolved = resolve_backend(backend, workers, device)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
@@ -420,45 +413,26 @@ def yield_sweep(
         sigmas=len(sigmas),
         iterations=iterations,
         case=case.lower(),
-        folded=bool(fold_sigmas),
         parallelism=resolved.parallelism,
     )
     with sweep_span, pool_scope(resolved), hosting as (
         eval_features,
         eval_labels,
     ), network_hosting as network:
-        if fold_sigmas:
-            samples_per_sigma = _folded_sigma_samples(
-                network,
-                eval_features,
-                eval_labels,
-                sigmas,
-                streams,
-                case,
-                perturb_sigma_stage,
-                iterations,
-                nominal_accuracy,
-                chunk_size,
-                resolved,
-                use_workspace,
-            )
-        else:
-            for sigma, stream in zip(sigmas, streams):
-                model = UncertaintyModel.for_case(case, sigma, perturb_sigma_stage=perturb_sigma_stage)
-                if model.is_null:
-                    samples_per_sigma[sigma] = np.full(iterations, nominal_accuracy)
-                    continue
-                samples_per_sigma[sigma] = monte_carlo_accuracy(
-                    network,
-                    eval_features,
-                    eval_labels,
-                    model,
-                    iterations=iterations,
-                    rng=stream,
-                    chunk_size=chunk_size,
-                    backend=resolved,
-                    use_workspace=use_workspace,
-                )
+        samples_per_sigma = _folded_sigma_samples(
+            network,
+            eval_features,
+            eval_labels,
+            sigmas,
+            streams,
+            case,
+            perturb_sigma_stage,
+            iterations,
+            nominal_accuracy,
+            chunk_size,
+            resolved,
+            use_workspace,
+        )
     estimates = yield_vs_sigma(samples_per_sigma, accuracy_threshold)
     return YieldSweepResult(
         sigmas=sigmas,
@@ -564,7 +538,8 @@ def bisect_max_tolerable_sigma(
     reproducible; the worker pool (if any) and the shared-memory eval
     hosting persist across all probes.
     """
-    # Imported lazily, matching yield_sweep.
+    # Imported lazily: the analysis package must stay importable before the
+    # onn package (which itself imports the Monte Carlo engine) is built.
     from ..onn.inference import monte_carlo_accuracy
 
     if not 0.0 <= sigma_lo < sigma_hi:

@@ -34,7 +34,7 @@ from ..execution import (
     shared_network,
 )
 from ..onn.builder import SPNNTask, SPNNTrainingConfig, build_trained_spnn
-from ..onn.inference import NetworkAccuracyBatchTrial, NetworkAccuracyTrial
+from ..onn.inference import NetworkAccuracyBatchTrial
 from ..onn.spnn import SPNN
 from ..utils.rng import RNGLike, ensure_rng
 from ..utils.serialization import format_table
@@ -61,9 +61,6 @@ class Exp1Config:
     iterations: int = 1000
     perturb_sigma_stage: bool = True
     seed: int = 7
-    #: Evaluate each (case, sigma) point with the batched Monte Carlo path
-    #: (bit-identical to the loop at a fixed seed, several times faster).
-    vectorized: bool = True
     #: Realizations per batched chunk (bounds peak memory, and the work-unit
     #: granularity when sharding across workers); None = all at once.
     chunk_size: Optional[int] = 250
@@ -187,16 +184,10 @@ def run_exp1(
                     )
                     continue
 
-                # Module-level picklable trials so the chunks can be shipped to
-                # worker processes; both consume each child stream identically.
-                if config.vectorized:
-                    batch_trial = NetworkAccuracyBatchTrial(
-                        spnn=network, features=eval_features, labels=eval_labels, model=model
-                    )
-                    results[case].append(runner.run_batched(batch_trial, rng=gen, label=f"{case}@{sigma}"))
-                else:
-                    trial = NetworkAccuracyTrial(
-                        spnn=network, features=eval_features, labels=eval_labels, model=model
-                    )
-                    results[case].append(runner.run(trial, rng=gen, label=f"{case}@{sigma}"))
+                # A module-level picklable trial, so the chunks can be
+                # shipped to worker processes.
+                batch_trial = NetworkAccuracyBatchTrial(
+                    spnn=network, features=eval_features, labels=eval_labels, model=model
+                )
+                results[case].append(runner.run_batched(batch_trial, rng=gen, label=f"{case}@{sigma}"))
     return Exp1Result(config=config, nominal_accuracy=nominal_accuracy, results=results)

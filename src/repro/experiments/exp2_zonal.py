@@ -32,13 +32,13 @@ from ..execution import (
     shared_network,
 )
 from ..mesh.mesh import MZIMesh
-from ..mesh.svd_layer import LayerPerturbation, LayerPerturbationBatch
+from ..mesh.svd_layer import LayerPerturbationBatch
 from ..onn.builder import SPNNTask, SPNNTrainingConfig, build_trained_spnn
-from ..onn.spnn import SPNN, NetworkPerturbation, NetworkPerturbationBatch
+from ..onn.spnn import SPNN, NetworkPerturbationBatch
 from ..utils.rng import RNGLike, ensure_rng
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
-from ..variation.sampler import sample_mesh_perturbation, sample_mesh_perturbation_batch
+from ..variation.sampler import sample_mesh_perturbation_batch
 from ..variation.zones import Zone, ZoneGrid
 
 
@@ -52,9 +52,6 @@ class Exp2Config:
     zone_cols: int = 2
     iterations: int = 1000
     seed: int = 11
-    #: Evaluate each zone with the batched Monte Carlo path (bit-identical
-    #: to the loop at a fixed seed, several times faster).
-    vectorized: bool = True
     #: Realizations per batched chunk (bounds peak memory, and the work-unit
     #: granularity when sharding across workers); None = all at once.
     chunk_size: Optional[int] = 250
@@ -129,41 +126,6 @@ class Exp2Result:
         return f"{header}\n{format_table(headers, rows)}"
 
 
-def _sample_zonal_network_perturbation(
-    spnn: SPNN,
-    target_mesh_name: str,
-    sigma_map: np.ndarray,
-    background: UncertaintyModel,
-    generator: np.random.Generator,
-) -> NetworkPerturbation:
-    """One uncertainty realization with a per-MZI sigma override on one mesh.
-
-    Every unitary mesh receives background-level perturbations except the
-    target mesh, whose per-MZI sigmas follow ``sigma_map``; Sigma stages are
-    left error-free (as in the paper's EXP 2).
-    """
-    perturbations: NetworkPerturbation = []
-    for layer_index, layer in enumerate(spnn.photonic_layers):
-        u_name = f"U_L{layer_index}"
-        v_name = f"VH_L{layer_index}"
-        if u_name == target_mesh_name:
-            u_pert = sample_mesh_perturbation(
-                layer.mesh_u, background, generator,
-                sigma_phs_per_mzi=sigma_map, sigma_bes_per_mzi=sigma_map,
-            )
-        else:
-            u_pert = sample_mesh_perturbation(layer.mesh_u, background, generator)
-        if v_name == target_mesh_name:
-            v_pert = sample_mesh_perturbation(
-                layer.mesh_v, background, generator,
-                sigma_phs_per_mzi=sigma_map, sigma_bes_per_mzi=sigma_map,
-            )
-        else:
-            v_pert = sample_mesh_perturbation(layer.mesh_v, background, generator)
-        perturbations.append(LayerPerturbation(u=u_pert, v=v_pert, sigma=None))
-    return perturbations
-
-
 def _sample_zonal_network_perturbation_batch(
     spnn: SPNN,
     target_mesh_name: str,
@@ -171,11 +133,12 @@ def _sample_zonal_network_perturbation_batch(
     background: UncertaintyModel,
     generators,
 ) -> NetworkPerturbationBatch:
-    """Batched counterpart of :func:`_sample_zonal_network_perturbation`.
+    """One stacked realization per generator, with a per-MZI sigma map on one mesh.
 
-    Each generator is consumed in the same mesh order (U then V^H per
-    layer) as the looped sampler, so the batch reproduces it sample for
-    sample.
+    Every unitary mesh receives background-level perturbations except the
+    target mesh, whose per-MZI sigmas follow ``sigma_map``; Sigma stages are
+    left error-free (as in the paper's EXP 2).  Each generator is consumed
+    mesh by mesh (U then V^H per layer).
     """
     perturbations: NetworkPerturbationBatch = []
     for layer_index, layer in enumerate(spnn.photonic_layers):
@@ -194,36 +157,8 @@ def _sample_zonal_network_perturbation_batch(
 
 
 @dataclass(frozen=True, eq=False)
-class ZonalAccuracyTrial:
-    """Scalar zonal Monte Carlo trial (picklable for process backends)."""
-
-    spnn: object
-    features: object
-    labels: object
-    target_mesh_name: str
-    sigma_map: np.ndarray
-    background: UncertaintyModel
-
-    def __call__(self, generator: np.random.Generator) -> float:
-        spnn = resolve_network(self.spnn)
-        perturbation = _sample_zonal_network_perturbation(
-            spnn, self.target_mesh_name, self.sigma_map, self.background, generator
-        )
-        return spnn.accuracy(
-            resolve_array(self.features),
-            resolve_array(self.labels),
-            perturbations=perturbation,
-            use_hardware=True,
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class ZonalAccuracyBatchTrial:
-    """Batched zonal Monte Carlo trial (picklable for process backends).
-
-    Consumes each child generator exactly as :class:`ZonalAccuracyTrial`
-    does, so its samples are bit-identical to the looped path.
-    """
+    """Batched zonal Monte Carlo trial (picklable for process backends)."""
 
     spnn: object
     features: object
@@ -290,19 +225,12 @@ def run_exp2(
     eval_hosting = shared_eval_arrays(backend, features, labels)
 
     def _run_zonal(target_mesh_name: str, sigma_map: np.ndarray, label: str):
-        """One Monte Carlo run of the zonal sampler, batched or looped."""
-        if config.vectorized:
-            batch_trial = ZonalAccuracyBatchTrial(
-                spnn=hosted_network, features=hosted_features, labels=hosted_labels,
-                target_mesh_name=target_mesh_name, sigma_map=sigma_map, background=background,
-            )
-            return runner.run_batched(batch_trial, rng=gen, label=label)
-
-        trial = ZonalAccuracyTrial(
+        """One batched Monte Carlo run of the zonal sampler."""
+        batch_trial = ZonalAccuracyBatchTrial(
             spnn=hosted_network, features=hosted_features, labels=hosted_labels,
             target_mesh_name=target_mesh_name, sigma_map=sigma_map, background=background,
         )
-        return runner.run(trial, rng=gen, label=label)
+        return runner.run_batched(batch_trial, rng=gen, label=label)
 
     with pool_scope(backend), eval_hosting as (hosted_features, hosted_labels), network_hosting as hosted_network:
         # Reference: global uncertainty at the background sigma (Sigma error-free),

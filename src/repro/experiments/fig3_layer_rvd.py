@@ -33,9 +33,6 @@ class Fig3Config:
     sigma: float = 0.05
     iterations: int = 1000
     seed: int = 42
-    #: Evaluate each device's realizations with the batched mesh path
-    #: (bit-identical to the loop at a fixed seed).
-    vectorized: bool = True
     #: Execution backend for the per-MZI study: ``workers=N`` shards the
     #: devices across N processes, bit-identical to serial.
     backend: BackendLike = None
@@ -48,7 +45,9 @@ class Fig3Result:
 
     config: Fig3Config
     reports: List[CriticalityReport]
-    meshes: List[MZIMesh]
+    #: The compiled meshes; left out of the JSON output (the RVD table and
+    #: the config's seed reproduce them).
+    meshes: List[MZIMesh] = field(metadata={"json": False})
 
     def rvd_table(self) -> np.ndarray:
         """Array of shape ``(num_matrices, num_mzis)`` with the average RVD values."""
@@ -82,7 +81,7 @@ def run_fig3(config: Fig3Config = Fig3Config(), rng: RNGLike = None) -> Fig3Resu
         mesh = MZIMesh.from_unitary(unitary, scheme="clements")
         report = per_mzi_rvd_criticality(
             mesh, model, iterations=config.iterations, rng=gen,
-            vectorized=config.vectorized, backend=config.backend, workers=config.workers,
+            backend=config.backend, workers=config.workers,
         )
         reports.append(report)
         meshes.append(mesh)

@@ -1,35 +1,32 @@
 """Batched hardware-inference helpers for Monte Carlo accuracy studies.
 
-Two Monte Carlo evaluation paths are provided:
+:func:`monte_carlo_accuracy` stacks the ``B`` Monte Carlo realizations of a
+chunk along a leading batch axis and evaluates the perturbed meshes and the
+forward pass for all of them at once (:class:`NetworkAccuracyBatchTrial`).
+It runs through :class:`~repro.analysis.monte_carlo.MonteCarloRunner` and
+therefore through the pluggable execution backends: passing ``workers=N``
+shards the realization chunks across ``N`` worker processes.  The trials
+are module-level callable dataclasses so they pickle cleanly into those
+workers.
 
-* the historical *looped* path (``vectorized=False``), which rebuilds every
-  layer's perturbed matrix and runs the forward pass once per iteration, and
-* the *vectorized* path (default), which stacks the ``B`` Monte Carlo
-  realizations along a leading batch axis and evaluates the perturbed
-  meshes and the forward pass for all realizations at once.
+:class:`NetworkAccuracyTrial` is the scalar reference: it rebuilds every
+layer's perturbed matrix and runs the forward pass once per realization.
+No experiment runs it; it is the oracle the batched trial is tested
+against (``MonteCarloRunner(...).run(NetworkAccuracyTrial(...))``).
 
-Both paths run through :class:`~repro.analysis.monte_carlo.MonteCarloRunner`
-and therefore through the pluggable execution backends: passing
-``workers=N`` shards the realization chunks across ``N`` worker processes.
-The trials are module-level callable dataclasses
-(:class:`NetworkAccuracyTrial`, :class:`NetworkAccuracyBatchTrial`) so they
-pickle cleanly into those workers.
-
-**RNG-equivalence guarantee.** Both paths spawn the same independent child
-stream per iteration (:func:`repro.utils.rng.spawn_rngs`) and consume each
-stream with exactly the same draws; the batched linear algebra applies the
-same per-slice kernels NumPy uses for the 2-D products, and chunk
-scheduling never touches the streams.  At a fixed seed the vectorized path
-therefore reproduces the looped path *bit for bit*, sample for sample, for
-every backend and worker count — it is purely a wall-clock optimization
-(4-7x on the paper's 1000-iteration runs, growing as the per-iteration
-engine cost dominates, times the process-level scaling).
+**RNG-equivalence guarantee.** Both trials consume the same independent
+child stream per iteration (:func:`repro.utils.rng.spawn_rngs`) with
+exactly the same draws; the batched linear algebra applies the same
+per-slice kernels NumPy uses for the 2-D products, and chunk scheduling
+never touches the streams.  At a fixed seed the batched trial therefore
+reproduces the scalar oracle *bit for bit*, sample for sample, for every
+backend and worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +35,9 @@ from ..execution import BackendLike
 from ..execution.shared import ArrayLike, resolve_array, resolve_network
 from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike
+from ..variation import sampler
 from ..variation.models import UncertaintyModel
-from ..variation.process import IIDGaussianProcess, PerturbationProcess
-from .spnn import SPNN, NetworkPerturbation, stack_network_perturbations
+from .spnn import SPNN, NetworkPerturbation
 
 #: Target working-set bytes of one scheduled Monte Carlo chunk: the runner's
 #: default chunking keeps a whole chunk (sampling buffers, stacked matrices
@@ -65,44 +62,29 @@ def hardware_accuracy(
 class NetworkAccuracyTrial:
     """Scalar Monte Carlo trial: one perturbation realization -> accuracy.
 
-    A picklable module-level callable (usable by process backends) that
-    consumes its generator exactly as the historical inline loop did:
-    sample a network perturbation, evaluate hardware accuracy.
+    The looped reference for :class:`NetworkAccuracyBatchTrial`: sample
+    one network perturbation, evaluate hardware accuracy.  Run it through
+    :meth:`MonteCarloRunner.run <repro.analysis.monte_carlo.
+    MonteCarloRunner.run>`; it consumes each generator exactly as the
+    batched trial consumes its row, so the two agree bit for bit.
 
     ``spnn`` may be a plain :class:`SPNN` or a
-    :class:`~repro.execution.shared.SharedNetwork` handle — sweeps over
-    process backends host the compiled mesh parameters in shared memory
-    once (:func:`~repro.execution.shared.shared_network`) so the per-chunk
-    payload shrinks to the perturbation draws.
+    :class:`~repro.execution.shared.SharedNetwork` handle.
     """
 
     spnn: object
     features: ArrayLike
     labels: ArrayLike
-    model: Optional[UncertaintyModel] = None
-    perturbation_factory: Optional[Callable[[np.random.Generator], NetworkPerturbation]] = None
-    #: Perturbation process supplying the draws; defaults to the i.i.d.
-    #: Gaussian process, bit-identical to the historical raw-sampler path.
-    #: Mutually exclusive with ``perturbation_factory``.
-    process: Optional[PerturbationProcess] = None
-
-    def __post_init__(self) -> None:
-        if self.process is not None and self.perturbation_factory is not None:
-            raise ValueError("process and perturbation_factory are mutually exclusive")
-
-    def sample(self, generator: np.random.Generator) -> NetworkPerturbation:
-        if self.perturbation_factory is not None:
-            return self.perturbation_factory(generator)
-        process = self.process if self.process is not None else IIDGaussianProcess()
-        return process.sample_single(
-            resolve_network(self.spnn).photonic_layers, self.model, generator
-        )
+    model: UncertaintyModel
 
     def __call__(self, generator: np.random.Generator) -> float:
-        return resolve_network(self.spnn).accuracy(
+        spnn = resolve_network(self.spnn)
+        return spnn.accuracy(
             resolve_array(self.features),
             resolve_array(self.labels),
-            perturbations=self.sample(generator),
+            perturbations=sampler.sample_network_perturbation(
+                spnn.photonic_layers, self.model, generator
+            ),
             use_hardware=True,
         )
 
@@ -112,23 +94,18 @@ class NetworkAccuracyBatchTrial:
     """Batch Monte Carlo trial: one accuracy per child generator.
 
     Draws every stream directly into stacked ``(B, ...)`` perturbation
-    buffers (or stacks per-stream draws of a custom factory) and evaluates
-    them with :meth:`SPNN.accuracy_batch`.  Consumes each generator exactly
-    as :class:`NetworkAccuracyTrial` does, so the samples are bit-identical
-    to the looped path.  ``spnn`` may be a plain :class:`SPNN` or a
-    :class:`~repro.execution.shared.SharedNetwork` handle (shared-memory
-    hosted mesh parameters, rebuilt once per worker process).
+    buffers and evaluates them with :meth:`SPNN.accuracy_batch`.  Consumes
+    each generator exactly as :class:`NetworkAccuracyTrial` does, so the
+    samples are bit-identical to the looped oracle.  ``spnn`` may be a
+    plain :class:`SPNN` or a :class:`~repro.execution.shared.SharedNetwork`
+    handle (shared-memory hosted mesh parameters, rebuilt once per worker
+    process).
     """
 
     spnn: object
     features: ArrayLike
     labels: ArrayLike
-    model: Optional[UncertaintyModel] = None
-    perturbation_factory: Optional[Callable[[np.random.Generator], NetworkPerturbation]] = None
-    #: Perturbation process supplying the stacked draws; defaults to the
-    #: i.i.d. Gaussian process, bit-identical to the historical raw-sampler
-    #: path.  Mutually exclusive with ``perturbation_factory``.
-    process: Optional[PerturbationProcess] = None
+    model: UncertaintyModel
     #: Realizations per forward-pass chunk inside ``accuracy_batch`` (memory
     #: bound); automatic when ``None``.  Does not change the samples.
     forward_chunk_size: Optional[int] = None
@@ -137,10 +114,16 @@ class NetworkAccuracyBatchTrial:
     #: Each worker process lazily creates its own arena, so buffer reuse is
     #: aliasing-safe under every backend; samples are bit-identical.
     use_workspace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.process is not None and self.perturbation_factory is not None:
-            raise ValueError("process and perturbation_factory are mutually exclusive")
+    #: Per-row *physical* phase / splitter standard deviations, shape
+    #: ``(B, 1)`` aligned with the chunk's generators; ``None`` means the
+    #: model's stds.  The sigma-folded sweeps (:func:`repro.analysis.
+    #: yield_analysis.yield_sweep`) stack several uncertainty levels along
+    #: the batch axis this way, with ``model`` supplying the (uniform)
+    #: family gating.  Scaling a row's normalized draws by its actual stds
+    #: is the exact float multiply the per-sigma trial performs, so the
+    #: folded samples are bit-identical to running each sigma separately.
+    phase_std_rows: Optional[np.ndarray] = None
+    splitter_std_rows: Optional[np.ndarray] = None
 
     def preferred_chunk_size(self) -> int:
         """Realizations per chunk keeping one vectorized call near the target.
@@ -176,65 +159,9 @@ class NetworkAccuracyBatchTrial:
         generators = list(generators)
         spnn = resolve_network(self.spnn)
         workspace = process_workspace() if self.use_workspace else None
-        if self.perturbation_factory is None:
-            process = self.process if self.process is not None else IIDGaussianProcess()
-            batch = process.sample_batch(
-                spnn.photonic_layers, self.model, generators, workspace=workspace
-            )
-        else:
-            batch = stack_network_perturbations(
-                [self.perturbation_factory(generator) for generator in generators],
-                workspace=workspace,
-            )
-        return spnn.accuracy_batch(
-            resolve_array(self.features),
-            resolve_array(self.labels),
-            batch,
-            batch_size=len(generators),
-            chunk_size=self.forward_chunk_size,
-            workspace=workspace,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SigmaFoldedAccuracyBatchTrial(NetworkAccuracyBatchTrial):
-    """Batch trial whose rows carry *different* uncertainty levels.
-
-    The sigma-folded sweeps (:func:`repro.analysis.yield_analysis.
-    yield_sweep`) stack the realizations of several sigmas along the Monte
-    Carlo batch axis and evaluate them in shared vectorized chunks — one
-    column sweep and one forward pass per chunk instead of one scheduling
-    barrier per sigma.  ``model`` supplies the (uniform) family gating of
-    the fold; ``phase_std_rows``/``splitter_std_rows`` hold each row's own
-    *physical* standard deviations, shape ``(B, 1)`` aligned with the
-    chunk's generators.  Scaling a row's normalized draws by its actual
-    stds is the exact float multiply the per-sigma trial performs, so the
-    folded samples are bit-identical to running each sigma separately with
-    the same child streams — for every backend, worker count and chunk
-    size (chunks may freely cross sigma boundaries).
-
-    Only the default i.i.d. Gaussian sampling path supports folding:
-    custom factories and temporal processes draw per-row state the fold
-    cannot rescale.
-    """
-
-    phase_std_rows: Optional[np.ndarray] = None
-    splitter_std_rows: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.perturbation_factory is not None:
-            raise ValueError("sigma folding requires the default sampler (no perturbation_factory)")
-        if self.process is not None and not isinstance(self.process, IIDGaussianProcess):
-            raise ValueError("sigma folding requires the i.i.d. Gaussian process")
-
-    def __call__(self, generators: Sequence[np.random.Generator]) -> np.ndarray:
-        from ..variation.sampler import sample_network_perturbation_batch
-
-        generators = list(generators)
-        spnn = resolve_network(self.spnn)
-        workspace = process_workspace() if self.use_workspace else None
-        batch = sample_network_perturbation_batch(
+        # Looked up on the module at call time, so a wrapper installed on
+        # ``repro.variation.sampler`` after import still sees every draw.
+        batch = sampler.sample_network_perturbation_batch(
             spnn.photonic_layers,
             self.model,
             generators,
@@ -259,9 +186,6 @@ def monte_carlo_accuracy(
     model: UncertaintyModel,
     iterations: int,
     rng: RNGLike = None,
-    perturbation_factory: Optional[Callable[[np.random.Generator], NetworkPerturbation]] = None,
-    process: Optional[PerturbationProcess] = None,
-    vectorized: bool = True,
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
@@ -280,27 +204,11 @@ def monte_carlo_accuracy(
         once (:func:`~repro.execution.shared.shared_eval_arrays`) so it is
         not re-pickled into the workers for every chunk.
     model:
-        Component uncertainty model used by the default sampler.
+        Component uncertainty model of the i.i.d. Gaussian draws.
     iterations:
         Number of Monte Carlo iterations (1000 in the paper).
     rng:
         Seed; each iteration receives an independent child stream.
-    perturbation_factory:
-        Optional custom sampler ``generator -> NetworkPerturbation``
-        (used by the zonal experiments); defaults to the global Gaussian
-        sampler with ``model``.  Works with both evaluation paths; must be
-        picklable (module-level) when used with a process backend.
-    process:
-        Optional :class:`~repro.variation.process.PerturbationProcess`
-        supplying the draws (its stateless fabrication-draw marginal; for
-        *temporal* studies use :func:`repro.analysis.timeline.
-        timeline_sweep`).  Defaults to the i.i.d. Gaussian process, which
-        reproduces the historical samples bit for bit.  Mutually exclusive
-        with ``perturbation_factory``.
-    vectorized:
-        Evaluate all realizations with the batched hardware path (default).
-        The looped path (``False``) produces bit-identical samples and is
-        kept for cross-checking and tiny runs.
     chunk_size:
         Realizations per scheduled Monte Carlo chunk: bounds the peak
         memory of one vectorized sampling + evaluation call and sets the
@@ -313,9 +221,9 @@ def monte_carlo_accuracy(
         ``workers=N`` shards the realization chunks across ``N`` worker
         processes, bit-identical to the serial run at the same seed.
     use_workspace:
-        Recycle the vectorized path's scratch buffers through the
-        process-local workspace arena (one per worker process).  Purely an
-        allocation optimization; samples are bit-identical.
+        Recycle the scratch buffers through the process-local workspace
+        arena (one per worker process).  Purely an allocation
+        optimization; samples are bit-identical.
 
     Returns
     -------
@@ -327,26 +235,10 @@ def monte_carlo_accuracy(
     runner = MonteCarloRunner(
         iterations=iterations, chunk_size=chunk_size, backend=backend, workers=workers
     )
-    if not vectorized:
-        trial = NetworkAccuracyTrial(
-            spnn=spnn,
-            features=features,
-            labels=labels,
-            model=model,
-            perturbation_factory=perturbation_factory,
-            process=process,
-        )
-        return runner.run(trial, rng=rng).samples
-    batch_trial = NetworkAccuracyBatchTrial(
-        spnn=spnn,
-        features=features,
-        labels=labels,
-        model=model,
-        perturbation_factory=perturbation_factory,
-        process=process,
-        use_workspace=use_workspace,
+    trial = NetworkAccuracyBatchTrial(
+        spnn=spnn, features=features, labels=labels, model=model, use_workspace=use_workspace
     )
-    return runner.run_batched(batch_trial, rng=rng).samples
+    return runner.run_batched(trial, rng=rng).samples
 
 
 def predict_batched(

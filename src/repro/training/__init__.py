@@ -27,12 +27,7 @@ The end-to-end workload lives in
 :mod:`repro.experiments.exp3_robust_training` (CLI: ``spnn-repro robust``).
 """
 
-from .injector import (
-    NetworkBatchSampler,
-    NoiseInjector,
-    global_network_sampler,
-    per_mesh_sigma_sampler,
-)
+from .injector import NoiseInjector
 from .noise_aware import (
     NoiseAwareTrainer,
     complex_linear_modules,
@@ -44,9 +39,6 @@ from .workspace import VectorizedWorkspace, process_workspace, reset_process_wor
 
 __all__ = [
     "NoiseInjector",
-    "NetworkBatchSampler",
-    "global_network_sampler",
-    "per_mesh_sigma_sampler",
     "PerturbationSchedule",
     "SCHEDULE_KINDS",
     "NoiseAwareTrainer",

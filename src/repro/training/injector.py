@@ -22,15 +22,14 @@ Reproducibility: the injector consumes its own generator through
 the Monte Carlo engine), so a fixed seed reproduces the injected noise
 sequence bit for bit no matter how the surrounding evaluation is scheduled.
 
-Custom variation structure (zonal maps, thermal crosstalk, correlated FPV)
-plugs in through the ``sampler`` hook; :func:`per_mesh_sigma_sampler` builds
-the zonal case from the ``U_L*``/``VH_L*`` sigma maps of
-:class:`~repro.variation.zones.ZoneGrid`.
+The draws are the paper's i.i.d. Gaussian model
+(:func:`~repro.variation.sampler.sample_network_perturbation_batch`), the
+same static sampler the Monte Carlo engine uses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,70 +38,8 @@ from ..exceptions import ConfigurationError
 from ..mesh.svd_layer import LayerPerturbationBatch, PhotonicLinearLayer
 from ..utils.rng import RNGLike, ensure_rng, spawn_rngs
 from ..variation.models import UncertaintyModel
-from ..variation.process import IIDGaussianProcess, PerturbationProcess
-from ..variation.sampler import (
-    sample_diagonal_perturbation_batch,
-    sample_layer_perturbation_batch,
-    sample_mesh_perturbation_batch,
-)
+from ..variation.sampler import sample_network_perturbation_batch
 from .workspace import VectorizedWorkspace
-
-#: Batched network sampler hook: ``(layers, model, generators) -> one
-#: LayerPerturbationBatch per layer``.  The default is the global Gaussian
-#: sampler; zonal/thermal variation structure plugs in here.
-NetworkBatchSampler = Callable[
-    [Sequence[PhotonicLinearLayer], UncertaintyModel, Sequence[np.random.Generator]],
-    List[Optional[LayerPerturbationBatch]],
-]
-
-
-def global_network_sampler(
-    layers: Sequence[PhotonicLinearLayer],
-    model: UncertaintyModel,
-    generators: Sequence[np.random.Generator],
-) -> List[Optional[LayerPerturbationBatch]]:
-    """The default sampler: i.i.d. Gaussian perturbations on every MZI."""
-    return [sample_layer_perturbation_batch(layer, model, generators) for layer in layers]
-
-
-def per_mesh_sigma_sampler(sigma_maps: Dict[str, np.ndarray]) -> NetworkBatchSampler:
-    """Sampler with per-MZI normalized sigma overrides on selected meshes.
-
-    ``sigma_maps`` maps paper-style unitary names (``"U_L0"``, ``"VH_L2"``,
-    ...) to per-MZI normalized sigma arrays, e.g. the zonal maps produced by
-    :meth:`repro.variation.zones.ZoneGrid.sigma_map`.  Meshes without an
-    entry follow the injector's base model unchanged; Sigma stages always
-    follow the base model.
-    """
-    sigma_maps = {name: np.asarray(values, dtype=np.float64) for name, values in sigma_maps.items()}
-
-    def sampler(
-        layers: Sequence[PhotonicLinearLayer],
-        model: UncertaintyModel,
-        generators: Sequence[np.random.Generator],
-    ) -> List[Optional[LayerPerturbationBatch]]:
-        batches: List[Optional[LayerPerturbationBatch]] = []
-        for index, layer in enumerate(layers):
-            u_map = sigma_maps.get(f"U_L{index}")
-            v_map = sigma_maps.get(f"VH_L{index}")
-            batches.append(
-                LayerPerturbationBatch(
-                    u=sample_mesh_perturbation_batch(
-                        layer.mesh_u, model, generators,
-                        sigma_phs_per_mzi=u_map, sigma_bes_per_mzi=u_map,
-                    ),
-                    v=sample_mesh_perturbation_batch(
-                        layer.mesh_v, model, generators,
-                        sigma_phs_per_mzi=v_map, sigma_bes_per_mzi=v_map,
-                    ),
-                    sigma=sample_diagonal_perturbation_batch(
-                        layer.diagonal.num_mzis, model, generators
-                    ),
-                )
-            )
-        return batches
-
-    return sampler
 
 
 class NoiseInjector:
@@ -125,19 +62,6 @@ class NoiseInjector:
         because the decomposition changes slowly between optimizer steps.
     scheme:
         Mesh topology used for the snapshot compilation.
-    sampler:
-        Optional :data:`NetworkBatchSampler` replacing the default
-        perturbation process (zonal / thermal / correlated variation
-        structure).  Mutually exclusive with ``process``.
-    process:
-        Optional :class:`~repro.variation.process.PerturbationProcess`
-        supplying the ``K`` draws (the injector consumes the process's
-        fabrication-draw marginal — training noise is i.i.d. across
-        optimizer steps; *temporal* evolution belongs to the timeline
-        sweep).  Defaults to
-        :class:`~repro.variation.process.IIDGaussianProcess`, which is
-        bit-identical to the historical raw-sampler path.  Mutually
-        exclusive with ``sampler``.
     rng:
         Seed or generator for the injected noise (independent of the
         trainer's batch-shuffling stream).
@@ -168,11 +92,9 @@ class NoiseInjector:
         stacked mesh evaluation removed.  The cache is invalidated by every
         recompile; a sigma-scale change (a
         :class:`~repro.training.schedule.PerturbationSchedule` epoch
-        boundary) rescales the cached draws in place for the built-in
-        Gaussian sampler (its perturbations are exactly proportional to the
-        jointly scaled sigmas) and redraws for custom samplers, whose scale
-        response is theirs to define.  Off by default (bit-identical PR 3
-        behavior: fresh draws every step).  In this mode the returned
+        boundary) rescales the cached draws in place (the Gaussian
+        perturbations are exactly proportional to the jointly scaled
+        sigmas).  Off by default (fresh draws every step).  In this mode the returned
         offset arrays are owned by the injector and valid until the next
         ``weight_offsets`` call.
     workspace:
@@ -197,8 +119,6 @@ class NoiseInjector:
         draws: int = 1,
         recompile_every: int = 1,
         scheme: str = "clements",
-        sampler: Optional[NetworkBatchSampler] = None,
-        process: Optional[PerturbationProcess] = None,
         rng: RNGLike = None,
         incremental: bool = False,
         drift_threshold: float = 1.0,
@@ -212,22 +132,10 @@ class NoiseInjector:
             raise ConfigurationError(f"recompile_every must be >= 1, got {recompile_every}")
         if drift_threshold <= 0:
             raise ConfigurationError(f"drift_threshold must be positive, got {drift_threshold}")
-        if sampler is not None and process is not None:
-            raise ConfigurationError(
-                "sampler and process are mutually exclusive: a custom sampler "
-                "replaces the perturbation process outright"
-            )
         self.model = model
         self.draws = int(draws)
         self.recompile_every = int(recompile_every)
         self.scheme = scheme
-        #: Custom sampler hook, or ``None`` when drawing through ``process``.
-        self.sampler: Optional[NetworkBatchSampler] = sampler
-        #: The perturbation process serving the K-draw path (``None`` only
-        #: when a custom ``sampler`` replaces the seam).
-        self.process: Optional[PerturbationProcess] = (
-            process if process is not None else (IIDGaussianProcess() if sampler is None else None)
-        )
         self.rng = ensure_rng(rng)
         self.incremental = bool(incremental)
         self.drift_threshold = float(drift_threshold)
@@ -391,12 +299,15 @@ class NoiseInjector:
             # Same window, same schedule level: the draws only depend on the
             # snapshot and the sigma, both unchanged — reuse them verbatim.
             return self._cached_offsets
-        if self._cached_offsets is not None and self._can_rescale_cache():
+        if self._cached_offsets is not None:
+            # A new schedule level: the Gaussian fields are exactly linear in
+            # the jointly scaled sigmas, so rescaling the cached draws equals
+            # drawing the same standard normals at the new level.
             self._rescale_draw_cache(sigma_scale / self._cached_scale)
             self._cached_scale = float(sigma_scale)
             return self._cached_offsets
-        # New window (or a custom sampler crossing a schedule level):
-        # one fresh draw serves every step until the next recompile.
+        # New window: one fresh draw serves every step until the next
+        # recompile.
         batches = self._sample_batches(scaled)
         self._cached_batches = batches
         self._cached_offsets = self._offsets_from_batches(batches, use_workspace=False)
@@ -408,18 +319,7 @@ class NoiseInjector:
     # ------------------------------------------------------------------ #
     def _sample_batches(self, scaled: UncertaintyModel) -> List[Optional[LayerPerturbationBatch]]:
         generators = spawn_rngs(self.rng, self.draws)
-        if self.sampler is not None:
-            batches = self.sampler(self._layers, scaled, generators)
-        else:
-            # Default path: the perturbation-process seam.  The i.i.d.
-            # process consumes each generator exactly as the historical
-            # raw-sampler call did, so the draws are bit-identical.
-            batches = self.process.sample_batch(self._layers, scaled, generators)
-        if len(batches) != len(self._layers):
-            raise ConfigurationError(
-                f"sampler returned {len(batches)} layer batches for {len(self._layers)} layers"
-            )
-        return batches
+        return sample_network_perturbation_batch(self._layers, scaled, generators)
 
     def _offsets_from_batches(
         self,
@@ -452,19 +352,6 @@ class NoiseInjector:
 
     def _draw_offsets(self, scaled: UncertaintyModel, use_workspace: bool) -> List[np.ndarray]:
         return self._offsets_from_batches(self._sample_batches(scaled), use_workspace)
-
-    def _can_rescale_cache(self) -> bool:
-        """Whether cached draws may be rescaled across a schedule level.
-
-        A process that declares
-        :attr:`~repro.variation.process.PerturbationProcess.linear_in_sigma`
-        produces perturbations exactly proportional to the (jointly scaled)
-        model sigmas, so multiplying the cached fields by the scale ratio
-        equals drawing the same standard normals at the new sigma.  Custom
-        samplers make no such promise (e.g. zonal sigma maps override the
-        model's sigma outright) and redraw instead.
-        """
-        return self.process is not None and self.process.linear_in_sigma
 
     def _rescale_draw_cache(self, ratio: float) -> None:
         """Scale the cached perturbation batches in place and re-evaluate."""

@@ -125,8 +125,7 @@ class PerturbationSchedule:
 
         These are the schedule's level boundaries — the only points where a
         draw-amortizing :class:`~repro.training.injector.NoiseInjector` has
-        to rescale (built-in sampler) or redraw (custom sampler) its cached
-        perturbations mid-window, so the length of this tuple bounds the
+        to rescale its cached perturbations mid-window, so the length of this tuple bounds the
         extra draw work a schedule adds per training run.  Constant
         schedules return an empty tuple; a ``linear`` ramp changes at every
         epoch.

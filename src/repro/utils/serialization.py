@@ -20,7 +20,13 @@ import numpy as np
 def _to_jsonable(value: Any) -> Any:
     """Recursively convert ``value`` into JSON-serializable primitives."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _to_jsonable(dataclasses.asdict(value))
+        # Fields marked ``metadata={"json": False}`` (live objects such as
+        # compiled meshes) stay out of the document.
+        return {
+            item.name: _to_jsonable(getattr(value, item.name))
+            for item in dataclasses.fields(value)
+            if item.metadata.get("json", True)
+        }
     if isinstance(value, Mapping):
         return {str(k): _to_jsonable(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):

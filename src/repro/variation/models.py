@@ -19,6 +19,7 @@ EXP 1 (PhS only / BeS only / both).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,10 +61,14 @@ class UncertaintyModel:
     perturb_output_phases: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma_phs < 0:
-            raise VariationModelError(f"sigma_phs must be non-negative, got {self.sigma_phs}")
-        if self.sigma_bes < 0:
-            raise VariationModelError(f"sigma_bes must be non-negative, got {self.sigma_bes}")
+        if not (math.isfinite(self.sigma_phs) and self.sigma_phs >= 0):
+            raise VariationModelError(
+                f"sigma_phs must be non-negative and finite, got {self.sigma_phs}"
+            )
+        if not (math.isfinite(self.sigma_bes) and self.sigma_bes >= 0):
+            raise VariationModelError(
+                f"sigma_bes must be non-negative and finite, got {self.sigma_bes}"
+            )
 
     # ------------------------------------------------------------------ #
     # constructors for the three EXP 1 cases

@@ -8,14 +8,13 @@ accumulates, a bias ramp creeps — and the operations question becomes
 re-null the phases?".
 
 This module turns the variation stack into a first-class
-:class:`PerturbationProcess` seam:
+:class:`PerturbationProcess` timeline seam.  Static Monte Carlo draws do not
+go through it: they come straight from :mod:`repro.variation.sampler`.
 
-* :class:`IIDGaussianProcess` is the bit-identical reference
-  implementation of the existing sampler — its :meth:`~PerturbationProcess.
-  sample_batch` *is* :func:`~repro.variation.sampler.
-  sample_network_perturbation_batch`, and each timeline step redraws the
-  state from scratch, so every legacy Monte Carlo path routed through it
-  reproduces its historical samples bit for bit.
+* :class:`IIDGaussianProcess` redraws the state from scratch at every
+  timeline step, so step ``t`` is bit-identical to a fresh
+  :func:`~repro.variation.sampler.sample_network_perturbation_batch` call
+  on the same streams.
 * :class:`OrnsteinUhlenbeckProcess` models thermal drift: a stationary
   mean-reverting walk whose marginal stays exactly the model's Gaussian at
   every step (an OU process in normalized units, ``rho = exp(-dt/tau)``).
@@ -29,10 +28,7 @@ This module turns the variation stack into a first-class
 ``(B, draws)`` matrix of *normalized* draws ``z`` — the same concatenated
 standard-normal layout the i.i.d. sampler slices into device families
 (:func:`~repro.variation.sampler.mesh_perturbation_batch_from_draws`).
-Physical perturbations are always ``sigma * z``, so every built-in process
-is exactly linear in the model sigmas (``linear_in_sigma``), which is what
-lets :class:`~repro.training.injector.NoiseInjector` rescale cached draws
-across schedule levels.
+Physical perturbations are always ``sigma * z``.
 
 **Determinism.** Timeline ``b`` consumes ``generators[b]`` only, in a
 fixed per-step order (layer by layer; U mesh, V mesh, Sigma bank — the
@@ -71,9 +67,10 @@ from .sampler import (
     diagonal_perturbation_batch_from_draws,
     mesh_batch_draw_length,
     mesh_perturbation_batch_from_draws,
-    sample_network_perturbation,
-    sample_network_perturbation_batch,
 )
+
+# Re-exported: the traced benchmark wraps this name on both modules.
+from .sampler import sample_network_perturbation_batch  # noqa: F401
 
 __all__ = [
     "PerturbationProcess",
@@ -321,63 +318,20 @@ class DriftState:
 
 
 class PerturbationProcess(ABC):
-    """How component errors evolve: one draw, or a whole timeline.
+    """How component errors evolve along a timeline of ``B`` devices.
 
-    Two capabilities make up the seam:
-
-    * :meth:`sample_batch` — one stateless batch of realizations, the
-      Monte Carlo entry point used by the inference trials and the
-      training-time :class:`~repro.training.injector.NoiseInjector`.  For
-      every built-in process this is the time-zero marginal: the i.i.d.
-      Gaussian fabrication draw, bit-identical to the legacy sampler.
-    * :meth:`init_state` / :meth:`DriftState.advance` — a vectorized
-      timeline of ``B`` independent devices, used by
-      :func:`repro.analysis.timeline.timeline_sweep`.
-
-    Subclasses implement :meth:`_update`, the in-place one-step evolution
-    of a normalized ``(B, length)`` state matrix.
+    :meth:`init_state` / :meth:`DriftState.advance` give a vectorized
+    timeline of ``B`` independent devices, used by
+    :func:`repro.analysis.timeline.timeline_sweep`.  Subclasses implement
+    :meth:`_update`, the in-place one-step evolution of a normalized
+    ``(B, length)`` state matrix.
     """
 
-    #: Whether perturbation fields scale exactly linearly with the model's
-    #: (jointly scaled) sigmas.  True for every built-in process — the
-    #: state is sigma-free and only the realization scales by sigma —
-    #: which lets the injector rescale cached draws across schedule levels.
-    linear_in_sigma: ClassVar[bool] = True
     #: Whether steps after the fabrication draw consume randomness.  The
     #: deterministic ramp sets this False and draws nothing after step 0.
     uses_noise_after_init: ClassVar[bool] = True
     #: Registry name (see :func:`build_process`).
     name: ClassVar[str] = ""
-
-    def sample_batch(
-        self,
-        layers: Sequence[PhotonicLinearLayer],
-        model: UncertaintyModel,
-        generators: Sequence[np.random.Generator],
-        workspace=None,
-    ) -> List[Optional[LayerPerturbationBatch]]:
-        """One stateless batch of realizations (the time-zero marginal).
-
-        Delegates to the legacy i.i.d. sampler, so Monte Carlo paths
-        routed through a process default reproduce their historical
-        samples bit for bit.
-        """
-        return sample_network_perturbation_batch(layers, model, generators, workspace=workspace)
-
-    def sample_single(
-        self,
-        layers: Sequence[PhotonicLinearLayer],
-        model: UncertaintyModel,
-        generator: np.random.Generator,
-    ):
-        """One stateless realization (the looped Monte Carlo path).
-
-        The single-draw counterpart of :meth:`sample_batch`: the process's
-        fabrication-draw marginal, consumed from ``generator`` exactly as
-        the legacy per-iteration sampler — so the looped and batched paths
-        stay bit-identical through the seam.
-        """
-        return sample_network_perturbation(layers, model, generator)
 
     def init_state(
         self,
@@ -401,10 +355,8 @@ class PerturbationProcess(ABC):
 class IIDGaussianProcess(PerturbationProcess):
     """The paper's static model: every step is a fresh fabrication draw.
 
-    The bit-identical reference implementation of the legacy sampler seam:
-    :meth:`~PerturbationProcess.sample_batch` is the i.i.d. batch sampler
-    itself, and each timeline step replaces the state with fresh draws, so
-    step ``t`` equals a standalone Monte Carlo batch on the same streams.
+    Each timeline step replaces the state with fresh draws, so step ``t``
+    equals a standalone i.i.d. Monte Carlo batch on the same streams.
     """
 
     name: ClassVar[str] = "iid"
@@ -432,10 +384,12 @@ class OrnsteinUhlenbeckProcess(PerturbationProcess):
     name: ClassVar[str] = "ou"
 
     def __post_init__(self) -> None:
-        if self.correlation_time <= 0:
-            raise ValueError(f"correlation_time must be positive, got {self.correlation_time}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.correlation_time) and self.correlation_time > 0):
+            raise ValueError(
+                f"correlation_time must be positive and finite, got {self.correlation_time}"
+            )
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def rho(self) -> float:
@@ -465,8 +419,8 @@ class RandomWalkProcess(PerturbationProcess):
     name: ClassVar[str] = "walk"
 
     def __post_init__(self) -> None:
-        if self.step_scale < 0:
-            raise ValueError(f"step_scale must be non-negative, got {self.step_scale}")
+        if not (math.isfinite(self.step_scale) and self.step_scale >= 0):
+            raise ValueError(f"step_scale must be non-negative and finite, got {self.step_scale}")
 
     def _update(self, z, eps) -> None:
         z += self.step_scale * eps
@@ -486,6 +440,10 @@ class DriftRampProcess(PerturbationProcess):
     rate: float = 0.05
     name: ClassVar[str] = "ramp"
     uses_noise_after_init: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
 
     def _update(self, z, eps) -> None:
         z += self.rate

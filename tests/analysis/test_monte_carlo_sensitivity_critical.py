@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import (
     ELEMENT_LABELS,
     MonteCarloRunner,
+    SingleMZIRVDMetric,
     device_sensitivity_map,
     exact_relative_deviation,
     first_order_model_error,
@@ -163,8 +164,11 @@ class TestCriticality:
     def test_vectorized_path_is_bit_identical(self, scheme):
         mesh = MZIMesh.from_unitary(random_unitary(5, rng=6), scheme=scheme)
         model = UncertaintyModel.both(0.05)
-        fast = per_mzi_rvd_criticality(mesh, model, iterations=15, rng=2, vectorized=True)
-        slow = per_mzi_rvd_criticality(mesh, model, iterations=15, rng=2, vectorized=False)
+        fast = per_mzi_rvd_criticality(mesh, model, iterations=15, rng=2)
+        scorer = SingleMZIRVDMetric(mesh=mesh, model=model, reference=mesh.ideal_matrix())
+        slow = score_components(
+            range(mesh.num_mzis), metric_fn=scorer.scalar, iterations=15, rng=2
+        )
         assert np.array_equal(fast.as_array(), slow.as_array())
         assert [c.std for c in fast.scores] == [c.std for c in slow.scores]
 

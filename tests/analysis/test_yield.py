@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.yield_analysis import (
     estimate_yield,
@@ -9,6 +11,25 @@ from repro.analysis.yield_analysis import (
     yield_sweep,
     yield_vs_sigma,
 )
+from repro.onn import monte_carlo_accuracy
+from repro.utils.rng import spawn_rngs
+from repro.variation import UncertaintyModel
+
+
+def _per_sigma_loop(spnn, features, labels, sigmas, iterations, rng, chunk_size=None):
+    """The unfolded reference: one ``monte_carlo_accuracy`` run per sigma."""
+    nominal = spnn.accuracy(features, labels, use_hardware=True)
+    samples = {}
+    for sigma, stream in zip(sigmas, spawn_rngs(rng, len(sigmas))):
+        model = UncertaintyModel.both(sigma)
+        if model.is_null:
+            samples[sigma] = np.full(iterations, nominal)
+            continue
+        samples[sigma] = monte_carlo_accuracy(
+            spnn, features, labels, model, iterations=iterations, rng=stream,
+            chunk_size=chunk_size,
+        )
+    return samples
 
 
 def test_estimate_yield_basic_fraction():
@@ -126,13 +147,34 @@ class TestYieldSweep:
         kwargs = dict(sigmas=(0.0, 0.02, 0.05), iterations=6, rng=13)
         features, labels = small_task.test_features[:40], small_task.test_labels[:40]
         folded = yield_sweep(small_task.spnn, features, labels, **kwargs)
-        per_sigma = yield_sweep(
-            small_task.spnn, features, labels, fold_sigmas=False, **kwargs
-        )
+        per_sigma = _per_sigma_loop(small_task.spnn, features, labels, **kwargs)
         for sigma in kwargs["sigmas"]:
-            assert np.array_equal(
-                folded.accuracy_samples[sigma], per_sigma.accuracy_samples[sigma]
-            )
+            assert np.array_equal(folded.accuracy_samples[sigma], per_sigma[sigma])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        sigmas=st.lists(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.08]), min_size=1, max_size=4),
+        iterations=st.integers(1, 6),
+        chunk_size=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_folded_equals_per_sigma_loop_property(
+        self, small_task, sigmas, iterations, chunk_size, seed
+    ):
+        """Any sweep folds to the per-sigma loop on the same spawned streams."""
+        features, labels = small_task.test_features[:24], small_task.test_labels[:24]
+        kwargs = dict(
+            sigmas=tuple(sigmas), iterations=iterations, rng=seed, chunk_size=chunk_size
+        )
+        if len(set(sigmas)) != len(sigmas):
+            # Estimates are keyed by sigma, so a repeated level is refused.
+            with pytest.raises(ValueError, match="unique"):
+                yield_sweep(small_task.spnn, features, labels, **kwargs)
+            return
+        folded = yield_sweep(small_task.spnn, features, labels, **kwargs)
+        per_sigma = _per_sigma_loop(small_task.spnn, features, labels, **kwargs)
+        for sigma in sigmas:
+            assert np.array_equal(folded.accuracy_samples[sigma], per_sigma[sigma])
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_folded_bit_identical_at_every_worker_count(self, small_task, workers):

@@ -19,7 +19,8 @@ import pytest
 from repro.arrays import available_array_backends, get_array_backend, to_host, use_array_backend
 from repro.execution import GpuBackend
 from repro.mesh.mesh import MZIMesh
-from repro.onn.inference import NetworkAccuracyBatchTrial, monte_carlo_accuracy
+from repro.analysis.monte_carlo import MonteCarloRunner
+from repro.onn.inference import NetworkAccuracyBatchTrial, NetworkAccuracyTrial, monte_carlo_accuracy
 from repro.onn.spnn import SPNN, SPNNArchitecture
 from repro.training.workspace import VectorizedWorkspace, reset_process_workspace
 from repro.utils import random_unitary
@@ -196,22 +197,16 @@ class TestEngineConformance:
     def test_scalar_looped_path_stays_host_under_device_backend(
         self, backend_name, spnn, eval_set
     ):
-        """``vectorized=False`` trials are host-only by design and must not
-        pick up the active device namespace (their mesh evaluators are
-        host-only, so mixing would crash)."""
+        """The scalar oracle trial is host-only by design and must not pick
+        up the active device namespace (its mesh evaluators are host-only,
+        so mixing would crash)."""
         features, labels = eval_set
-        serial = monte_carlo_accuracy(
-            spnn, features, labels, MODEL, iterations=6, rng=9, vectorized=False
-        )
-        device = monte_carlo_accuracy(
-            spnn,
-            features,
-            labels,
-            MODEL,
-            iterations=6,
-            rng=9,
-            vectorized=False,
-            backend=GpuBackend(array_backend=backend_name),
+        oracle = NetworkAccuracyTrial(spnn, features, labels, MODEL)
+        serial = MonteCarloRunner(iterations=6).run(oracle, rng=9).samples
+        device = (
+            MonteCarloRunner(iterations=6, backend=GpuBackend(array_backend=backend_name))
+            .run(oracle, rng=9)
+            .samples
         )
         np.testing.assert_array_equal(device, serial)
 

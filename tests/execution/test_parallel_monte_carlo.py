@@ -214,12 +214,17 @@ class TestPerMZISharding:
         mesh = MZIMesh.from_unitary(random_unitary(5, rng=8))
         model = UncertaintyModel.both(0.05)
         serial = per_mzi_rvd_criticality(mesh, model, iterations=10, rng=4).as_array()
+        scorer = SingleMZIRVDMetric(mesh=mesh, model=model, reference=mesh.ideal_matrix())
         for workers in WORKER_COUNTS:
-            for vectorized in (False, True):
-                sharded = per_mzi_rvd_criticality(
-                    mesh, model, iterations=10, rng=4, vectorized=vectorized, workers=workers
-                ).as_array()
-                assert np.array_equal(serial, sharded), (workers, vectorized)
+            sharded = per_mzi_rvd_criticality(
+                mesh, model, iterations=10, rng=4, workers=workers
+            ).as_array()
+            assert np.array_equal(serial, sharded), workers
+            looped = score_components(
+                range(mesh.num_mzis), metric_fn=scorer.scalar, iterations=10, rng=4,
+                workers=workers,
+            ).as_array()
+            assert np.array_equal(serial, looped), workers
 
 
 class TestFig3Sharding:
@@ -302,7 +307,6 @@ class TestSPNNTrialsPickleAndShard:
                 small_task.spnn, features, labels, model, workers=workers, **kwargs
             )
             assert np.array_equal(serial, sharded), workers
-        looped_sharded = monte_carlo_accuracy(
-            small_task.spnn, features, labels, model, vectorized=False, workers=2, **kwargs
-        )
+        oracle = NetworkAccuracyTrial(small_task.spnn, features, labels, model)
+        looped_sharded = MonteCarloRunner(iterations=8, workers=2).run(oracle, rng=21).samples
         assert np.array_equal(serial, looped_sharded)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import MonteCarloRunner
 from repro.experiments import (
     EXP1_CASES,
     Exp1Config,
@@ -11,6 +12,9 @@ from repro.experiments import (
     run_exp2,
     uncertainty_model_for_case,
 )
+from repro.mesh import LayerPerturbation
+from repro.onn.inference import NetworkAccuracyTrial
+from repro.variation import UncertaintyModel, ZoneGrid, sample_mesh_perturbation
 
 
 class TestUncertaintyModelForCase:
@@ -125,30 +129,55 @@ class TestExp2:
 
 
 class TestVectorizedEquivalence:
-    """The batched experiment paths reproduce the looped paths bit for bit."""
+    """The batched experiment paths reproduce the looped oracle bit for bit."""
 
     def test_exp1_vectorized_matches_loop(self, small_task_module):
-        base = Exp1Config(sigmas=(0.0, 0.05), cases=("both",), iterations=3, seed=5)
-        fast = run_exp1(base, task=small_task_module)
-        slow = run_exp1(
-            Exp1Config(sigmas=(0.0, 0.05), cases=("both",), iterations=3, seed=5, vectorized=False),
-            task=small_task_module,
+        task = small_task_module
+        fast = run_exp1(
+            Exp1Config(sigmas=(0.0, 0.05), cases=("both",), iterations=3, seed=5), task=task
         )
-        for a, b in zip(fast.results["both"], slow.results["both"]):
-            assert np.array_equal(a.samples, b.samples)
+        gen = np.random.default_rng(5)
+        oracle = NetworkAccuracyTrial(
+            task.spnn, task.test_features, task.test_labels, uncertainty_model_for_case("both", 0.05)
+        )
+        slow = MonteCarloRunner(iterations=3).run(oracle, rng=gen).samples
+        nominal = task.spnn.accuracy(task.test_features, task.test_labels, use_hardware=True)
+        assert np.array_equal(fast.results["both"][0].samples, np.full(3, nominal))
+        assert np.array_equal(fast.results["both"][1].samples, slow)
 
     def test_exp2_vectorized_matches_loop(self, small_task_module):
-        fast = run_exp2(
-            Exp2Config(iterations=2, seed=6), task=small_task_module, mesh_names=["U_L0"]
-        )
-        slow = run_exp2(
-            Exp2Config(iterations=2, seed=6, vectorized=False),
-            task=small_task_module,
-            mesh_names=["U_L0"],
-        )
-        assert fast.global_loss == slow.global_loss
-        assert np.array_equal(
-            fast.heatmaps["U_L0"].accuracy_loss,
-            slow.heatmaps["U_L0"].accuracy_loss,
-            equal_nan=True,
-        )
+        """EXP 2 equals a scalar loop over the single-realization sampler."""
+        task = small_task_module
+        spnn, features, labels = task.spnn, task.test_features, task.test_labels
+        fast = run_exp2(Exp2Config(iterations=2, seed=6), task=task, mesh_names=["U_L0"])
+
+        background = UncertaintyModel.both(0.05, perturb_sigma_stage=False)
+
+        def zonal_trial(target, sigma_map):
+            def trial(generator):
+                perturbations = []
+                for index, layer in enumerate(spnn.photonic_layers):
+                    u_map = sigma_map if target == f"U_L{index}" else None
+                    v_map = sigma_map if target == f"VH_L{index}" else None
+                    u = sample_mesh_perturbation(
+                        layer.mesh_u, background, generator, u_map, u_map
+                    )
+                    v = sample_mesh_perturbation(
+                        layer.mesh_v, background, generator, v_map, v_map
+                    )
+                    perturbations.append(LayerPerturbation(u=u, v=v, sigma=None))
+                return spnn.accuracy(features, labels, perturbations, use_hardware=True)
+
+            return trial
+
+        gen = np.random.default_rng(6)
+        runner = MonteCarloRunner(iterations=2)
+        nominal = spnn.accuracy(features, labels, use_hardware=True)
+        assert fast.global_loss == nominal - runner.run(zonal_trial("", None), rng=gen).mean
+        grid = ZoneGrid(dict(spnn.unitary_meshes())["U_L0"], zone_rows=2, zone_cols=2)
+        losses = np.full(grid.shape, np.nan)
+        for zone in grid.zones():
+            sigma_map = grid.sigma_map(zone, 0.10, 0.05)
+            result = runner.run(zonal_trial("U_L0", sigma_map), rng=gen)
+            losses[zone.row_index, zone.col_index] = nominal - result.mean
+        assert np.array_equal(fast.heatmaps["U_L0"].accuracy_loss, losses, equal_nan=True)

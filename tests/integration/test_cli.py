@@ -22,6 +22,16 @@ def test_fig2_runs_and_writes_output(tmp_path, capsys):
     payload = json.loads(output.read_text())
     assert "peak_deviation" in payload
 
+    # Fig. 3's result holds compiled meshes; the JSON carries the RVD table.
+    output = tmp_path / "fig3.json"
+    assert main(["fig3", "--smoke", "--iterations", "3", "--output", str(output)]) == 0
+    assert "Fig. 3" in capsys.readouterr().out
+    payload = json.loads(output.read_text())
+    assert set(payload) == {"config", "reports"}
+    table = [[entry["score"] for entry in report["scores"]] for report in payload["reports"]]
+    assert len(table) == payload["config"]["num_matrices"]
+    assert all(len(row) == 10 and all(score > 0 for score in row) for row in table)
+
 
 def test_fig3_iterations_override(capsys):
     assert main(["fig3", "--smoke", "--iterations", "3"]) == 0

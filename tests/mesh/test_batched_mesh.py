@@ -40,17 +40,39 @@ class TestMatrixBatchAgreement:
         assert np.array_equal(batched, looped)
 
     def test_batch_sampler_equals_looped_sampler(self, scheme):
-        """The batch sampler draws the exact same values from the same streams."""
+        """The batch sampler draws the exact same values from the same streams.
+
+        Covers the global model and the EXP 2 zonal draw: per-MZI sigma
+        maps (zeros included) with the output phase screen perturbed.
+        """
         mesh = MZIMesh.from_unitary(random_unitary(6, rng=4), scheme=scheme)
-        model = UncertaintyModel.both(0.08)
-        batch = sample_mesh_perturbation_batch(mesh, model, spawn_rngs(2, 9))
-        singles = [sample_mesh_perturbation(mesh, model, g) for g in spawn_rngs(2, 9)]
-        for index, single in enumerate(singles):
-            row = batch.realization(index)
-            assert np.array_equal(row.delta_theta, single.delta_theta)
-            assert np.array_equal(row.delta_phi, single.delta_phi)
-            assert np.array_equal(row.delta_r_in, single.delta_r_in)
-            assert np.array_equal(row.delta_r_out, single.delta_r_out)
+        zone_map = np.where(np.arange(mesh.num_mzis) % 3 == 0, 0.0, 0.1)
+        zone_map[:2] = 0.05
+        cases = [
+            (UncertaintyModel.both(0.08), {}),
+            (
+                UncertaintyModel.both(0.05, perturb_output_phases=True),
+                dict(sigma_phs_per_mzi=zone_map, sigma_bes_per_mzi=zone_map),
+            ),
+        ]
+        for model, maps in cases:
+            batch = sample_mesh_perturbation_batch(mesh, model, spawn_rngs(2, 9), **maps)
+            singles = [
+                sample_mesh_perturbation(mesh, model, g, **maps) for g in spawn_rngs(2, 9)
+            ]
+            for index, single in enumerate(singles):
+                row = batch.realization(index)
+                assert np.array_equal(row.delta_theta, single.delta_theta)
+                assert np.array_equal(row.delta_phi, single.delta_phi)
+                assert np.array_equal(row.delta_r_in, single.delta_r_in)
+                assert np.array_equal(row.delta_r_out, single.delta_r_out)
+                if model.perturb_output_phases:
+                    assert np.array_equal(row.delta_output_phase, single.delta_output_phase)
+                else:
+                    assert single.delta_output_phase is None
+        # The zeros of the map really silence their devices.
+        assert np.all(batch.delta_theta[:, zone_map == 0.0] == 0.0)
+        assert np.all(batch.delta_r_in[:, zone_map == 0.0] == 0.0)
 
 
 class TestMatrixBatchSemantics:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.arrays import kernels, to_host, use_array_backend
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.analysis.monte_carlo import MonteCarloRunner
 from repro.onn import SPNN, SPNNArchitecture, monte_carlo_accuracy, stack_network_perturbations
+from repro.onn.inference import NetworkAccuracyTrial
 from repro.utils.rng import spawn_rngs
 from repro.variation import UncertaintyModel, sample_network_perturbation, sample_network_perturbation_batch
 
@@ -210,17 +212,13 @@ class TestSoftplusKernel:
 
 class TestMonteCarloAccuracyVectorized:
     def test_seed_equivalence_with_looped_path(self, small_task):
-        """The tentpole guarantee: vectorized == looped, sample for sample."""
-        kwargs = dict(
-            spnn=small_task.spnn,
-            features=small_task.test_features[:50],
-            labels=small_task.test_labels[:50],
-            model=UncertaintyModel.both(0.05),
-            iterations=8,
-            rng=42,
-        )
-        looped = monte_carlo_accuracy(vectorized=False, **kwargs)
-        batched = monte_carlo_accuracy(vectorized=True, **kwargs)
+        """The engine guarantee: batched == the looped oracle, sample for sample."""
+        spnn = small_task.spnn
+        features, labels = small_task.test_features[:50], small_task.test_labels[:50]
+        model = UncertaintyModel.both(0.05)
+        oracle = NetworkAccuracyTrial(spnn, features, labels, model)
+        looped = MonteCarloRunner(iterations=8).run(oracle, rng=42).samples
+        batched = monte_carlo_accuracy(spnn, features, labels, model, iterations=8, rng=42)
         assert np.array_equal(looped, batched)
 
     def test_chunk_size_does_not_change_samples(self, small_task):
@@ -234,48 +232,6 @@ class TestMonteCarloAccuracyVectorized:
         )
         assert np.array_equal(
             monte_carlo_accuracy(chunk_size=2, **kwargs), monte_carlo_accuracy(**kwargs)
-        )
-
-    def test_perturbation_factory_supported(self, small_task):
-        calls = []
-
-        def factory(generator):
-            calls.append(1)
-            return [None] * small_task.spnn.num_linear_layers
-
-        samples = monte_carlo_accuracy(
-            small_task.spnn,
-            small_task.test_features[:20],
-            small_task.test_labels[:20],
-            UncertaintyModel.both(0.05),
-            iterations=4,
-            rng=0,
-            perturbation_factory=factory,
-            vectorized=True,
-        )
-        assert len(calls) == 4
-        assert np.allclose(samples, samples[0])
-
-    def test_factory_seed_equivalence(self, small_task):
-        """Custom samplers get the same bit-identical guarantee."""
-        spnn = small_task.spnn
-        model = UncertaintyModel.phase_only(0.08)
-
-        def factory(generator):
-            return sample_network_perturbation(spnn.photonic_layers, model, generator)
-
-        kwargs = dict(
-            spnn=spnn,
-            features=small_task.test_features[:25],
-            labels=small_task.test_labels[:25],
-            model=model,
-            iterations=5,
-            rng=31,
-            perturbation_factory=factory,
-        )
-        assert np.array_equal(
-            monte_carlo_accuracy(vectorized=True, **kwargs),
-            monte_carlo_accuracy(vectorized=False, **kwargs),
         )
 
     def test_chunk_size_validation(self, small_task):

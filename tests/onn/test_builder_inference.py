@@ -97,25 +97,6 @@ class TestMonteCarloAccuracy:
         )
         assert samples.mean() < small_task.baseline_accuracy - 0.2
 
-    def test_custom_perturbation_factory(self, small_task):
-        calls = []
-
-        def factory(generator):
-            calls.append(1)
-            return [None] * small_task.spnn.num_linear_layers
-
-        samples = monte_carlo_accuracy(
-            small_task.spnn,
-            small_task.test_features[:30],
-            small_task.test_labels[:30],
-            UncertaintyModel.both(0.05),
-            iterations=3,
-            rng=0,
-            perturbation_factory=factory,
-        )
-        assert len(calls) == 3
-        assert np.allclose(samples, samples[0])  # ideal hardware every time
-
     def test_iterations_validation(self, small_task):
         with pytest.raises(ValueError):
             monte_carlo_accuracy(

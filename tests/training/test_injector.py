@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.training import NoiseInjector, per_mesh_sigma_sampler
+from repro.training import NoiseInjector
 from repro.variation import UncertaintyModel
 
 
@@ -96,36 +96,6 @@ class TestSnapshotCadence:
         injector.weight_offsets(_weights(dims=(6, 8, 5)))
         offsets = injector.weight_offsets(_weights(dims=(6, 8, 8, 5)))
         assert len(offsets) == 3
-
-
-class TestCustomSampler:
-    def test_per_mesh_sigma_sampler_zero_maps_give_zero_mesh_noise(self):
-        weights = _weights()
-        zero_maps = {}
-        injector_probe = NoiseInjector(UncertaintyModel.both(0.01), draws=1, rng=0)
-        injector_probe.refresh_snapshot(weights)
-        for index, layer in enumerate(injector_probe.snapshot_layers):
-            zero_maps[f"U_L{index}"] = np.zeros(layer.mesh_u.num_mzis)
-            zero_maps[f"VH_L{index}"] = np.zeros(layer.mesh_v.num_mzis)
-        injector = NoiseInjector(
-            UncertaintyModel.both(0.05, perturb_sigma_stage=False),
-            draws=2,
-            sampler=per_mesh_sigma_sampler(zero_maps),
-            rng=0,
-        )
-        offsets = injector.weight_offsets(weights)
-        for offset in offsets:
-            assert np.allclose(offset, 0.0, atol=1e-10)
-
-    def test_sampler_layer_count_mismatch_raises(self):
-        injector = NoiseInjector(
-            UncertaintyModel.both(0.01),
-            draws=1,
-            sampler=lambda layers, model, gens: [],
-            rng=0,
-        )
-        with pytest.raises(ConfigurationError):
-            injector.weight_offsets(_weights())
 
 
 class TestDeviceInjector:

@@ -7,7 +7,6 @@ from repro.exceptions import ConfigurationError
 from repro.training import (
     NoiseInjector,
     VectorizedWorkspace,
-    per_mesh_sigma_sampler,
     process_workspace,
     reset_process_workspace,
 )
@@ -152,23 +151,6 @@ class TestDrawReuse:
         # (up to float rescaling round-off).
         for a, b in zip(via_rescale, via_draw):
             assert np.allclose(a, b, atol=1e-12)
-
-    def test_scale_change_with_custom_sampler_redraws(self):
-        weights = _weights(dims=(5, 5))
-        sampler = per_mesh_sigma_sampler({"U_L0": np.full(10, 0.01)})
-        injector = NoiseInjector(
-            UncertaintyModel.both(0.01),
-            draws=2,
-            recompile_every=10,
-            rng=5,
-            sampler=sampler,
-            reuse_draws=True,
-        )
-        first = [np.copy(o) for o in injector.weight_offsets(weights, sigma_scale=0.5)]
-        second = injector.weight_offsets(weights, sigma_scale=1.0)
-        # A redraw consumed fresh streams: the offsets are not a rescale of
-        # the cached ones.
-        assert not any(np.allclose(2.0 * a, b) for a, b in zip(first, second))
 
     def test_zero_scale_steps_do_not_touch_the_cache(self):
         weights = _weights()

@@ -56,6 +56,15 @@ class TestUncertaintyModel:
         with pytest.raises(VariationModelError):
             UncertaintyModel(sigma_bes=-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigmas(self, bad):
+        with pytest.raises(VariationModelError, match="finite"):
+            UncertaintyModel.both(bad)
+        with pytest.raises(VariationModelError, match="finite"):
+            UncertaintyModel(sigma_phs=0.05, sigma_bes=bad)
+        with pytest.raises(VariationModelError, match="finite"):
+            UncertaintyModel.both(0.05).with_sigma(sigma_phs=bad)
+
 
 class TestMeshSampler:
     @pytest.fixture

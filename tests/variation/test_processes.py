@@ -16,10 +16,7 @@ from repro.variation.process import (
     RandomWalkProcess,
     build_process,
 )
-from repro.variation.sampler import (
-    sample_network_perturbation,
-    sample_network_perturbation_batch,
-)
+from repro.variation.sampler import sample_network_perturbation_batch
 
 
 def _layers(seed=3, sizes=((6, 6), (6, 6))):
@@ -55,28 +52,6 @@ def _flat_fields(batches):
     return fields
 
 
-def _flat_single_fields(perturbations):
-    """Every non-None array field of a per-layer single-draw list, in order."""
-    fields = []
-    for layer in perturbations:
-        if layer is None:
-            continue
-        for stage in (layer.u, layer.v, layer.sigma):
-            if stage is None:
-                continue
-            for name in (
-                "delta_theta",
-                "delta_phi",
-                "delta_r_in",
-                "delta_r_out",
-                "delta_output_phase",
-            ):
-                value = getattr(stage, name, None)
-                if value is not None:
-                    fields.append(np.asarray(value))
-    return fields
-
-
 def _assert_batches_equal(left, right):
     left_fields, right_fields = _flat_fields(left), _flat_fields(right)
     assert len(left_fields) == len(right_fields)
@@ -85,28 +60,6 @@ def _assert_batches_equal(left, right):
 
 
 class TestIIDEquivalence:
-    def test_sample_batch_matches_legacy_sampler(self):
-        layers = _layers()
-        model = UncertaintyModel.both(0.05)
-        process_batch = IIDGaussianProcess().sample_batch(
-            layers, model, spawn_rngs(0, 5)
-        )
-        legacy_batch = sample_network_perturbation_batch(layers, model, spawn_rngs(0, 5))
-        _assert_batches_equal(process_batch, legacy_batch)
-
-    def test_sample_single_matches_legacy_sampler(self):
-        layers = _layers()
-        model = UncertaintyModel.both(0.05)
-        single = IIDGaussianProcess().sample_single(
-            layers, model, np.random.default_rng(9)
-        )
-        legacy = sample_network_perturbation(layers, model, np.random.default_rng(9))
-        single_fields = _flat_single_fields(single)
-        legacy_fields = _flat_single_fields(legacy)
-        assert len(single_fields) == len(legacy_fields) > 0
-        for a, b in zip(single_fields, legacy_fields):
-            np.testing.assert_array_equal(a, b)
-
     def test_state_step0_matches_legacy_sampler(self):
         """Every process starts at the fabrication draw = the legacy batch."""
         layers = _layers()
@@ -286,7 +239,27 @@ class TestBuildProcess:
             build_process("brownian-bridge")
 
     def test_linearity_flags(self):
-        for name in PROCESS_NAMES:
-            assert build_process(name).linear_in_sigma
+        """Only the deterministic ramp draws nothing after the fabrication draw."""
         assert not DriftRampProcess().uses_noise_after_init
         assert IIDGaussianProcess().uses_noise_after_init
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: OrnsteinUhlenbeckProcess(correlation_time=bad),
+            lambda bad: OrnsteinUhlenbeckProcess(dt=bad),
+            lambda bad: RandomWalkProcess(step_scale=bad),
+            lambda bad: DriftRampProcess(rate=bad),
+        ],
+        ids=["ou-correlation_time", "ou-dt", "walk-step_scale", "ramp-rate"],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+    def test_finite_parameters_accepted(self):
+        assert DriftRampProcess(rate=-0.05).rate == -0.05
+        assert RandomWalkProcess(step_scale=0.0).step_scale == 0.0
