@@ -47,7 +47,7 @@ def main() -> None:
     kwargs = dict(sigmas=SIGMAS, iterations=ITERATIONS, rng=13)
 
     print("serial reference run...")
-    serial = yield_sweep(task.spnn, task.test_features, task.test_labels, **kwargs)
+    serial = yield_sweep(task.spnn, task.test_features, task.test_labels, workers=1, **kwargs)
 
     print(f"starting a localhost fleet: coordinator + {WORKERS} workers...")
     with local_fleet(workers=WORKERS) as fleet:

@@ -36,7 +36,7 @@ def main() -> None:
     start = time.perf_counter()
     serial = yield_sweep(
         task.spnn, task.test_features, task.test_labels,
-        sigmas=SIGMAS, iterations=ITERATIONS, rng=13,
+        sigmas=SIGMAS, iterations=ITERATIONS, rng=13, workers=1,
     )
     serial_seconds = time.perf_counter() - start
 

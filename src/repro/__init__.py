@@ -35,7 +35,7 @@ from .analysis import (
     rvd,
     yield_sweep,
 )
-from .execution import GpuBackend, MultiprocessBackend, SerialBackend, resolve_backend
+from .execution import GpuBackend, MultiprocessBackend, SerialBackend, ThreadBackend, resolve_backend
 from .exceptions import (
     AutogradError,
     ConfigurationError,
@@ -139,6 +139,7 @@ __all__ = [
     "MonteCarloRunner",
     "yield_sweep",
     "SerialBackend",
+    "ThreadBackend",
     "MultiprocessBackend",
     "GpuBackend",
     "resolve_backend",

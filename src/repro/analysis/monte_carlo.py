@@ -37,7 +37,7 @@ import numpy as np
 
 from ..arrays import to_host
 from ..exceptions import ShapeError
-from ..execution import Backend, BackendLike, pool_scope, resolve_backend
+from ..execution import Backend, BackendLike, ThreadBackend, pool_scope, resolve_backend
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
 from ..utils.rng import RNGLike, StreamSlice, StreamsLike, materialize_streams, spawn_rngs
@@ -115,20 +115,29 @@ def plan_chunk_size(
     """Work-unit granularity shared by the Monte Carlo and timeline runners.
 
     Serial backends take everything in one chunk (capped by an explicit
-    ``chunk_size`` or the trial's memory-derived hint); parallel backends
-    get two chunks per worker — coarse enough that per-task pickling stays
-    negligible, fine enough to absorb worker-speed imbalance.  An explicit
-    ``chunk_size`` (or the hint) still caps the chunk but never inflates
-    it: otherwise a small run with a large chunk_size would collapse to a
+    ``chunk_size`` or the trial's memory-derived hint).  The thread backend
+    plans the same chunks: every chunk pays a fixed run of small NumPy
+    calls that hold the GIL, so splitting below the hint only adds that
+    cost.  It rounds the number of hint-sized chunks up to a multiple of
+    its threads, so none idles at the end, and a run that fits one chunk
+    stays one chunk (evaluated inline).  Process backends get two chunks
+    per worker — coarse enough that per-task pickling stays negligible,
+    fine enough to absorb worker-speed imbalance; there an explicit
+    ``chunk_size`` (or the hint) caps the chunk but never inflates it:
+    otherwise a small run with a large chunk_size would collapse to a
     single task and silently defeat the sharding.  Shrinking chunks is
     always safe — samples are chunk-invariant.
     """
     hint = trial_chunk_hint(trial) if chunk_size is None else None
     parallelism = backend.parallelism
-    if parallelism <= 1:
+    if parallelism <= 1 or isinstance(backend, ThreadBackend):
         if chunk_size is not None:
             return chunk_size
-        return min(iterations, hint) if hint is not None else iterations
+        if hint is None or iterations <= hint:
+            return iterations
+        chunks = -(-iterations // hint)
+        chunks = -(-chunks // parallelism) * parallelism
+        return -(-iterations // chunks)
     target = max(1, -(-iterations // (2 * parallelism)))
     cap = chunk_size if chunk_size is not None else hint
     return min(cap, target) if cap is not None else target
@@ -143,15 +152,17 @@ def chunk_stream_payload(
     ``(seed, count)`` recipe (:class:`~repro.utils.rng.StreamSlice`) so
     the pickled task no longer carries one generator per realization; the
     worker rebuilds bit-identical generators from the seed material.
-    Inline backends keep the materialized generators — nothing is pickled,
-    so rebuilding them would be pure waste.  A backend marked ``remote``
-    (the fleet) always compresses, whatever its parallelism: even a
-    one-worker fleet crosses a socket, so the recipe is the payload that
-    should travel.  Either way the evaluated streams are exactly the
+    Inline and thread backends keep the materialized generators — nothing
+    is pickled, so rebuilding them would be pure waste.  A backend marked
+    ``remote`` (the fleet) always compresses, whatever its parallelism:
+    even a one-worker fleet crosses a socket, so the recipe is the payload
+    that should travel.  Either way the evaluated streams are exactly the
     spawned children.
     """
     generators = tuple(generators)
-    if backend.parallelism <= 1 and not getattr(backend, "remote", False):
+    if isinstance(backend, ThreadBackend) or (
+        backend.parallelism <= 1 and not getattr(backend, "remote", False)
+    ):
         return generators
     compact = StreamSlice.from_generators(generators, trust_fresh=True)
     return compact if compact is not None else generators

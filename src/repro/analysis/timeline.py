@@ -60,9 +60,9 @@ __all__ = [
 ]
 
 #: Same budget as the Monte Carlo chunk target: one scheduled chunk's
-#: working set (forward activations, stacked matrices, state matrices) stays
-#: near this.  It sizes the scheduled chunk only; each step's forward runs
-#: in the smaller sub-chunks of :meth:`~repro.onn.SPNN.accuracy_batch`.
+#: working set (stacked matrices, state matrices) stays near this.  It
+#: sizes the scheduled chunk only; each step's forward runs in the smaller
+#: sub-chunks of :meth:`~repro.onn.SPNN.accuracy_batch`.
 CHUNK_TARGET_BYTES = 8 * 1024 * 1024
 
 
@@ -95,17 +95,15 @@ class AccuracyTimelineTrial:
     def preferred_chunk_size(self) -> int:
         """Timelines per chunk keeping one step's working set near target.
 
-        Same estimate as the Monte Carlo batch trial — one timeline's
-        forward-activation slice, stacked matrices and draw/state buffers
-        — consulted by :func:`timeline_sweep` when no explicit
-        ``chunk_size`` is given.
+        Counts what one timeline holds for the whole chunk: its stacked
+        matrices and its draw/state buffers.  Forward activations are not
+        counted — each step's forward runs in fixed-size sub-chunks of
+        :meth:`~repro.onn.SPNN.accuracy_batch`, whatever the chunk size.
+        Consulted by :func:`timeline_sweep` when no explicit ``chunk_size``
+        is given.
         """
         spnn = resolve_network(self.spnn)
-        features = resolve_array(self.features)
-        samples = int(features.shape[0]) if features.ndim > 1 else 1
         architecture = spnn.architecture
-        width = max(architecture.layer_dims)
-        activation_bytes = samples * width * 16  # complex128 forward block
         matrix_bytes = sum(out * inp for out, inp in architecture.weight_shapes()) * 16
         mzis = (
             sum(layer.num_mzis for layer in spnn.photonic_layers)
@@ -114,7 +112,7 @@ class AccuracyTimelineTrial:
         )
         # Draw matrix + state + compensation per parameter family.
         sampling_bytes = 3 * 4 * mzis * 8
-        per_timeline = activation_bytes + matrix_bytes + sampling_bytes
+        per_timeline = matrix_bytes + sampling_bytes
         return max(1, CHUNK_TARGET_BYTES // max(1, per_timeline))
 
     def __call__(

@@ -46,6 +46,7 @@ one implementation serves every registered backend.
 from __future__ import annotations
 
 import os
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -261,6 +262,25 @@ class LoopedSweepKernel(SweepKernel):
         apply_mzi_blocks(matrices, components, program)
 
 
+class _SweepState(threading.local):
+    """The fused kernel's mutable state, created afresh in each thread."""
+
+    def __init__(self) -> None:
+        #: Capacity-tracked scratch per ``(backend, role, dtype)``.
+        self.scratch: Dict[tuple, object] = {}
+        # Per-(program, backend, shape, dtype) column plans.  Keyed by
+        # id(program) with a weakref guard against id reuse; kept here
+        # (not in ``program.cache``) so pickling a mesh to worker processes
+        # never ships megabytes of scratch views.
+        self.plans: Dict[int, tuple] = {}
+        # Whether the backend's take() accepts mode= (NumPy does; CuPy
+        # does not).  mode="clip" matters: NumPy's take-with-out buffers
+        # through a temporary under the default mode="raise", which costs
+        # more than the gather itself.  Program indices are mesh-generated
+        # and always in bounds, so clip never changes a value.
+        self.take_accepts_mode: Dict[str, bool] = {}
+
+
 class FusedSweepKernel(SweepKernel):
     """Hand-fused out-buffer sweep: zero per-column allocation.
 
@@ -292,9 +312,9 @@ class FusedSweepKernel(SweepKernel):
     element and one add — is exactly the reference's (broadcast multiply
     is elementwise; no reductions anywhere), so results are bit-identical
     on any namespace where ufunc-with-``out`` equals ufunc-then-copy
-    (all of ours).  Scratch lives per ``(backend, role, dtype)`` in the
-    kernel instance, capacity-tracked like the workspace arena; processes
-    and backends never share buffers, and the sweep never reads a scratch
+    (all of ours).  Scratch lives per ``(thread, backend, role, dtype)``,
+    capacity-tracked like the workspace arena; threads, processes and
+    backends never share buffers, and the sweep never reads a scratch
     cell it did not just write.
     """
 
@@ -302,26 +322,19 @@ class FusedSweepKernel(SweepKernel):
     blocks_internally = True
 
     def __init__(self) -> None:
-        self._scratch: Dict[tuple, object] = {}
-        # Per-(program, backend, shape, dtype) column plans.  Keyed by
-        # id(program) with a weakref guard against id reuse; kept on the
-        # kernel instance (not in ``program.cache``) so pickling a mesh to
-        # worker processes never ships megabytes of scratch views.
-        self._plans: Dict[int, tuple] = {}
-        # Whether the backend's take() accepts mode= (NumPy does; CuPy
-        # does not).  mode="clip" matters: NumPy's take-with-out buffers
-        # through a temporary under the default mode="raise", which costs
-        # more than the gather itself.  Program indices are mesh-generated
-        # and always in bounds, so clip never changes a value.
-        self._take_accepts_mode: Dict[str, bool] = {}
+        # One registry instance serves every thread of the process, so its
+        # mutable state is per thread: two threads sweeping at once must
+        # never write into each other's scratch.
+        self._local = _SweepState()
 
     def _take(self, xp, backend_name: str, source, rows, out) -> None:
-        if self._take_accepts_mode.get(backend_name, True):
+        accepts_mode = self._local.take_accepts_mode
+        if accepts_mode.get(backend_name, True):
             try:
                 xp.take(source, rows, axis=-2, out=out, mode="clip")
                 return
             except TypeError:
-                self._take_accepts_mode[backend_name] = False
+                accepts_mode[backend_name] = False
         xp.take(source, rows, axis=-2, out=out)
 
     def _buffer(self, backend, role: str, shape, dtype):
@@ -330,10 +343,11 @@ class FusedSweepKernel(SweepKernel):
         for extent in shape:
             size *= int(extent)
         key = (backend.name, role, str(dtype))
-        flat = self._scratch.get(key)
+        scratch = self._local.scratch
+        flat = scratch.get(key)
         if flat is None or flat.shape[0] < size:
             flat = backend.empty((size,), dtype)
-            self._scratch[key] = flat
+            scratch[key] = flat
         return flat[:size].reshape(shape)
 
     def _plan(self, backend, program: ColumnProgram, lead, comp_lead, dtype):
@@ -346,14 +360,15 @@ class FusedSweepKernel(SweepKernel):
         before they are read within every sweep, so plans stay correct
         even if a later, larger sweep reallocates a backing.
         """
-        entry = self._plans.get(id(program))
+        by_program = self._local.plans
+        entry = by_program.get(id(program))
         if entry is not None:
             ref, plans = entry
             if ref() is not program:
                 entry = None
         if entry is None:
             plans = {}
-            self._plans[id(program)] = (weakref.ref(program), plans)
+            by_program[id(program)] = (weakref.ref(program), plans)
         key = (backend.name, lead, comp_lead, str(dtype))
         plan = plans.get(key)
         if plan is not None:

@@ -11,6 +11,7 @@ Examples
     spnn-repro fig2
     spnn-repro fig3 --smoke
     spnn-repro exp1 --smoke --output exp1.json
+    spnn-repro exp1 --workers 1   # the serial reference (one thread)
     spnn-repro exp1 --workers 4   # shard MC realizations over 4 processes
     spnn-repro yield --smoke      # parametric yield vs sigma (§I motivation)
     spnn-repro robust --smoke     # noise-aware training vs baseline (EXP 3)
@@ -19,10 +20,13 @@ Examples
     spnn-repro worker --connect HOST:PORT   # join a sweep fleet as a worker
     spnn-repro yield --smoke --backend fleet --workers 2   # run on the fleet
 
-``--workers N`` shards the Monte Carlo realizations of the supporting
-experiments across N worker processes; the samples are bit-identical to the
-serial run at the same seed (the child RNG streams are spawned before any
-scheduling), so the flag only changes wall-clock time, never results.
+Without ``--workers`` the Monte Carlo realizations of the supporting
+experiments run on one thread per available CPU inside this process;
+``--workers 1`` runs them serially on the calling thread (the reference)
+and ``--workers N`` (N > 1) shards them across N worker processes.  The
+samples are bit-identical in every case at the same seed (the child RNG
+streams are spawned before any scheduling), so the flag only changes
+wall-clock time and memory, never results.
 
 ``--backend fleet`` (optionally with ``--fleet HOST:PORT`` to pick the
 coordinator's bind address) schedules the same chunks over persistent
@@ -85,10 +89,12 @@ def _run_info() -> dict:
 
     Answers the usual "why is my run slow / which kernel ran / why is the
     GPU path unavailable" questions without a debugger: platform, CPU
-    budget, array-backend availability, which sweep kernels can serve each
-    backend (with the reason when one cannot run at all), and the
-    ``REPRO_*`` environment overrides currently in force.  The kernel
-    part is also recorded in the user cache (see ``_record_kernel_table``).
+    budget, the backend a run without ``--workers`` gets, the entry point
+    that pins BLAS threads, array-backend availability, which sweep
+    kernels can serve each backend (with the reason when one cannot run at
+    all), and the ``REPRO_*`` environment overrides currently in force.
+    The kernel part is also recorded in the user cache (see
+    ``_record_kernel_table``).
     """
     import platform
 
@@ -96,7 +102,8 @@ def _run_info() -> dict:
 
     from .arrays.namespace import array_backend_names, available_array_backends, get_array_backend
     from .arrays.sweep import SWEEP_KERNEL_ENV, available_sweep_kernels, get_sweep_kernel, sweep_kernel_names
-    from .execution.backends import GPU_ARRAY_BACKEND_ENV, available_workers
+    from .execution.backends import GPU_ARRAY_BACKEND_ENV, available_workers, resolve_backend
+    from .execution.blas import blas_thread_control
     from .execution.fleet import FLEET_ADDRESS_ENV, artifact_store, default_fleet_address, parse_address
     from .observability import TRACE_ENV
 
@@ -105,6 +112,9 @@ def _run_info() -> dict:
         "python": platform.python_version(),
         "cpus_available": available_workers(),
         "cpu_count": os.cpu_count() or 1,
+        "thread_budget": available_workers(),
+        "default_backend": repr(resolve_backend()),
+        "blas_thread_control": blas_thread_control(),
     }
     usable = available_array_backends()
     backends: dict = {}
@@ -161,6 +171,9 @@ def _run_info() -> dict:
                 ["python", info["python"]],
                 ["cpus available", info["cpus_available"]],
                 ["cpu count", info["cpu_count"]],
+                ["thread budget", info["thread_budget"]],
+                ["default backend", info["default_backend"]],
+                ["blas thread control", info["blas_thread_control"] or "none (cannot pin BLAS threads)"],
             ],
         )
     )
@@ -251,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help=(
-            "shard Monte Carlo realizations across N worker processes "
-            "(bit-identical to the serial run; applies to experiments with a workers knob)"
+            "1 runs Monte Carlo realizations serially, N > 1 shards them across N "
+            "worker processes; default: one thread per available CPU in this process "
+            "(bit-identical either way; applies to experiments with a workers knob)"
         ),
     )
     parser.add_argument(
@@ -263,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run the Monte Carlo realizations on this device: 'gpu' evaluates "
             "chunks device-resident through the CuPy array backend (or the "
             "strict mock stand-in selected by REPRO_GPU_ARRAY_BACKEND on "
-            "CPU-only machines); 'cpu' (default) keeps the serial/multiprocess "
+            "CPU-only machines); 'cpu' (default) keeps the thread/serial/multiprocess "
             "backends"
         ),
     )

@@ -16,6 +16,7 @@ from .backends import (
     GpuBackend,
     MultiprocessBackend,
     SerialBackend,
+    ThreadBackend,
     available_workers,
     default_gpu_array_backend,
     gather_with_heartbeat,
@@ -48,6 +49,7 @@ __all__ = [
     "BACKEND_NAMES",
     "DEVICE_NAMES",
     "SerialBackend",
+    "ThreadBackend",
     "MultiprocessBackend",
     "GpuBackend",
     "FleetBackend",

@@ -2,18 +2,28 @@
 
 The paper's methodology multiplies quickly: 1000 uncertainty realizations
 per design point, hundreds of design points across EXP 1 / EXP 2 / the yield
-sweeps.  PR 1 vectorized one design point at a time, but the whole sweep
-still ran on a single NumPy thread.  This module factors the *scheduling* of
-that work out of :class:`~repro.analysis.monte_carlo.MonteCarloRunner` into
-a small backend protocol so the same experiment code can run
+sweeps.  This module factors the *scheduling* of that work out of
+:class:`~repro.analysis.monte_carlo.MonteCarloRunner` into a small backend
+protocol so the same experiment code can run
 
-* inline on the calling thread (:class:`SerialBackend`, the default),
+* on threads of the calling process (:class:`ThreadBackend`, the default
+  whenever the process may use more than one CPU),
+* inline on the calling thread (:class:`SerialBackend`, ``workers=1`` — the
+  reference every other backend is compared against),
 * sharded across worker processes (:class:`MultiprocessBackend`, stdlib
   :mod:`concurrent.futures`, no extra dependencies),
 * device-resident (:class:`GpuBackend`), or
 * across a persistent socket-connected worker fleet
   (:class:`~repro.execution.fleet.FleetBackend`, stdlib sockets — see
   :mod:`repro.execution.fleet`).
+
+**Threads or processes.**  The chunk work is NumPy ufuncs and BLAS calls,
+which release the GIL, so threads of one process use the cores without a
+second interpreter: memory stays that of one process, and nothing is
+pickled.  Worker processes add their own peak memory each.  Both parallel
+backends pin the BLAS thread count to ``max(1, budget // workers)`` while
+their workers run (:mod:`repro.execution.blas`); unpinned, every worker
+would start a full-width BLAS pool and oversubscribe the CPUs.
 
 **Determinism contract.**  A backend never creates randomness and never
 reorders results: it receives a list of self-contained task payloads (for
@@ -22,6 +32,9 @@ generators + the trial callable) and returns one result per task *in task
 order*.  Because the child streams are spawned deterministically in the
 parent via ``SeedSequence.spawn()`` before any scheduling happens, the
 samples are bit-identical for every backend and every worker count.
+Threads share the process, so every piece of scratch the chunk path
+reuses (sweep-kernel buffers, the workspace arena, the dispatch collector)
+is kept per thread.
 
 **Picklability contract.**  Process-based backends pickle the mapped
 function and each task payload into the workers, so both must be picklable:
@@ -34,7 +47,7 @@ callable dataclasses).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
@@ -42,6 +55,7 @@ from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, 
 from ..arrays import available_array_backends, get_array_backend, use_array_backend
 from ..observability.progress import emit_progress, progress_sink
 from ..observability.recorder import Stopwatch
+from .blas import available_workers, blas_thread_control, blas_threads, pinned_blas_threads, set_blas_threads
 
 
 def _map_with_heartbeat(label: str, results: Iterator[Any], total: int) -> List[Any]:
@@ -75,11 +89,9 @@ def gather_with_heartbeat(label: str, results: Iterator[Any], total: int) -> Lis
     return _map_with_heartbeat(label, results, total)
 
 
-def _gather_futures(futures: List[Any]) -> List[Any]:
+def _gather_futures(label: str, futures: List[Any]) -> List[Any]:
     """Collect futures in submission order (with heartbeats when sunk)."""
-    return gather_with_heartbeat(
-        "multiprocess", (future.result() for future in futures), len(futures)
-    )
+    return gather_with_heartbeat(label, (future.result() for future in futures), len(futures))
 
 
 @runtime_checkable
@@ -102,7 +114,7 @@ class Backend(Protocol):
 
 @dataclass(frozen=True)
 class SerialBackend:
-    """Evaluate every task inline on the calling thread (the default)."""
+    """Evaluate every task inline on the calling thread (the reference)."""
 
     @property
     def parallelism(self) -> int:
@@ -113,12 +125,40 @@ class SerialBackend:
         return gather_with_heartbeat("serial", (fn(task) for task in tasks), len(tasks))
 
 
-def available_workers() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
+@dataclass(frozen=True)
+class ThreadBackend:
+    """Run tasks on a thread pool inside the calling process.
+
+    ``map`` starts ``min(workers, len(tasks))`` threads, holds the BLAS
+    thread count at ``max(1, budget // threads)`` while they run, and
+    restores the previous count afterwards; the pool exists only inside
+    ``map``.  One task (or ``workers=1``) runs inline, unpinned.  Results
+    are gathered in submission order, so ``map`` preserves task order no
+    matter which thread finishes first.
+    """
+
+    workers: int
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
+    @property
+    def parallelism(self) -> int:
+        return self.workers
+
+    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
+        tasks = list(tasks)
+        threads = min(self.workers, len(tasks))
+        if threads <= 1:
+            return gather_with_heartbeat("thread", (fn(task) for task in tasks), len(tasks))
+        with blas_threads(pinned_blas_threads(threads)):
+            executor = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="repro-chunk")
+            try:
+                return _gather_futures("thread", [executor.submit(fn, task) for task in tasks])
+            finally:
+                # On a failed task (or Ctrl-C) the queued tasks never start.
+                executor.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -134,7 +174,8 @@ class MultiprocessBackend:
         :class:`SerialBackend` — handy for worker-count sweeps.
 
     Results are gathered in submission order, so ``map`` preserves task
-    order no matter which worker finishes first.
+    order no matter which worker finishes first.  Each worker pins BLAS to
+    ``max(1, budget // workers)`` threads as it starts.
 
     **Pool lifetime.**  By default every :meth:`map` call forks a fresh pool
     and tears it down again — safe, but the spin-up plus copy-on-write
@@ -178,7 +219,7 @@ class MultiprocessBackend:
 
     def __enter__(self) -> "MultiprocessBackend":
         if self._executor is None and self.parallelism > 1:
-            object.__setattr__(self, "_executor", ProcessPoolExecutor(max_workers=self.parallelism))
+            object.__setattr__(self, "_executor", _process_pool(self.parallelism))
         object.__setattr__(self, "_entries", self._entries + 1)
         return self
 
@@ -207,10 +248,22 @@ class MultiprocessBackend:
             )
         if self._executor is not None:
             futures = [self._executor.submit(fn, task) for task in tasks]
-            return _gather_futures(futures)
-        with ProcessPoolExecutor(max_workers=max_workers) as executor:
+            return _gather_futures("multiprocess", futures)
+        with _process_pool(max_workers) as executor:
             futures = [executor.submit(fn, task) for task in tasks]
-            return _gather_futures(futures)
+            return _gather_futures("multiprocess", futures)
+
+
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool whose workers each pin BLAS to their share of the budget."""
+    # Look the BLAS entry points up here, so forked workers inherit the
+    # result (and a missing symbol warns once, in this process).
+    blas_thread_control()
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=set_blas_threads,
+        initargs=(pinned_blas_threads(workers),),
+    )
 
 
 #: Environment knob selecting the array backend behind ``--device gpu``.
@@ -321,8 +374,10 @@ def resolve_backend(
       (``workers`` must be unset or 1 — the GPU executes chunks in order,
       the concurrency lives in its kernels); ``device="cpu"``/``None``
       falls through to the CPU rules below,
-    * ``None`` auto-selects: ``workers`` of ``None``/1 gives the serial
-      backend, anything larger a multiprocess backend with that many
+    * ``None`` auto-selects: ``workers=None`` gives a
+      :class:`ThreadBackend` over every CPU the process may use (the
+      serial backend when that is one), ``workers=1`` the serial
+      reference, anything larger a multiprocess backend with that many
       workers,
     * ``"serial"`` / ``"multiprocess"`` / ``"gpu"`` / ``"fleet"`` select
       explicitly; ``workers`` is honored by the multiprocess backend (pool
@@ -352,7 +407,10 @@ def resolve_backend(
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if backend is None:
-        if workers is None or workers == 1:
+        if workers is None:
+            budget = available_workers()
+            return ThreadBackend(budget) if budget > 1 else SerialBackend()
+        if workers == 1:
             return SerialBackend()
         return MultiprocessBackend(workers=workers)
     name = backend.lower()

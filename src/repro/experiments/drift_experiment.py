@@ -21,9 +21,9 @@ framework along that axis:
    measure_renull_cost`), reporting served accuracy vs recalibration
    budget.
 
-Like every sweep in the repo, the timelines shard across worker processes
-(``--workers N``) or run device-resident (``--device gpu``) with
-bit-identical curves at a fixed seed.
+Like every sweep in the repo, the timelines shard across threads (the
+default), worker processes (``--workers N``) or run device-resident
+(``--device gpu``) with bit-identical curves at a fixed seed.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class DriftConfig:
     seed: int = 17
     #: Timelines per scheduled chunk; None = automatic (memory-derived).
     chunk_size: Optional[int] = None
-    #: Execution backend knobs, identical to the other sweeps:
-    #: ``workers=N`` shards timeline chunks across N processes,
+    #: Execution backend knobs, identical to the other sweeps: ``None``
+    #: runs timeline chunks on one thread per CPU, ``workers=1`` serially,
+    #: ``workers=N`` shards them across N processes,
     #: ``device="gpu"`` advances them device-resident — bit-identical.
     backend: BackendLike = None
     workers: Optional[int] = None

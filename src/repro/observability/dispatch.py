@@ -1,8 +1,9 @@
 """Kernel-dispatch metrics: who ran the column sweep, on what, how fast.
 
-:func:`repro.arrays.sweep.apply_column_sweep` consults the module-level
-collector before every dispatch.  ``None`` (the default) means disabled —
-the sweep's only overhead is one module-global read per call.  While a
+:func:`repro.arrays.sweep.apply_column_sweep` consults the calling
+thread's collector before every dispatch.  ``None`` (the default) means disabled —
+the sweep's only overhead is one thread-local read per call.  Collectors
+are per thread: worker threads start with none installed.  While a
 collector is installed, every dispatch records ``(kernel_name, backend,
 n, batch, columns, seconds)``; the :class:`DispatchAggregator` folds the
 calls into per-shape totals: which kernel served which shapes, and how
@@ -25,6 +26,7 @@ registry) and never touches the swept arrays — only their shapes.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -98,19 +100,24 @@ class DispatchAggregator:
         ]
 
 
-#: The process's dispatch collector; ``None`` disables dispatch recording.
-_COLLECTOR: Optional[DispatchAggregator] = None
+class _Local(threading.local):
+    #: This thread's dispatch collector; ``None`` disables dispatch recording.
+    collector: Optional[DispatchAggregator] = None
+
+
+#: Per thread, so a chunk running on a worker thread records into its own
+#: frame's aggregator and never into (or over) the caller's collector.
+_LOCAL = _Local()
 
 
 def active_collector() -> Optional[DispatchAggregator]:
-    """The installed collector, or ``None`` when dispatch metrics are off."""
-    return _COLLECTOR
+    """The calling thread's collector, or ``None`` when dispatch metrics are off."""
+    return _LOCAL.collector
 
 
 def set_collector(collector: Optional[DispatchAggregator]) -> None:
-    """Install ``collector`` process-wide (``None`` disables)."""
-    global _COLLECTOR
-    _COLLECTOR = collector
+    """Install ``collector`` for the calling thread (``None`` disables)."""
+    _LOCAL.collector = collector
 
 
 @contextmanager
@@ -122,10 +129,9 @@ def use_collector(collector: Optional[DispatchAggregator]) -> Iterator[Optional[
     the recorder's global one for exactly its chunk — dispatches are never
     double-counted.
     """
-    global _COLLECTOR
-    previous = _COLLECTOR
-    _COLLECTOR = collector
+    previous = _LOCAL.collector
+    _LOCAL.collector = collector
     try:
         yield collector
     finally:
-        _COLLECTOR = previous
+        _LOCAL.collector = previous

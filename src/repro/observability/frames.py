@@ -27,9 +27,9 @@ result-array contents (only ``nbytes`` metadata); every field except
 
 from __future__ import annotations
 
-import os
 import pickle
 import platform
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -38,7 +38,7 @@ from . import recorder as _recorder
 
 #: The machine identity stamped on frames produced by this process.  With
 #: the fleet backend chunks evaluate on other machines, so ``worker`` (a
-#: pid) stopped being a unique identity — ``(host, pid)`` is.
+#: native thread id) is not a unique identity — ``(host, worker)`` is.
 _HOST = platform.node() or "localhost"
 
 __all__ = [
@@ -92,7 +92,9 @@ class ChunkFrame:
     Produced worker-side by :class:`InstrumentedChunkEvaluator`, shipped
     back piggybacked on the chunk result, merged parent-side in task order.
     ``index`` is stamped by the parent at merge time (the worker does not
-    know its position in the schedule).
+    know its position in the schedule).  ``worker`` is the native id of
+    the thread that evaluated the chunk: a thread-backend thread, or the
+    main thread of a worker process, whose native id is its pid.
     """
 
     label: str
@@ -209,7 +211,7 @@ class InstrumentedChunkEvaluator:
             start=start,
             count=count,
             seconds=watch.seconds,
-            worker=os.getpid(),
+            worker=threading.get_native_id(),
             task_bytes=task_bytes,
             result_bytes=_payload_bytes(result),
             dispatches=[KernelDispatch.from_entry(entry) for entry in collector.entries()],

@@ -35,9 +35,9 @@ class MetricsReport:
     ``chunks``   — the chunk schedule in merge (task) order:
     ``{"label", "index", "start", "count", "worker", "host", "seconds",
     "task_bytes", "result_bytes"}``.
-    ``workers``  — per-``(host, pid)`` chunk counts, busy seconds, row
+    ``workers``  — per-``(host, worker)`` chunk counts, busy seconds, row
     totals and measured ``rows_per_second`` throughput (with the fleet
-    backend chunks evaluate on other machines, so a pid alone is not an
+    backend chunks evaluate on other machines, so a worker id alone is not an
     identity).
     ``imbalance`` — max/mean worker busy time (1.0 = perfectly balanced),
     ``None`` when no worker was busy.  :attr:`worker_imbalance` breaks the
@@ -208,7 +208,7 @@ class MetricsReport:
                 rate = entry.get("rows_per_second")
                 rate_text = f", {rate:10.1f} rows/s" if rate else ""
                 lines.append(
-                    f"  {host}/pid {entry['worker']}: "
+                    f"  {host}/worker {entry['worker']}: "
                     f"{entry['chunks']} chunks, {entry['seconds']:9.4f}s{rate_text}"
                 )
             if self.imbalance is not None:

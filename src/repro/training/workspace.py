@@ -28,14 +28,16 @@ Contract
   "svd/matrix")``, ``("injector/offsets", layer)``, ...), which keeps
   every concurrently live intermediate on a distinct allocation.
 * A workspace is **not** thread-safe and must not be shared across
-  processes.  Worker processes of the multiprocess backend each use their
-  own process-local arena (:func:`process_workspace`), which is what makes
+  threads or processes.  :func:`process_workspace` hands each thread its
+  own arena: threads of the thread backend and worker processes of the
+  multiprocess backend each lazily create theirs, which is what makes
   workspace reuse safe under the sharded Monte Carlo engine: the arena
-  never travels through a pickle, it is re-created inside each worker.
+  never travels through a pickle and never serves two threads.
 """
 
 from __future__ import annotations
 
+import threading
 from math import prod
 from typing import Dict, Hashable, Optional, Tuple
 
@@ -137,30 +139,35 @@ class VectorizedWorkspace:
         )
 
 
-#: The per-process shared arenas, one per array backend (lazily created).
-_PROCESS_WORKSPACES: Dict[str, VectorizedWorkspace] = {}
+class _Arenas(threading.local):
+    def __init__(self) -> None:
+        #: This thread's arenas, one per array backend (lazily created).
+        self.workspaces: Dict[str, VectorizedWorkspace] = {}
+
+
+_LOCAL = _Arenas()
 
 
 def process_workspace() -> VectorizedWorkspace:
-    """The process-local shared arena for the active array backend.
+    """The calling thread's shared arena for the active array backend.
 
     The trainer, the SPNN batched forward and the Monte Carlo batch trials
     all draw their scratch buffers from this single arena when workspace
     use is enabled, so one training-plus-evaluation pipeline recycles one
-    set of allocations.  Worker processes of the multiprocess backend each
-    lazily create their own instance on first use (module globals are
-    per-process), which keeps buffer reuse free of any cross-process
-    aliasing by construction; device execution gets its own arena per
-    backend, so host and device buffers never share a key space.
+    set of allocations.  Each thread (a thread-backend worker, the main
+    thread of a worker process) lazily creates its own instance on first
+    use, which keeps buffer reuse free of any cross-thread or
+    cross-process aliasing by construction; device execution gets its own
+    arena per backend, so host and device buffers never share a key space.
     """
     backend = active_array_backend()
-    workspace = _PROCESS_WORKSPACES.get(backend.name)
+    workspace = _LOCAL.workspaces.get(backend.name)
     if workspace is None:
         workspace = VectorizedWorkspace(backend)
-        _PROCESS_WORKSPACES[backend.name] = workspace
+        _LOCAL.workspaces[backend.name] = workspace
     return workspace
 
 
 def reset_process_workspace() -> None:
-    """Drop the process-local arenas (tests and memory-pressure escape hatch)."""
-    _PROCESS_WORKSPACES.clear()
+    """Drop the calling thread's arenas (tests and memory-pressure escape hatch)."""
+    _LOCAL.workspaces.clear()

@@ -10,7 +10,7 @@ runner honors it whenever no explicit ``chunk_size`` is configured.
 import numpy as np
 
 from repro.analysis.monte_carlo import MonteCarloRunner
-from repro.execution import MultiprocessBackend, SerialBackend
+from repro.execution import MultiprocessBackend, SerialBackend, ThreadBackend
 from repro.onn import SPNNArchitecture
 from repro.onn.inference import CHUNK_TARGET_BYTES, NetworkAccuracyBatchTrial, monte_carlo_accuracy
 from repro.onn.spnn import SPNN
@@ -84,6 +84,29 @@ class TestPreferredChunkSize:
         # Huge eval set -> small hint; it caps the parallel chunk.
         big_trial = _trial(spnn, *_eval_set(spnn, 10_000))
         assert runner._effective_chunk_size(backend, big_trial) == big_trial.preferred_chunk_size()
+
+    def test_thread_chunks_are_hint_sized_and_balanced(self):
+        spnn = _spnn()
+        trial = _trial(spnn, *_eval_set(spnn, 1000))
+        hint = trial.preferred_chunk_size()
+        backend = ThreadBackend(2)
+        # A run that fits one hint-sized chunk stays one chunk (inline).
+        assert MonteCarloRunner(iterations=hint)._effective_chunk_size(backend, trial) == hint
+        # Two hint-sized chunks' worth splits evenly over the two threads.
+        iterations = hint + hint // 2
+        chunk = MonteCarloRunner(iterations=iterations)._effective_chunk_size(backend, trial)
+        assert chunk == -(-iterations // 2)
+        # Many chunks keep the serial hint-sized chunks, in a multiple of two.
+        chunk = MonteCarloRunner(iterations=7 * hint)._effective_chunk_size(backend, trial)
+        assert chunk <= hint and -(-7 * hint // chunk) % 2 == 0
+
+    def test_thread_backend_honors_an_explicit_chunk_size(self):
+        runner = MonteCarloRunner(iterations=40, chunk_size=30)
+        assert runner._effective_chunk_size(ThreadBackend(4), trial=None) == 30
+
+    def test_scalar_trials_stay_one_chunk_on_threads(self):
+        runner = MonteCarloRunner(iterations=123)
+        assert runner._effective_chunk_size(ThreadBackend(2), trial=None) == 123
 
     def test_scalar_trials_keep_the_old_default(self):
         runner = MonteCarloRunner(iterations=123)

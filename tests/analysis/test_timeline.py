@@ -254,3 +254,27 @@ class TestProcessDefaultsThroughSweep:
         assert result.process == "iid"
         assert np.isfinite(result.accuracy).all()
         assert (result.accuracy >= 0.0).all() and (result.accuracy <= 1.0).all()
+
+
+class TestChunkHint:
+    def test_hint_does_not_depend_on_the_eval_set_size(self, small_task):
+        """Each step's forward runs in fixed sub-chunks, so only state counts."""
+        from repro.analysis.timeline import AccuracyTimelineTrial
+
+        trial = AccuracyTimelineTrial(
+            spnn=small_task.spnn,
+            features=small_task.test_features[:10],
+            labels=small_task.test_labels[:10],
+            model=UncertaintyModel.phase_only(0.08),
+            process=OrnsteinUhlenbeckProcess(correlation_time=4.0),
+            num_steps=2,
+        )
+        full = AccuracyTimelineTrial(
+            spnn=small_task.spnn,
+            features=small_task.test_features,
+            labels=small_task.test_labels,
+            model=trial.model,
+            process=trial.process,
+            num_steps=2,
+        )
+        assert trial.preferred_chunk_size() == full.preferred_chunk_size() > 1

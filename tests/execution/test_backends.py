@@ -9,10 +9,12 @@ from repro.execution import (
     Backend,
     MultiprocessBackend,
     SerialBackend,
+    ThreadBackend,
     available_workers,
     pool_scope,
     resolve_backend,
 )
+from repro.execution import backends as backends_module
 
 
 def square(value):
@@ -137,10 +139,15 @@ class TestPersistentPool:
 
 
 class TestResolveBackend:
-    def test_default_is_serial(self):
-        assert isinstance(resolve_backend(), SerialBackend)
-        assert isinstance(resolve_backend(None, None), SerialBackend)
+    def test_default_uses_the_thread_budget(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "available_workers", lambda: 3)
+        assert resolve_backend() == ThreadBackend(3)
+        assert resolve_backend(None, None) == ThreadBackend(3)
         assert isinstance(resolve_backend(None, 1), SerialBackend)
+
+    def test_default_is_serial_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "available_workers", lambda: 1)
+        assert isinstance(resolve_backend(), SerialBackend)
 
     def test_workers_alone_selects_multiprocess(self):
         backend = resolve_backend(None, 4)

@@ -118,6 +118,19 @@ def test_info_writes_json(tmp_path, monkeypatch, capsys):
     assert list((tmp_path / "cache" / "spnn-repro").glob("cost_table_*.json")) == tables
 
 
+def test_info_reports_the_thread_budget_and_blas_control(tmp_path, monkeypatch, capsys):
+    from repro.execution import blas, resolve_backend
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    output = tmp_path / "info.json"
+    assert main(["info", "--output", str(output)]) == 0
+    assert "default backend" in capsys.readouterr().out
+    payload = json.loads(output.read_text())
+    assert payload["thread_budget"] == payload["cpus_available"]
+    assert payload["default_backend"] == repr(resolve_backend())
+    assert payload["blas_thread_control"] == blas.blas_thread_control()
+
+
 def test_info_rejects_run_only_flags(capsys):
     with pytest.raises(SystemExit):
         main(["info", "--workers", "2"])

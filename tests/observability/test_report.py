@@ -19,7 +19,7 @@ def draw_trial(gen):
     return float(gen.standard_normal())
 
 
-def _recorded_run(workers=None, **observe_kwargs):
+def _recorded_run(workers=1, **observe_kwargs):
     runner = MonteCarloRunner(iterations=12, chunk_size=4, workers=workers)
     with observe(**observe_kwargs) as rec:
         result = runner.run(draw_trial, rng=5)
