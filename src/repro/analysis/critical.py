@@ -14,8 +14,8 @@ module implements that identification at two granularities:
 Scoring follows the engine-wide stream discipline: one child stream per
 component, spawned up front, consumed identically by the scalar loop and
 the batched metric — so scores are bit-identical across evaluation paths,
-backends and worker counts, and components can be sharded across processes
-(``workers=N``) without changing a single sample.
+backends and worker counts, and components can be spread over threads (the
+default) or processes (``workers=N``) without changing a single sample.
 """
 
 from __future__ import annotations
@@ -130,11 +130,14 @@ def score_components(
     as the reference implementation and a batched metric that consumes the
     stream identically is bit-identical to it.
 
-    Components are independent work units: with ``workers=N`` (or an
-    explicit ``backend``) they are sharded across processes, each worker
-    receiving the component's pre-spawned child stream — scores do not
-    depend on the worker count.  Metric callables must then be picklable
-    (module-level functions, bound methods of picklable objects).
+    Components are independent work units, each carrying its pre-spawned
+    child stream, so scores do not depend on the backend or worker count.
+    By default (no ``workers``/``backend``) they run on one thread per
+    available CPU: the metric callables are then called concurrently and
+    must be thread-safe.  ``workers=1`` evaluates them serially on the
+    calling thread (the reference); ``workers=N`` shards them across worker
+    processes, which needs picklable metric callables (module-level
+    functions, bound methods of picklable objects).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -204,9 +207,10 @@ def per_mzi_rvd_criticality(
     (:meth:`SingleMZIRVDMetric.batched`); they draw from the same
     per-device streams as the scalar reference
     (:meth:`SingleMZIRVDMetric.scalar`) and give bit-identical scores.
-    With ``workers=N`` the devices are sharded across worker processes —
-    again bit-identical, each device's stream is spawned up front and
-    consumed in one place.
+    By default the devices are scored concurrently on one thread per
+    available CPU, ``workers=1`` scores them serially and ``workers=N``
+    shards them across worker processes — bit-identical every way, since
+    each device's stream is spawned up front and consumed in one place.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")

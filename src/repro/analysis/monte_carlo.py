@@ -14,7 +14,8 @@ Two evaluation entry points share the same stream-spawning discipline:
 
 Both entry points delegate the *scheduling* of their chunks to an execution
 backend (:mod:`repro.execution`): the serial backend evaluates them inline,
-the multiprocess backend shards them across worker processes.  Workers
+the thread backend (the default) on threads of this process, the
+multiprocess backend across worker processes.  Workers
 receive self-contained ``(start, trial, generators)`` payloads and return
 ``(start, samples)`` pairs that reassemble into the exact serial sample
 order.
@@ -37,7 +38,7 @@ import numpy as np
 
 from ..arrays import to_host
 from ..exceptions import ShapeError
-from ..execution import Backend, BackendLike, ThreadBackend, pool_scope, resolve_backend
+from ..execution import Backend, BackendLike, pool_scope, resolve_backend
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
 from ..utils.rng import RNGLike, StreamSlice, StreamsLike, materialize_streams, spawn_rngs
@@ -115,31 +116,28 @@ def plan_chunk_size(
     """Work-unit granularity shared by the Monte Carlo and timeline runners.
 
     Serial backends take everything in one chunk (capped by an explicit
-    ``chunk_size`` or the trial's memory-derived hint).  The thread backend
-    plans the same chunks: every chunk pays a fixed run of small NumPy
-    calls that hold the GIL, so splitting below the hint only adds that
-    cost.  It rounds the number of hint-sized chunks up to a multiple of
-    its threads, so none idles at the end, and a run that fits one chunk
-    stays one chunk (evaluated inline).  Process backends get two chunks
-    per worker — coarse enough that per-task pickling stays negligible,
-    fine enough to absorb worker-speed imbalance; there an explicit
-    ``chunk_size`` (or the hint) caps the chunk but never inflates it:
-    otherwise a small run with a large chunk_size would collapse to a
-    single task and silently defeat the sharding.  Shrinking chunks is
-    always safe — samples are chunk-invariant.
+    ``chunk_size`` or the trial's memory-derived hint).  A parallel backend
+    that plans its own chunks (``plan_chunk_size(iterations, cap)``, e.g.
+    :class:`~repro.execution.ThreadBackend`) gets the cap and decides.
+    Other parallel backends get two chunks per worker — coarse enough that
+    per-task pickling stays negligible, fine enough to absorb worker-speed
+    imbalance.  An explicit ``chunk_size`` (or the hint) still caps the
+    chunk but never inflates it: otherwise a small run with a large
+    chunk_size would collapse to a single task and silently defeat the
+    sharding.  Shrinking chunks is always safe — samples are
+    chunk-invariant.
     """
     hint = trial_chunk_hint(trial) if chunk_size is None else None
     parallelism = backend.parallelism
-    if parallelism <= 1 or isinstance(backend, ThreadBackend):
+    if parallelism <= 1:
         if chunk_size is not None:
             return chunk_size
-        if hint is None or iterations <= hint:
-            return iterations
-        chunks = -(-iterations // hint)
-        chunks = -(-chunks // parallelism) * parallelism
-        return -(-iterations // chunks)
-    target = max(1, -(-iterations // (2 * parallelism)))
+        return min(iterations, hint) if hint is not None else iterations
     cap = chunk_size if chunk_size is not None else hint
+    own_plan = getattr(backend, "plan_chunk_size", None)
+    if own_plan is not None:
+        return own_plan(iterations, cap)
+    target = max(1, -(-iterations // (2 * parallelism)))
     return min(cap, target) if cap is not None else target
 
 
@@ -148,21 +146,18 @@ def chunk_stream_payload(
 ) -> StreamsLike:
     """The stream payload one chunk ships to its evaluator.
 
-    On parallel backends the freshly spawned children compress to their
+    On backends that pickle their tasks (``pickles_tasks``: worker
+    processes, the fleet) the freshly spawned children compress to their
     ``(seed, count)`` recipe (:class:`~repro.utils.rng.StreamSlice`) so
     the pickled task no longer carries one generator per realization; the
     worker rebuilds bit-identical generators from the seed material.
-    Inline and thread backends keep the materialized generators — nothing
-    is pickled, so rebuilding them would be pure waste.  A backend marked
-    ``remote`` (the fleet) always compresses, whatever its parallelism:
-    even a one-worker fleet crosses a socket, so the recipe is the payload
-    that should travel.  Either way the evaluated streams are exactly the
-    spawned children.
+    Backends that evaluate in this process keep the materialized
+    generators — nothing is pickled, so rebuilding them would be pure
+    waste.  Either way the evaluated streams are exactly the spawned
+    children.
     """
     generators = tuple(generators)
-    if isinstance(backend, ThreadBackend) or (
-        backend.parallelism <= 1 and not getattr(backend, "remote", False)
-    ):
+    if not getattr(backend, "pickles_tasks", False):
         return generators
     compact = StreamSlice.from_generators(generators, trust_fresh=True)
     return compact if compact is not None else generators
@@ -203,9 +198,10 @@ class MonteCarloRunner:
         Maximum realizations per scheduled chunk.  For batch trials this
         bounds the peak memory of one vectorized call; for parallel backends
         it is also the work-unit granularity.  ``None`` picks a default:
-        everything in one chunk on the serial backend, two chunks per worker
-        on parallel backends — in both cases additionally capped by the
-        trial's own ``preferred_chunk_size()`` hint when it provides one
+        everything in one chunk on the serial and thread backends (the
+        threads balance the chunk count over themselves), two chunks per
+        worker on process backends — in every case additionally capped by
+        the trial's own ``preferred_chunk_size()`` hint when it provides one
         (the network trials derive it from the evaluation-set size, so a
         10k-sample eval set gets small, cache-friendly chunks instead of
         one giant vectorized call).  The chunking never changes the
@@ -213,10 +209,12 @@ class MonteCarloRunner:
     backend, workers:
         Execution-backend selection, resolved via
         :func:`repro.execution.resolve_backend`: by default ``workers`` of
-        ``None``/1 evaluates inline and ``workers >= 2`` shards chunks
-        across that many worker processes.  Trials must be picklable for
-        process backends.  Samples are bit-identical for every backend and
-        worker count.
+        ``None`` runs chunks on one thread per available CPU, ``workers=1``
+        evaluates inline (the serial reference) and ``workers >= 2`` shards
+        chunks across that many worker processes.  Threads call the trial
+        concurrently, so it must be thread-safe; process backends need it
+        picklable.  Samples are bit-identical for every backend and worker
+        count.
     """
 
     iterations: int = 1000

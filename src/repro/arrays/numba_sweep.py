@@ -22,6 +22,7 @@ imports, never device namespaces.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict
 
 import numpy as np
@@ -42,6 +43,13 @@ except ImportError:  # pragma: no cover - the CI/container default
 
 
 __all__ = ["HAVE_NUMBA", "NumbaSweepKernel"]
+
+#: One jitted launch at a time.  The prange loop already spans every CPU,
+#: and the thread backend calls the kernel from several threads at once:
+#: numba's workqueue threading layer aborts the process on concurrent
+#: launches, and the omp/tbb layers would start one full-width pool per
+#: launch and oversubscribe the cores.
+_LAUNCH = threading.Lock()
 
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
@@ -113,15 +121,16 @@ class NumbaSweepKernel(SweepKernel):
             flat = np.ascontiguousarray(expanded.reshape((batch, -1)))
             flat_components.append(flat)
         indices = self._indices(program)
-        _sweep_jit(
-            work,
-            flat_components[0],
-            flat_components[1],
-            flat_components[2],
-            flat_components[3],
-            indices["top"],
-            indices["bottom"],
-            indices["starts"],
-        )
+        with _LAUNCH:
+            _sweep_jit(
+                work,
+                flat_components[0],
+                flat_components[1],
+                flat_components[2],
+                flat_components[3],
+                indices["top"],
+                indices["bottom"],
+                indices["starts"],
+            )
         if work is not matrices and not np.shares_memory(work, matrices):
             matrices[...] = work.reshape(matrices.shape)

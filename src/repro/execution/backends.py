@@ -102,6 +102,15 @@ class Backend(Protocol):
     order; ``parallelism`` reports how many tasks may run concurrently (used
     by callers to pick a chunk size — 1 means "do not bother chunking for
     concurrency").
+
+    Two optional members refine how callers build the tasks:
+
+    * ``pickles_tasks`` — true when ``map`` pickles each task into another
+      process; callers then ship compact stream recipes instead of
+      materialized generators.  Absent means false.
+    * ``plan_chunk_size(iterations, cap)`` — the backend picks the chunk
+      size for ``iterations`` realizations, at most ``cap`` each (``None``:
+      no cap).  Absent, parallel backends get two chunks per worker.
     """
 
     @property
@@ -146,6 +155,22 @@ class ThreadBackend:
     @property
     def parallelism(self) -> int:
         return self.workers
+
+    def plan_chunk_size(self, iterations: int, cap: Optional[int]) -> int:
+        """Chunks of at most ``cap``, in a multiple of the threads.
+
+        Every chunk pays a fixed run of small NumPy calls that hold the
+        GIL, so the threads keep the serial plan's cap-sized chunks rather
+        than splitting finer (nothing is pickled, so there is no payload to
+        shrink either).  The chunk count rounds up to a multiple of the
+        threads, so none idles at the end; a run that fits one chunk stays
+        one chunk and runs inline.
+        """
+        if cap is None or iterations <= cap:
+            return iterations
+        chunks = -(-iterations // cap)
+        chunks = -(-chunks // self.workers) * self.workers
+        return -(-iterations // chunks)
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         tasks = list(tasks)
@@ -208,6 +233,11 @@ class MultiprocessBackend:
     @property
     def parallelism(self) -> int:
         return self.workers if self.workers is not None else available_workers()
+
+    @property
+    def pickles_tasks(self) -> bool:
+        """One worker runs inline; more pickle every task into a worker."""
+        return self.parallelism > 1
 
     # ------------------------------------------------------------------ #
     # persistent-pool lifetime

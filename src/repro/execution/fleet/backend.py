@@ -72,8 +72,10 @@ class FleetBackend:
     """
 
     #: The fleet always crosses a process (and possibly machine) boundary,
-    #: whatever its size — stream payloads should compress to recipes.
+    #: whatever its size: even a one-worker fleet pickles every task onto a
+    #: socket, so stream payloads should compress to recipes.
     remote = True
+    pickles_tasks = True
 
     def __init__(
         self,

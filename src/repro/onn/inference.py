@@ -218,11 +218,12 @@ def monte_carlo_accuracy(
         never changes the samples.
     backend, workers:
         Execution-backend knobs (see :func:`repro.execution.resolve_backend`):
-        ``workers=N`` shards the realization chunks across ``N`` worker
-        processes, bit-identical to the serial run at the same seed.
+        by default the realization chunks run on one thread per available
+        CPU, ``workers=1`` runs them inline and ``workers=N`` shards them
+        across ``N`` worker processes, all bit-identical at the same seed.
     use_workspace:
-        Recycle the scratch buffers through the process-local workspace
-        arena (one per worker process).  Purely an allocation
+        Recycle the scratch buffers through the workspace arena (one per
+        thread and per worker process).  Purely an allocation
         optimization; samples are bit-identical.
 
     Returns

@@ -100,9 +100,12 @@ class TestPreferredChunkSize:
         chunk = MonteCarloRunner(iterations=7 * hint)._effective_chunk_size(backend, trial)
         assert chunk <= hint and -(-7 * hint // chunk) % 2 == 0
 
-    def test_thread_backend_honors_an_explicit_chunk_size(self):
+    def test_thread_backend_caps_at_an_explicit_chunk_size(self):
         runner = MonteCarloRunner(iterations=40, chunk_size=30)
-        assert runner._effective_chunk_size(ThreadBackend(4), trial=None) == 30
+        # Two chunks of at most 30 round up to four, one per thread.
+        assert runner._effective_chunk_size(ThreadBackend(4), trial=None) == 10
+        runner = MonteCarloRunner(iterations=20, chunk_size=30)
+        assert runner._effective_chunk_size(ThreadBackend(4), trial=None) == 20
 
     def test_scalar_trials_stay_one_chunk_on_threads(self):
         runner = MonteCarloRunner(iterations=123)

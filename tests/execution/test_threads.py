@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.monte_carlo import MonteCarloRunner
+from repro.analysis.monte_carlo import MonteCarloRunner, chunk_stream_payload
 from repro.analysis.timeline import timeline_sweep
 from repro.analysis.yield_analysis import yield_sweep
 from repro.arrays import HOST_BACKEND, apply_column_sweep
@@ -31,7 +31,7 @@ from repro.mesh.mesh import MZIMesh
 from repro.observability import active_collector, observe
 from repro.training.workspace import process_workspace
 from repro.utils import random_unitary
-from repro.utils.rng import spawn_rngs
+from repro.utils.rng import StreamSlice, spawn_rngs
 from repro.variation.models import UncertaintyModel
 from repro.variation.process import OrnsteinUhlenbeckProcess
 from repro.variation.sampler import sample_mesh_perturbation_batch
@@ -86,6 +86,12 @@ class TestThreadBackend:
     def test_task_error_propagates(self):
         with pytest.raises(RuntimeError, match="boom on 3"):
             ThreadBackend(2).map(fail_on_three, range(6))
+
+    def test_only_pickling_backends_get_stream_recipes(self):
+        generators = spawn_rngs(7, 4)
+        for backend in (SerialBackend(), ThreadBackend(2), MultiprocessBackend(workers=1)):
+            assert chunk_stream_payload(generators, backend) == tuple(generators)
+        assert isinstance(chunk_stream_payload(generators, MultiprocessBackend(workers=2)), StreamSlice)
 
 
 @needs_blas_control
@@ -151,9 +157,14 @@ def _sweep_inputs(n: int, batch: int, seed: int):
     return program, components, eye
 
 
-class TestFusedKernelUnderThreads:
-    def test_threads_at_once_match_the_looped_oracle(self):
-        """Different batch shapes and draws, concurrently, more threads than cores."""
+class TestSweepKernelUnderThreads:
+    @pytest.mark.parametrize("kernel", ["fused", None], ids=["fused", "default"])
+    def test_threads_at_once_match_the_looped_oracle(self, kernel):
+        """Different batch shapes and draws, concurrently, more threads than cores.
+
+        ``default`` runs whatever kernel the registry selects (numba where
+        it is installed), as the thread backend does.
+        """
         shapes = ((37, 3), (64, 11), (5, 19))
         cases = [_sweep_inputs(16, batch, seed) for batch, seed in shapes]
         oracles = []
@@ -169,9 +180,9 @@ class TestFusedKernelUnderThreads:
             program, components, eye = cases[index]
             start.wait()
             for _ in range(25):
-                fused = eye.copy()
-                apply_column_sweep(HOST_BACKEND, fused, components, program, kernel="fused")
-                if not np.array_equal(fused, oracles[index]):
+                swept = eye.copy()
+                apply_column_sweep(HOST_BACKEND, swept, components, program, kernel=kernel)
+                if not np.array_equal(swept, oracles[index]):
                     mismatches.append(index)
             done.append(index)
 
