@@ -74,7 +74,6 @@ class FleetBackend:
     #: The fleet always crosses a process (and possibly machine) boundary,
     #: whatever its size: even a one-worker fleet pickles every task onto a
     #: socket, so stream payloads should compress to recipes.
-    remote = True
     pickles_tasks = True
 
     def __init__(

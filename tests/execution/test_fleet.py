@@ -179,7 +179,7 @@ class TestFleetResolution:
         backend = resolve_backend("fleet", workers=3)
         assert isinstance(backend, FleetBackend)
         assert backend.min_workers == 3
-        assert backend.remote is True
+        assert backend.pickles_tasks is True
 
     def test_pool_scope_keeps_the_coordinator_alive(self):
         with local_fleet(workers=1) as fleet:
