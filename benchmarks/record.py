@@ -12,9 +12,9 @@ reference, and the distributed fleet — a full round trip over a localhost
 2-worker fleet plus the cold-vs-warm transfer bytes of its spec-hash
 artifact cache — the two set-up phases every paper-scale CLI run pays
 (``import repro.cli`` in a fresh interpreter and the synthetic-MNIST
-corpus), and the stages of one paper-shape Monte Carlo chunk (draws,
-hardware matrices, forward) — and writes one JSON
-artifact with per-scenario timings and ratios at the repo root.  CI
+corpus, with the peak RSS after each), and the stages of one paper-shape
+Monte Carlo chunk (draws, hardware matrices, forward) — and writes one
+JSON artifact with per-scenario timings and ratios at the repo root.  CI
 uploads the file so every run of the pipeline leaves a comparable data
 point; compare artifacts across PRs with ``python benchmarks/trajectory.py``
 (and gate them with ``--check``).
@@ -76,19 +76,35 @@ def record_setup_phases(repeats: int = 5) -> dict:
     (interpreter start-up excluded); ``synthesis`` times the paper-scale
     ``load_synthetic_mnist()`` corpus (4000 train + 1000 test images).
     Raw seconds as median + IQR over ``repeats`` runs, recorded for context
-    and never gated.
+    and never gated.  Next to them, the median peak RSS (``ru_maxrss``) of
+    a fresh interpreter after ``import repro.cli`` and after the paper-scale
+    set-up (that corpus plus its FFT features), also never gated.
     """
     import os
     import subprocess
 
     from repro.datasets import load_synthetic_mnist
 
-    code = "import time; t = time.perf_counter(); import repro.cli; print(time.perf_counter() - t)"
+    def fresh(code: str) -> list:
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return [float(value) for value in done.stdout.split()]
+
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     imports = [
-        float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+        fresh("import time; t = time.perf_counter(); import repro.cli; print(time.perf_counter() - t)")[0]
         for _ in range(repeats)
     ]
+    rss_code = (
+        "import resource\n"
+        "def peak_mb(): return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0\n"
+        "import repro.cli\n"
+        "after_import = peak_mb()\n"
+        "from repro.datasets import fft_crop_features, load_synthetic_mnist\n"
+        "train, test = load_synthetic_mnist()\n"
+        "fft_crop_features(train.images), fft_crop_features(test.images)\n"
+        "print(after_import, peak_mb())\n"
+    )
+    import_rss, setup_rss = np.median([fresh(rss_code) for _ in range(repeats)], axis=0)
     synthesis = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -99,6 +115,8 @@ def record_setup_phases(repeats: int = 5) -> dict:
         "images": len(train) + len(test),
         **_spread("import_cli", imports),
         **_spread("synthesis", synthesis),
+        "import_cli_maxrss_mb": float(import_rss),
+        "setup_maxrss_mb": float(setup_rss),
     }
 
 

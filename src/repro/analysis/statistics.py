@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def _two_sided_z(confidence: float) -> float:
@@ -20,8 +19,12 @@ def _two_sided_z(confidence: float) -> float:
 
     ``ndtri`` is the kernel behind ``scipy.stats.norm.ppf`` (which returns
     ``ndtri(q) * 1 + 0``), so the value is bit-identical without importing
-    ``scipy.stats``, whose import alone costs most of a CLI start.
+    ``scipy.stats``, whose import alone costs most of a CLI start.  scipy is
+    imported here, not at module level, so runs that report no margin of
+    error (``yield``, ``drift``) never load it.
     """
+    from scipy.special import ndtri
+
     return ndtri(0.5 + confidence / 2.0)
 
 

@@ -18,6 +18,31 @@ from ..exceptions import ShapeError
 from .synthetic_mnist import Dataset
 
 
+#: Images transformed together.  Only the kept coefficients outlive a
+#: block, so the transient spectrum stays a few MB at any dataset size.
+_BLOCK = 256
+
+
+def _as_batch(array: np.ndarray, what: str, dtype=None) -> Tuple[np.ndarray, bool]:
+    """``(batch, single)``: ``array`` as ``(n, h, w)`` and whether it was ``(h, w)``."""
+    array = np.asarray(array, dtype=dtype)
+    single = array.ndim == 2
+    if single:
+        array = array[np.newaxis]
+    if array.ndim != 3:
+        raise ShapeError(f"{what} must have shape (n, h, w) or (h, w), got {array.shape}")
+    return array, single
+
+
+def _crop_window(h: int, w: int, crop: int) -> Tuple[slice, slice]:
+    """Row and column slices of the central ``crop x crop`` block."""
+    if crop < 1 or crop > h or crop > w:
+        raise ShapeError(f"crop must be in [1, {min(h, w)}], got {crop}")
+    top = (h - crop) // 2
+    left = (w - crop) // 2
+    return slice(top, top + crop), slice(left, left + crop)
+
+
 def shifted_fft2(images: np.ndarray) -> np.ndarray:
     """Centered 2-D FFT of a batch of images.
 
@@ -32,31 +57,36 @@ def shifted_fft2(images: np.ndarray) -> np.ndarray:
         Complex spectrum with the DC component moved to the center
         (``fftshift``), same shape as the input.
     """
-    images = np.asarray(images, dtype=np.float64)
-    single = images.ndim == 2
-    if single:
-        images = images[np.newaxis]
-    if images.ndim != 3:
-        raise ShapeError(f"images must have shape (n, h, w) or (h, w), got {images.shape}")
+    images, single = _as_batch(images, "images", np.float64)
     spectrum = np.fft.fftshift(np.fft.fft2(images), axes=(-2, -1))
     return spectrum[0] if single else spectrum
 
 
 def center_crop(spectrum: np.ndarray, crop: int) -> np.ndarray:
     """Extract the central ``crop x crop`` block of a (batched) spectrum."""
-    spectrum = np.asarray(spectrum)
-    single = spectrum.ndim == 2
-    if single:
-        spectrum = spectrum[np.newaxis]
-    if spectrum.ndim != 3:
-        raise ShapeError(f"spectrum must have shape (n, h, w) or (h, w), got {spectrum.shape}")
-    _, h, w = spectrum.shape
-    if crop < 1 or crop > h or crop > w:
-        raise ShapeError(f"crop must be in [1, {min(h, w)}], got {crop}")
-    top = (h - crop) // 2
-    left = (w - crop) // 2
-    block = spectrum[:, top : top + crop, left : left + crop]
+    spectrum, single = _as_batch(spectrum, "spectrum")
+    rows, cols = _crop_window(spectrum.shape[1], spectrum.shape[2], crop)
+    block = spectrum[:, rows, cols]
     return block[0] if single else block
+
+
+def _spectrum_features(images: np.ndarray, crop: int | None, normalize: bool) -> np.ndarray:
+    """Flattened shifted spectra (center-cropped unless ``crop`` is None).
+
+    The spectra are taken ``_BLOCK`` images at a time and written into the
+    preallocated ``(n, features)`` output.  Every image is transformed on
+    its own, so the result is byte-equal to transforming the whole batch.
+    """
+    images, single = _as_batch(images, "images", np.float64)
+    n, h, w = images.shape
+    rows, cols = (slice(None), slice(None)) if crop is None else _crop_window(h, w, crop)
+    width = h * w if crop is None else crop * crop
+    features = np.empty((n, width), dtype=np.complex128)
+    for start in range(0, n, _BLOCK):
+        spectrum = shifted_fft2(images[start : start + _BLOCK])
+        block = spectrum[:, rows, cols].reshape(len(spectrum), width)
+        features[start : start + len(block)] = block / (h * w) if normalize else block
+    return features[0] if single else features
 
 
 def fft_crop_features(images: np.ndarray, crop: int = 4, normalize: bool = True) -> np.ndarray:
@@ -79,31 +109,12 @@ def fft_crop_features(images: np.ndarray, crop: int = 4, normalize: bool = True)
     numpy.ndarray
         Complex array of shape ``(n, crop*crop)``.
     """
-    spectrum = shifted_fft2(images)
-    block = center_crop(spectrum, crop)
-    single = block.ndim == 2
-    if single:
-        block = block[np.newaxis]
-    features = block.reshape(block.shape[0], -1)
-    if normalize:
-        images = np.asarray(images)
-        pixels = images.shape[-1] * images.shape[-2]
-        features = features / pixels
-    return features[0] if single else features
+    return _spectrum_features(images, crop, normalize)
 
 
 def full_fft_features(images: np.ndarray, normalize: bool = True) -> np.ndarray:
     """Uncompressed shifted-FFT features flattened to ``(n, h*w)`` complex."""
-    spectrum = shifted_fft2(images)
-    single = spectrum.ndim == 2
-    if single:
-        spectrum = spectrum[np.newaxis]
-    features = spectrum.reshape(spectrum.shape[0], -1)
-    if normalize:
-        images = np.asarray(images)
-        pixels = images.shape[-1] * images.shape[-2]
-        features = features / pixels
-    return features[0] if single else features
+    return _spectrum_features(images, None, normalize)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from ..exceptions import ConfigurationError
 from ..utils.rng import RNGLike, ensure_rng
@@ -178,6 +177,44 @@ def _normalized(canvas: np.ndarray) -> np.ndarray:
     return canvas / np.where(peak > 0, peak, 1.0)[:, None, None]
 
 
+def _gaussian_blur(images: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Blur image ``i`` of ``(n, h, w)`` with a Gaussian of ``sigmas[i]``.
+
+    Bit for bit ``scipy.ndimage.gaussian_filter(images[i], sigmas[i])``, by
+    doing scipy's float operations in its order: radius ``int(4 sigma +
+    0.5)``, kernel ``exp(-0.5 / sigma**2 * x**2)`` over its sum, ``reflect``
+    borders (NumPy's ``symmetric`` padding), axis 0 then axis 1 of each
+    image.  Images that share a radius are blurred together.
+    """
+    out = np.empty_like(images)
+    radii = (4.0 * sigmas + 0.5).astype(np.int64)
+    for radius in np.unique(radii).tolist():
+        members = np.flatnonzero(radii == radius)
+        sigma = sigmas[members, None]
+        kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+        weights = (kernel / kernel.sum(axis=1, keepdims=True))[:, radius:, None, None]
+        block = _correlate_rows(images[members], weights)
+        out[members] = _correlate_rows(block.swapaxes(1, 2), weights).swapaxes(1, 2)
+    return out
+
+
+def _correlate_rows(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Correlate axis 1 of ``(m, h, w)`` with symmetric kernels ``w[j] = weights[:, j]``.
+
+    scipy's symmetric-kernel loop: ``out = x[0] * w[0]``, then
+    ``out += (x[-j] + x[+j]) * w[j]`` for ``j`` from the radius down to 1.
+    """
+    radius = weights.shape[1] - 1
+    rows = block.shape[1]
+    padded = np.pad(block, ((0, 0), (radius, radius), (0, 0)), mode="symmetric")
+    out = block * weights[:, 0]
+    for j in range(radius, 0, -1):
+        before = padded[:, radius - j : radius - j + rows]
+        after = padded[:, radius + j : radius + j + rows]
+        out += (before + after) * weights[:, j]
+    return out
+
+
 def _render_block(
     digits: Sequence[int],
     styles: Sequence[DigitStyle],
@@ -216,11 +253,9 @@ def _render_block(
     canvas[owner[segment][valid], np.round(rows[valid]).astype(int), np.round(cols[valid]).astype(int)] = 1.0
 
     # Thicken the strokes and soften edges; each image has its own sigmas.
-    for image, style in zip(canvas, styles):
-        image[...] = gaussian_filter(image, sigma=style.stroke_width * 0.45)
+    canvas = _gaussian_blur(canvas, np.array([style.stroke_width * 0.45 for style in styles]))
     canvas = np.clip(_normalized(canvas) * 1.6, 0.0, 1.0)
-    for image, style in zip(canvas, styles):
-        image[...] = gaussian_filter(image, sigma=style.blur * 0.5)
+    canvas = _gaussian_blur(canvas, np.array([style.blur * 0.5 for style in styles]))
     canvas = _normalized(canvas)
     if noise is not None:
         canvas = np.clip(canvas + noise, 0.0, 1.0)

@@ -50,6 +50,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from ..arrays import available_array_backends, get_array_backend, use_array_backend
@@ -289,6 +290,10 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     # Look the BLAS entry points up here, so forked workers inherit the
     # result (and a missing symbol warns once, in this process).
     blas_thread_control()
+    # Start the resource tracker first, so the workers share it: their
+    # shared-memory attaches then cannot leave entries in a tracker of
+    # their own (see ``repro.execution.shared._attach``).
+    resource_tracker.ensure_running()
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=set_blas_threads,

@@ -74,21 +74,22 @@ def shared_memory_available() -> bool:
     return _shared_memory is not None
 
 
-def _unregister_from_resource_tracker(name: str) -> None:
-    """Detach a worker-side segment from the resource tracker.
+def _attach(name: str):
+    """Map the existing segment ``name`` without taking it over.
 
-    Attaching to an existing segment registers it with the process's
-    resource tracker on some Python versions, which then tries to unlink it
-    again at worker exit — after the owner already has — and logs spurious
-    leak warnings.  The owner of the segment is the parent process; workers
-    must only close their mapping.
+    The owner registered the segment with its resource tracker when it
+    created it, and its ``unlink`` unregisters it.  A worker must leave that
+    registration alone.  Python 3.13 attaches untracked (``track=False``).
+    Before 3.13 an attach re-registers the name; the tracker keeps names in
+    a set, and pool workers share the owner's tracker (``_process_pool``
+    starts it before forking), so that is a no-op.  Unregistering here
+    would delete the owner's entry: when two workers' attaches interleave,
+    the second unregister finds no entry and the tracker prints
+    ``KeyError``.
     """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
+    if sys.version_info >= (3, 13):  # pragma: no cover - interpreter dependent
+        return _shared_memory.SharedMemory(name=name, track=False)
+    return _shared_memory.SharedMemory(name=name)
 
 
 class SharedArray:
@@ -141,8 +142,7 @@ class SharedArray:
         if self._array is None:
             cached = _ATTACHED.get(self.name)
             if cached is None:
-                shm = _shared_memory.SharedMemory(name=self.name)
-                _unregister_from_resource_tracker(self.name)
+                shm = _attach(self.name)
                 view = np.ndarray(self.shape, dtype=self.dtype, buffer=shm.buf)
                 view.flags.writeable = False
                 _ATTACHED[self.name] = (shm, view)

@@ -169,6 +169,18 @@ class TestStatistics:
         )
         assert worst_case_margin_of_error(1000, confidence) == float(expected * 0.5 / np.sqrt(1000))
 
+    def test_z_equals_ndtri_bitwise_on_a_grid(self):
+        """The lazily imported quantile is ``ndtri(0.5 + c / 2)`` to the bit."""
+        from scipy.special import ndtri
+
+        from repro.analysis.statistics import _two_sided_z
+
+        levels = [k / 200 for k in range(1, 200)]
+        assert 0.95 in levels
+        for confidence in levels:
+            expected = ndtri(0.5 + confidence / 2.0)
+            assert np.float64(_two_sided_z(confidence)).tobytes() == np.float64(expected).tobytes()
+
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         """``import repro.cli`` in a fresh interpreter never pulls in ``scipy.stats``."""
         import os

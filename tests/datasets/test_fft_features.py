@@ -1,7 +1,16 @@
 """Tests for the shifted-FFT feature pipeline."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import (
     FeatureConfig,
@@ -12,6 +21,7 @@ from repro.datasets import (
     generate_dataset,
     shifted_fft2,
 )
+from repro.datasets import fft_features
 from repro.exceptions import ShapeError
 
 
@@ -98,3 +108,62 @@ class TestFeaturePipelines:
         features, labels = extractor.transform_dataset(data)
         assert features.shape == (5, 9)
         assert np.array_equal(labels, data.labels)
+
+
+def _unblocked(images, crop):
+    """The whole batch through one spectrum: the features before blocking."""
+    spectrum = shifted_fft2(images)
+    block = spectrum if crop is None else center_crop(spectrum, crop)
+    return block.reshape(block.shape[0], -1) / (images.shape[-1] * images.shape[-2])
+
+
+class TestBlockedFeatures:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=-1, max_value=1),
+        blocks=st.integers(min_value=1, max_value=3),
+        crop=st.sampled_from([1, 2, 3, 4, 7, None]),
+        shape=st.sampled_from([(7, 7), (8, 10), (28, 28)]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_blocked_features_equal_unblocked(self, block, extra, blocks, crop, shape, seed):
+        """Image counts on and either side of block boundaries give the same bytes."""
+        n = max(1, block * blocks + extra)
+        images = np.random.default_rng(seed).random((n, *shape))
+        expected = _unblocked(images, crop)
+        with mock.patch.object(fft_features, "_BLOCK", block):
+            if crop is None:
+                got = full_fft_features(images)
+                single = full_fft_features(images[0])
+            else:
+                got = fft_crop_features(images, crop=crop)
+                single = fft_crop_features(images[0], crop=crop)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert single.tobytes() == expected[0].tobytes()
+
+    def test_crop_feature_peak_memory_is_bounded(self):
+        """The paper-size training set never holds its whole spectrum (95.7 MB)."""
+        images = np.random.default_rng(0).random((4000, 28, 28))
+        tracemalloc.start()
+        try:
+            fft_crop_features(images, crop=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    def test_cli_synthesis_and_features_load_no_scipy(self):
+        """The yield/drift set-up path (CLI import, dataset, features) never imports scipy."""
+        code = (
+            "import sys, repro.cli\n"
+            "from repro.experiments.registry import get_experiment\n"
+            "from repro.onn.builder import prepare_feature_sets\n"
+            "prepare_feature_sets(get_experiment('yield').smoke_config.training)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

@@ -109,3 +109,25 @@ class TestDataset:
             generate_dataset(5, rng=0, variability=variability)
         with pytest.raises(ConfigurationError, match="variability"):
             load_synthetic_mnist(num_train=5, num_test=5, variability=variability)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=30),
+    count=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**16),
+    binary=st.booleans(),
+)
+def test_batched_blur_equals_scipy_gaussian_filter(size, count, seed, binary):
+    """One batched blur with per-image sigmas is scipy's ``gaussian_filter`` bit for bit."""
+    from scipy.ndimage import gaussian_filter
+
+    from repro.datasets.synthetic_mnist import _gaussian_blur
+
+    gen = np.random.default_rng(seed)
+    images = gen.random((count, size, size))
+    if binary:
+        images = (images > 0.8).astype(np.float64)
+    sigmas = gen.uniform(0.1, 3.0, count)
+    expected = np.stack([gaussian_filter(image, sigma=float(sigma)) for image, sigma in zip(images, sigmas)])
+    assert _gaussian_blur(images, sigmas).tobytes() == expected.tobytes()

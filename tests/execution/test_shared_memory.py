@@ -1,5 +1,12 @@
 """Shared-memory eval hosting: roundtrip, bit-identity, lifecycle."""
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,3 +161,83 @@ class TestBitIdentity:
                 )
             assert first.tobytes() == reference.tobytes(), f"workers={workers}"
             assert second.tobytes() == reference.tobytes(), f"workers={workers}"
+
+
+def test_worker_attach_keeps_the_owner_registration(monkeypatch):
+    """Attaching never unregisters: the registration belongs to the owner."""
+    from multiprocessing import resource_tracker
+
+    unregistered = []
+    unregister = resource_tracker.unregister
+
+    def spy(name, rtype):
+        unregistered.append(name)
+        unregister(name, rtype)
+
+    monkeypatch.setattr(resource_tracker, "unregister", spy)
+    owner = SharedArray.create(np.arange(4.0))
+    try:
+        worker = pickle.loads(pickle.dumps(owner))
+        assert np.array_equal(worker.array, np.arange(4.0))
+        assert unregistered == []
+    finally:
+        owner.close()
+        owner.unlink()
+
+
+#: Sharded runs in a fresh interpreter: a pool whose workers start before
+#: anything is hosted, two hostings in that pool, then a pool per map.
+_SHARDED_RUNS = textwrap.dedent(
+    """
+    import numpy as np
+    from repro.execution import MultiprocessBackend, pool_scope, shared_eval_arrays
+    from repro.execution.shared import shared_network
+    from repro.onn import SPNNArchitecture
+    from repro.onn.inference import monte_carlo_accuracy
+    from repro.onn.spnn import SPNN
+    from repro.variation.models import UncertaintyModel
+
+    gen = np.random.default_rng(3)
+    weights = [
+        (gen.standard_normal((8, 8)) + 1j * gen.standard_normal((8, 8))) / 3.0,
+        (gen.standard_normal((6, 8)) + 1j * gen.standard_normal((6, 8))) / 3.0,
+    ]
+    spnn = SPNN(weights, SPNNArchitecture(layer_dims=(8, 8, 6)))
+    features = gen.standard_normal((50, 8)) + 1j * gen.standard_normal((50, 8))
+    labels = gen.integers(0, 6, 50)
+    model = UncertaintyModel.both(0.05)
+    backend = MultiprocessBackend(workers=2)
+
+    def hosted_run():
+        with shared_network(backend, spnn) as net, shared_eval_arrays(backend, features, labels) as (x, y):
+            monte_carlo_accuracy(net, x, y, model, iterations=400, rng=1, backend=backend)
+
+    with pool_scope(backend):
+        monte_carlo_accuracy(spnn, features, labels, model, iterations=400, rng=1, backend=backend)
+        hosted_run()
+        hosted_run()
+    hosted_run()
+    hosted_run()
+    """
+)
+
+
+def _shm_segments() -> set:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory under /dev/shm")
+def test_sharded_runs_exit_cleanly():
+    """Workers attach without touching the owner's resource-tracker entry.
+
+    A worker that unregistered its attachment deleted the owner's entry,
+    so the owner's ``unlink`` made the tracker print ``KeyError``; a worker
+    with a tracker of its own reported the segments as leaked.
+    """
+    before = _shm_segments()
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SHARDED_RUNS], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert _shm_segments() - before == set()
