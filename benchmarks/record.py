@@ -76,9 +76,11 @@ def record_setup_phases(repeats: int = 5) -> dict:
     (interpreter start-up excluded); ``synthesis`` times the paper-scale
     ``load_synthetic_mnist()`` corpus (4000 train + 1000 test images).
     Raw seconds as median + IQR over ``repeats`` runs, recorded for context
-    and never gated.  Next to them, the median peak RSS (``ru_maxrss``) of
-    a fresh interpreter after ``import repro.cli`` and after the paper-scale
-    set-up (that corpus plus its FFT features), also never gated.
+    and never gated.  Next to them, the median peak RSS of a fresh
+    interpreter after ``import repro.cli`` and after the paper-scale set-up
+    (that corpus plus its FFT features), also never gated.  The peak is
+    Linux's ``VmHWM``, not ``ru_maxrss``: a spawned child's ``ru_maxrss``
+    starts at its parent's resident size, which here is this process.
     """
     import os
     import subprocess
@@ -95,8 +97,9 @@ def record_setup_phases(repeats: int = 5) -> dict:
         for _ in range(repeats)
     ]
     rss_code = (
-        "import resource\n"
-        "def peak_mb(): return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0\n"
+        "def peak_mb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')) / 1024.0\n"
         "import repro.cli\n"
         "after_import = peak_mb()\n"
         "from repro.datasets import fft_crop_features, load_synthetic_mnist\n"
@@ -115,8 +118,8 @@ def record_setup_phases(repeats: int = 5) -> dict:
         "images": len(train) + len(test),
         **_spread("import_cli", imports),
         **_spread("synthesis", synthesis),
-        "import_cli_maxrss_mb": float(import_rss),
-        "setup_maxrss_mb": float(setup_rss),
+        "import_cli_peak_rss_mb": float(import_rss),
+        "setup_peak_rss_mb": float(setup_rss),
     }
 
 

@@ -55,8 +55,8 @@ HEADLINE_METRICS: Tuple[Tuple[str, str], ...] = (
     ("artifact_cache_hit", "stream_floor_headroom"),
     ("setup_phases", "import_cli_median_s"),
     ("setup_phases", "synthesis_median_s"),
-    ("setup_phases", "import_cli_maxrss_mb"),
-    ("setup_phases", "setup_maxrss_mb"),
+    ("setup_phases", "import_cli_peak_rss_mb"),
+    ("setup_phases", "setup_peak_rss_mb"),
     ("paper_forward", "matrices_median_s"),
     ("paper_forward", "forward_median_s"),
 )
