@@ -239,5 +239,7 @@ def test_sharded_runs_exit_cleanly():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _SHARDED_RUNS], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    # Both failure modes print through the tracker: a KeyError traceback
+    # from resource_tracker.py, or "resource_tracker: ... leaked" warnings.
+    assert "resource_tracker" not in done.stderr, done.stderr
     assert _shm_segments() - before == set()
