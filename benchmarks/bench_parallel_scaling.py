@@ -30,7 +30,7 @@ from repro.execution.shared import SharedNetwork, shared_memory_available
 from repro.observability import Stopwatch, active, active_collector, observe
 from repro.onn import monte_carlo_accuracy
 from repro.onn.inference import NetworkAccuracyBatchTrial
-from repro.utils.rng import StreamSlice, spawn_rngs
+from repro.utils.rng import spawn_rngs, spawn_slice
 from repro.variation import UncertaintyModel
 
 #: Monte Carlo iterations of the paper's experiments (the acceptance scenario).
@@ -122,14 +122,14 @@ def measure_stream_payload(iterations: int = 250) -> dict:
 
     A chunk of ``spawn_rngs`` children is fully determined by its parent
     seed plus the spawn-index range, so the scheduler ships the compact
-    :class:`repro.utils.rng.StreamSlice` ``(seed, count)`` recipe instead
-    of one pickled generator per realization.  Returns both sizes and
+    :class:`repro.utils.rng.StreamSlice` ``(seed, range)`` recipe
+    (:func:`repro.utils.rng.spawn_slice`) instead of one pickled generator
+    per realization.  Returns both sizes and
     their ratio (also recorded in ``BENCH_pr6.json``).
     """
     generators = tuple(spawn_rngs(7, iterations))
     generator_bytes = len(pickle.dumps(generators))
-    compact = StreamSlice.from_generators(generators)
-    assert compact is not None, "freshly spawned children must compress"
+    compact = spawn_slice(7, iterations)
     compact_bytes = len(pickle.dumps(compact))
     return {
         "iterations": iterations,
@@ -149,7 +149,7 @@ def test_stream_payload_compression():
     """
     payload = measure_stream_payload()
     generators = spawn_rngs(7, payload["iterations"])
-    rebuilt = StreamSlice.from_generators(generators).generators()
+    rebuilt = spawn_slice(7, payload["iterations"]).generators()
     assert all(
         original.bit_generator.state == copy.bit_generator.state
         for original, copy in zip(generators, rebuilt)

@@ -426,13 +426,13 @@ def record_artifact_cache_hit(config) -> dict:
     — the headline the trajectory gate holds at >= 3x.
     ``stream_floor_headroom`` checks the ISSUE's payload bound the same
     way the tests do: warm per-chunk task bytes must stay within 2x of
-    what a bare ``(start, TrialRef, StreamSlice)`` chunk task pickles to,
+    what a bare ``(start, TrialRef, (StreamSlice,))`` chunk task pickles to,
     so the ratio ``2 * floor / per_chunk`` must stay >= 1.
     """
     import pickle
 
     from repro.execution.fleet import TrialRef, local_fleet
-    from repro.utils.rng import StreamSlice, spawn_rngs
+    from repro.utils.rng import spawn_slice
 
     task = build_trained_spnn(config.training)
     features = task.test_features[:64]
@@ -462,12 +462,9 @@ def record_artifact_cache_hit(config) -> dict:
         matches = bool(np.array_equal(cold_samples, warm_samples))
     warm_bytes = wire_bytes(warm)
     per_chunk = warm["task_bytes"] / warm["tasks"]
-    recipe = StreamSlice.from_generators(
-        tuple(spawn_rngs(np.random.default_rng(0), kwargs["iterations"])),
-        trust_fresh=True,
-    )
+    recipe = spawn_slice(np.random.default_rng(0), kwargs["iterations"])
     floor = len(
-        pickle.dumps((0, TrialRef("0" * 32), recipe), protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dumps((0, TrialRef("0" * 32), (recipe,)), protocol=pickle.HIGHEST_PROTOCOL)
     )
     return {
         "workers": 2,

@@ -15,18 +15,20 @@ Two evaluation entry points share the same stream-spawning discipline:
 Both entry points delegate the *scheduling* of their chunks to an execution
 backend (:mod:`repro.execution`): the serial backend evaluates them inline,
 the thread backend (the default) on threads of this process, the
-multiprocess backend across worker processes.  Workers
-receive self-contained ``(start, trial, generators)`` payloads and return
-``(start, samples)`` pairs that reassemble into the exact serial sample
-order.
+multiprocess backend across worker processes.  Chunks
+are self-contained ``(start, trial, streams)`` payloads, ``streams`` being
+the chunk's :class:`~repro.utils.rng.StreamSlice` recipes; evaluators
+return ``(start, samples)`` pairs that reassemble into the exact serial
+sample order.
 
-**RNG-equivalence guarantee.** Both entry points spawn the identical child
-streams from the same parent seed (``spawn_rngs(rng, iterations)``) *before*
-any scheduling happens, so a batch trial that consumes ``generators[b]``
-exactly as the scalar trial consumes its per-iteration generator produces
-bit-identical samples — and the samples are independent of ``chunk_size``,
-of the backend and of the worker count.  Batching and sharding are purely
-wall-clock optimizations.
+**RNG-equivalence guarantee.** Both entry points name the identical child
+streams of the same parent seed (the recipe of ``spawn_rngs(rng,
+iterations)``, :func:`~repro.utils.rng.spawn_slice`) *before* any
+scheduling happens, and each chunk builds exactly its own generators, so
+a batch trial that consumes ``generators[b]`` exactly as the scalar trial
+consumes its per-iteration generator produces bit-identical samples — and
+the samples are independent of ``chunk_size``, of the backend and of the
+worker count.  Batching and sharding are purely wall-clock optimizations.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..exceptions import ShapeError
 from ..execution import Backend, BackendLike, pool_scope, resolve_backend
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
-from ..utils.rng import RNGLike, StreamSlice, StreamsLike, materialize_streams, spawn_rngs
+from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_rngs, spawn_slice
 from .statistics import SummaryStatistics, summarize
 
 #: A Monte Carlo trial: receives an independent generator, returns a scalar metric.
@@ -51,11 +53,16 @@ Trial = Callable[[np.random.Generator], float]
 #: returns one metric per generator, shape ``(len(generators),)``.
 BatchTrial = Callable[[Sequence[np.random.Generator]], np.ndarray]
 
-#: Worker payload: chunk start index, the trial, and the chunk's child streams
-#: — materialized generators, or the compact :class:`~repro.utils.rng.
-#: StreamSlice` seed recipe on process backends (rebuilt in the worker,
-#: bit-identical; shrinks the per-chunk payload to O(100) bytes).
-ChunkTask = Tuple[int, Union[Trial, BatchTrial], StreamsLike]
+#: Worker payload: chunk start index, the trial, and the recipes of the
+#: chunk's child streams in row order (one per parent stream the chunk
+#: touches; the evaluator builds the generators).
+ChunkTask = Tuple[int, Union[Trial, BatchTrial], Tuple[StreamSlice, ...]]
+
+#: Target working-set bytes of one scheduled chunk.  The network trials'
+#: ``preferred_chunk_size()`` hints divide it by what one realization or
+#: timeline holds for the whole chunk; each forward pass runs in its own,
+#: smaller sub-chunks (:data:`repro.onn.spnn.FORWARD_CHUNK_BYTES`).
+CHUNK_TARGET_BYTES = 8 * 1024 * 1024
 
 
 def evaluate_scalar_chunk(task: ChunkTask) -> Tuple[int, np.ndarray]:
@@ -139,28 +146,6 @@ def plan_chunk_size(
         return own_plan(iterations, cap)
     target = max(1, -(-iterations // (2 * parallelism)))
     return min(cap, target) if cap is not None else target
-
-
-def chunk_stream_payload(
-    generators: Sequence[np.random.Generator], backend: Backend
-) -> StreamsLike:
-    """The stream payload one chunk ships to its evaluator.
-
-    On backends that pickle their tasks (``pickles_tasks``: worker
-    processes, the fleet) the freshly spawned children compress to their
-    ``(seed, count)`` recipe (:class:`~repro.utils.rng.StreamSlice`) so
-    the pickled task no longer carries one generator per realization; the
-    worker rebuilds bit-identical generators from the seed material.
-    Backends that evaluate in this process keep the materialized
-    generators — nothing is pickled, so rebuilding them would be pure
-    waste.  Either way the evaluated streams are exactly the spawned
-    children.
-    """
-    generators = tuple(generators)
-    if not getattr(backend, "pickles_tasks", False):
-        return generators
-    compact = StreamSlice.from_generators(generators, trust_fresh=True)
-    return compact if compact is not None else generators
 
 
 @dataclass
@@ -248,12 +233,12 @@ class MonteCarloRunner:
         rng: RNGLike,
         label: str,
     ) -> MonteCarloResult:
-        """Spawn the child streams, shard them into chunks, reassemble."""
-        generators = spawn_rngs(rng, self.iterations)
+        """Name the child streams, shard them into chunks, reassemble."""
+        streams = spawn_slice(rng, self.iterations)
         backend = resolve_backend(self.backend, self.workers)
         chunk = self._effective_chunk_size(backend, trial)
         tasks: list[ChunkTask] = [
-            (start, trial, chunk_stream_payload(generators[start : start + chunk], backend))
+            (start, trial, (streams[start : start + chunk],))
             for start in range(0, self.iterations, chunk)
         ]
         samples = np.empty(self.iterations, dtype=np.float64)

@@ -10,11 +10,12 @@ served-accuracy-vs-time curve plus the recalibration events that produced
 it.
 
 Scheduling mirrors :class:`~repro.analysis.monte_carlo.MonteCarloRunner`:
-one child stream per *timeline* is spawned up front
-(:func:`~repro.utils.rng.spawn_rngs`), timelines are sharded into
+one child stream per *timeline* is named up front (the
+:class:`~repro.utils.rng.StreamSlice` recipe of
+:func:`~repro.utils.rng.spawn_rngs`), timelines are sharded into
 vectorized chunks through the execution backends
-(:mod:`repro.execution`), and chunks ship the compact
-:class:`~repro.utils.rng.StreamSlice` seed recipe to process backends.
+(:mod:`repro.execution`), and each chunk builds its own generators from
+its slice of the recipe.
 Each timeline consumes only its own stream, in a fixed per-step stage
 order, so the resulting curves are **bit-identical for every backend,
 worker count and chunk size** — and recalibration consumes no randomness,
@@ -44,11 +45,11 @@ from ..execution.shared import (
     shared_network,
 )
 from ..training.workspace import process_workspace
-from ..utils.rng import RNGLike, StreamsLike, materialize_streams, spawn_rngs
+from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
 from ..variation.process import PerturbationProcess
-from .monte_carlo import chunk_stream_payload, plan_chunk_size
+from .monte_carlo import CHUNK_TARGET_BYTES, plan_chunk_size
 from .recalibration import RecalibrationPolicy
 
 __all__ = [
@@ -58,12 +59,6 @@ __all__ = [
     "timeline_sweep",
     "timeline_sweep_multi",
 ]
-
-#: Same budget as the Monte Carlo chunk target: one scheduled chunk's
-#: working set (stacked matrices, state matrices) stays near this.  It
-#: sizes the scheduled chunk only; each step's forward runs in the smaller
-#: sub-chunks of :meth:`~repro.onn.SPNN.accuracy_batch`.
-CHUNK_TARGET_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +156,9 @@ class AccuracyTimelineTrial:
         return accuracy, events
 
 
-#: Worker payload: chunk's first timeline index, the trial, the chunk streams.
-TimelineChunkTask = Tuple[int, AccuracyTimelineTrial, StreamsLike]
+#: Worker payload: chunk's first timeline index, the trial, the recipes of
+#: the chunk's streams.
+TimelineChunkTask = Tuple[int, AccuracyTimelineTrial, Tuple[StreamSlice, ...]]
 
 
 def evaluate_timeline_chunk(task: TimelineChunkTask) -> Tuple[int, Tuple[np.ndarray, np.ndarray]]:
@@ -307,7 +303,7 @@ def timeline_sweep(
     nominal_accuracy = resolve_network(spnn).accuracy(
         resolve_array(features), resolve_array(labels), use_hardware=True
     )
-    generators = spawn_rngs(rng, timelines)
+    streams = spawn_slice(rng, timelines)
     resolved = resolve_backend(backend, workers, device)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
@@ -334,7 +330,7 @@ def timeline_sweep(
         )
         chunk = plan_chunk_size(timelines, resolved, chunk_size, trial)
         tasks: List[TimelineChunkTask] = [
-            (start, trial, chunk_stream_payload(generators[start : start + chunk], resolved))
+            (start, trial, (streams[start : start + chunk],))
             for start in range(0, timelines, chunk)
         ]
         with _active_recorder().span(
@@ -408,7 +404,7 @@ def timeline_sweep_multi(
     nominal_accuracy = resolve_network(spnn).accuracy(
         resolve_array(features), resolve_array(labels), use_hardware=True
     )
-    model_streams = spawn_rngs(rng, len(models))
+    model_streams = spawn_slice(rng, len(models))
     resolved = resolve_backend(backend, workers, device)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
@@ -424,8 +420,8 @@ def timeline_sweep_multi(
     with pool_scope(resolved), hosting as (eval_features, eval_labels), network_hosting as network:
         tasks: List[TimelineChunkTask] = []
         chunk: Optional[int] = None
-        for index, (model, stream) in enumerate(zip(models, model_streams)):
-            generators = spawn_rngs(stream, timelines)
+        for index, model in enumerate(models):
+            streams = model_streams.child_slice(index, timelines)
             trial = AccuracyTimelineTrial(
                 spnn=network,
                 features=eval_features,
@@ -441,11 +437,7 @@ def timeline_sweep_multi(
                 chunk = plan_chunk_size(timelines, resolved, chunk_size, trial)
             offset = index * timelines
             tasks.extend(
-                (
-                    offset + start,
-                    trial,
-                    chunk_stream_payload(generators[start : start + chunk], resolved),
-                )
+                (offset + start, trial, (streams[start : start + chunk],))
                 for start in range(0, timelines, chunk)
             )
         with _active_recorder().span(

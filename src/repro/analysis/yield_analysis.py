@@ -33,7 +33,7 @@ from ..execution.shared import (
     shared_eval_arrays,
     shared_network,
 )
-from ..utils.rng import RNGLike, spawn_rngs
+from ..utils.rng import RNGLike, StreamSlice, spawn_rngs, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
 
@@ -130,66 +130,63 @@ def max_tolerable_sigma(
 # --------------------------------------------------------------------------- #
 
 
-def _folded_sigma_samples(
+def _folded_tasks(
     network,
     eval_features,
     eval_labels,
     sigmas: Tuple[float, ...],
-    streams,
+    streams: StreamSlice,
     case: str,
     perturb_sigma_stage: bool,
     iterations: int,
-    nominal_accuracy: float,
     chunk_size: Optional[int],
     resolved,
     use_workspace: bool,
-) -> Dict[float, np.ndarray]:
-    """Monte Carlo samples for every sigma, folded into one scheduling pass.
+) -> Tuple[list, Dict[float, slice], Optional[int]]:
+    """Every sigma's Monte Carlo rows as one task list, the sigma axis folded in.
 
     A per-sigma loop would run one batched Monte Carlo pass — one
     scheduling barrier, one ``backend.map`` — per uncertainty level.  This
     folds the sigma axis into the leading Monte Carlo batch axis instead:
-    all ``len(sigmas) * iterations`` realizations form one task list whose
-    chunks may freely mix sigmas, each row scaled by its own level's
+    all non-null sigmas' ``iterations`` realizations form one task list
+    whose chunks may freely mix sigmas, each row scaled by its own level's
     physical stds (the ``*_std_rows`` fields of
-    :class:`~repro.onn.inference.NetworkAccuracyBatchTrial`).  One map pass
-    covers the whole sweep, so worker pools stay saturated across sigma
-    boundaries and fused column-sweep chunks stay full even when
-    ``iterations`` is small.
+    :class:`~repro.onn.inference.NetworkAccuracyBatchTrial`), so worker
+    pools stay saturated across sigma boundaries.  Returns the tasks, each
+    non-null sigma's row range and the chunk size.
 
-    Bit-identity with the per-sigma loop: each sigma's child streams are
-    spawned exactly as :class:`~repro.analysis.monte_carlo.
-    MonteCarloRunner` would (``spawn_rngs(stream, iterations)``), each row
-    consumes only its own stream, per-row scaling performs the same float
-    multiply as the scalar path, and the vectorized engine's samples are
-    chunk-composition invariant.  Null sigmas short-circuit to the nominal
-    accuracy but still consume their position's stream, exactly like the
-    unfolded loop.
+    Bit-identity with the per-sigma loop: ``streams`` is the recipe of the
+    sweep's per-sigma streams, and each sigma's rows are exactly the
+    children :class:`~repro.analysis.monte_carlo.MonteCarloRunner` would
+    spawn from that stream (``streams.child_slice``); a chunk carries one
+    :class:`~repro.utils.rng.StreamSlice` per sigma stream it touches.
+    Each row consumes only its own stream, per-row scaling performs the
+    same float multiply as the scalar path, and the vectorized engine's
+    samples are chunk-composition invariant.  Null sigmas get no rows;
+    their streams are never built, which cannot shift another sigma's
+    draws.
     """
     from ..onn.inference import NetworkAccuracyBatchTrial
-    from .monte_carlo import chunk_stream_payload, evaluate_batch_chunk, plan_chunk_size
+    from .monte_carlo import plan_chunk_size
 
-    samples_per_sigma: Dict[float, np.ndarray] = {}
-    row_generators: list = []
+    row_streams: list = []
     phase_blocks: list = []
     splitter_blocks: list = []
     row_slices: Dict[float, slice] = {}
     gating_model = None
-    offset = 0
-    for sigma, stream in zip(sigmas, streams):
+    for index, sigma in enumerate(sigmas):
         model = UncertaintyModel.for_case(case, sigma, perturb_sigma_stage=perturb_sigma_stage)
         if model.is_null:
-            samples_per_sigma[sigma] = np.full(iterations, nominal_accuracy)
             continue
         if gating_model is None:
             gating_model = model
-        row_generators.extend(spawn_rngs(stream, iterations))
+        row_slices[sigma] = slice(len(row_streams) * iterations, (len(row_streams) + 1) * iterations)
+        row_streams.append(streams.child_slice(index, iterations))
         phase_blocks.append(np.full(iterations, model.phase_std))
         splitter_blocks.append(np.full(iterations, model.splitter_std))
-        row_slices[sigma] = slice(offset, offset + iterations)
-        offset += iterations
-    if offset == 0:
-        return samples_per_sigma
+    rows = len(row_streams) * iterations
+    if rows == 0:
+        return [], row_slices, None
     phase_rows = np.concatenate(phase_blocks)[:, None]
     splitter_rows = np.concatenate(splitter_blocks)[:, None]
     base_trial = NetworkAccuracyBatchTrial(
@@ -199,31 +196,21 @@ def _folded_sigma_samples(
         model=gating_model,
         use_workspace=use_workspace,
     )
-    chunk = plan_chunk_size(offset, resolved, chunk_size, base_trial)
+    chunk = plan_chunk_size(rows, resolved, chunk_size, base_trial)
     tasks = []
-    for start in range(0, offset, chunk):
-        stop = min(start + chunk, offset)
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
         chunk_trial = replace(
             base_trial,
             phase_std_rows=phase_rows[start:stop],
             splitter_std_rows=splitter_rows[start:stop],
         )
-        tasks.append(
-            (start, chunk_trial, chunk_stream_payload(row_generators[start:stop], resolved))
+        parts = tuple(
+            row_streams[k][max(0, start - k * iterations) : stop - k * iterations]
+            for k in range(start // iterations, (stop - 1) // iterations + 1)
         )
-    folded = np.empty(offset, dtype=np.float64)
-    with _active_recorder().span(
-        "yield/folded_mc",
-        rows=offset,
-        sigmas=len(row_slices),
-        chunks=len(tasks),
-        chunk_size=chunk,
-    ):
-        for start, values in map_chunks(resolved, evaluate_batch_chunk, tasks, label="yield"):
-            folded[start : start + len(values)] = values
-    for sigma, rows in row_slices.items():
-        samples_per_sigma[sigma] = folded[rows]
-    return samples_per_sigma
+        tasks.append((start, chunk_trial, parts))
+    return tasks, row_slices, chunk
 
 
 @dataclass
@@ -322,7 +309,7 @@ def yield_sweep(
     draws a given sigma receives.
 
     The sigma axis is *folded* into the Monte Carlo batch axis
-    (:func:`_folded_sigma_samples`): the whole sweep is one task list
+    (:func:`_folded_tasks`): the whole sweep is one task list
     scheduled through a single ``backend.map`` pass, with each realization
     row scaled by its own sigma's physical stds.  Samples are bit-identical
     to a per-sigma loop of :func:`~repro.onn.inference.monte_carlo_accuracy`
@@ -392,7 +379,7 @@ def yield_sweep(
     if not 0.0 <= accuracy_threshold <= 1.0:
         raise ValueError(f"accuracy_threshold must be in [0, 1], got {accuracy_threshold}")
 
-    streams = spawn_rngs(rng, len(sigmas))
+    streams = spawn_slice(rng, len(sigmas))
     # One backend for the whole sweep.  The eval arrays *and* the compiled
     # mesh parameters are hosted in shared memory for the same scope (unless
     # the caller already hosts them), so they cross the process boundary
@@ -419,7 +406,7 @@ def yield_sweep(
         eval_features,
         eval_labels,
     ), network_hosting as network:
-        samples_per_sigma = _folded_sigma_samples(
+        tasks, row_slices, chunk = _folded_tasks(
             network,
             eval_features,
             eval_labels,
@@ -428,11 +415,29 @@ def yield_sweep(
             case,
             perturb_sigma_stage,
             iterations,
-            nominal_accuracy,
             chunk_size,
             resolved,
             use_workspace,
         )
+        folded = np.empty(len(row_slices) * iterations, dtype=np.float64)
+        if tasks:
+            # Looked up at call time, so a wrapper installed on the module
+            # after import still sees every chunk.
+            from .monte_carlo import evaluate_batch_chunk
+
+            with _active_recorder().span(
+                "yield/folded_mc",
+                rows=folded.size,
+                sigmas=len(row_slices),
+                chunks=len(tasks),
+                chunk_size=chunk,
+            ):
+                for start, values in map_chunks(resolved, evaluate_batch_chunk, tasks, label="yield"):
+                    folded[start : start + len(values)] = values
+    samples_per_sigma = {
+        sigma: np.full(iterations, nominal_accuracy) for sigma in sigmas if sigma not in row_slices
+    }
+    samples_per_sigma.update((sigma, folded[rows]) for sigma, rows in row_slices.items())
     estimates = yield_vs_sigma(samples_per_sigma, accuracy_threshold)
     return YieldSweepResult(
         sigmas=sigmas,

@@ -27,26 +27,28 @@ would start a full-width BLAS pool and oversubscribe the CPUs.
 
 **Determinism contract.**  A backend never creates randomness and never
 reorders results: it receives a list of self-contained task payloads (for
-Monte Carlo work: chunk start index + the chunk's pre-spawned child
-generators + the trial callable) and returns one result per task *in task
-order*.  Because the child streams are spawned deterministically in the
-parent via ``SeedSequence.spawn()`` before any scheduling happens, the
-samples are bit-identical for every backend and every worker count.
+Monte Carlo work: chunk start index + the trial callable + the
+``(seed, range)`` recipes of the chunk's child streams) and returns one
+result per task *in task order*.  Because the recipes name child streams
+of ``SeedSequence.spawn()`` fixed in the parent before any scheduling
+happens, the samples are bit-identical for every backend and every worker
+count.
 Threads share the process, so every piece of scratch the chunk path
 reuses (sweep-kernel buffers, the workspace arena, the dispatch collector)
 is kept per thread.
 
 **Picklability contract.**  Process-based backends pickle the mapped
 function and each task payload into the workers, so both must be picklable:
-module-level functions, dataclass instances, NumPy generators/arrays and
-bound methods of picklable objects all qualify; locally defined closures do
-not (the experiment layers therefore expose their trials as module-level
-callable dataclasses).
+module-level functions, dataclass instances, stream recipes, NumPy arrays
+and bound methods of picklable objects all qualify; locally defined
+closures do not (the experiment layers therefore expose their trials as
+module-level callable dataclasses).
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -104,14 +106,10 @@ class Backend(Protocol):
     by callers to pick a chunk size — 1 means "do not bother chunking for
     concurrency").
 
-    Two optional members refine how callers build the tasks:
-
-    * ``pickles_tasks`` — true when ``map`` pickles each task into another
-      process; callers then ship compact stream recipes instead of
-      materialized generators.  Absent means false.
-    * ``plan_chunk_size(iterations, cap)`` — the backend picks the chunk
-      size for ``iterations`` realizations, at most ``cap`` each (``None``:
-      no cap).  Absent, parallel backends get two chunks per worker.
+    An optional ``plan_chunk_size(iterations, cap)`` lets the backend pick
+    the chunk size for ``iterations`` realizations, at most ``cap`` each
+    (``None``: no cap).  Absent, parallel backends get two chunks per
+    worker.
     """
 
     @property
@@ -200,7 +198,8 @@ class MultiprocessBackend:
         :class:`SerialBackend` — handy for worker-count sweeps.
 
     Results are gathered in submission order, so ``map`` preserves task
-    order no matter which worker finishes first.  Each worker pins BLAS to
+    order no matter which worker finishes first.  Each worker pins BLAS
+    (and numba, when this process has imported it) to
     ``max(1, budget // workers)`` threads as it starts.
 
     **Pool lifetime.**  By default every :meth:`map` call forks a fresh pool
@@ -234,11 +233,6 @@ class MultiprocessBackend:
     @property
     def parallelism(self) -> int:
         return self.workers if self.workers is not None else available_workers()
-
-    @property
-    def pickles_tasks(self) -> bool:
-        """One worker runs inline; more pickle every task into a worker."""
-        return self.parallelism > 1
 
     # ------------------------------------------------------------------ #
     # persistent-pool lifetime
@@ -285,8 +279,17 @@ class MultiprocessBackend:
             return _gather_futures("multiprocess", futures)
 
 
+def _pin_worker_threads(threads: int, pin_numba: bool) -> None:
+    """Pool initializer: pin BLAS, and numba when the parent uses it."""
+    set_blas_threads(threads)
+    if pin_numba:
+        import numba
+
+        numba.set_num_threads(threads)
+
+
 def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool whose workers each pin BLAS to their share of the budget."""
+    """A pool whose workers each pin BLAS (and numba) to their share of the budget."""
     # Look the BLAS entry points up here, so forked workers inherit the
     # result (and a missing symbol warns once, in this process).
     blas_thread_control()
@@ -296,8 +299,10 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     resource_tracker.ensure_running()
     return ProcessPoolExecutor(
         max_workers=workers,
-        initializer=set_blas_threads,
-        initargs=(pinned_blas_threads(workers),),
+        initializer=_pin_worker_threads,
+        # numba is pinned only if already imported here: a worker never
+        # imports it just to pin it.
+        initargs=(pinned_blas_threads(workers), "numba" in sys.modules),
     )
 
 

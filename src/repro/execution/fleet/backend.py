@@ -6,7 +6,7 @@ workers (so ``plan_chunk_size`` plans exactly as it does for a local pool
 of that size) and ``map`` ships the planned chunks over the coordinator's
 sockets, reassembling results in task order.  Bit-identity for any fleet
 size and cache state follows from the same two facts as every prior
-backend: the chunk payloads are self-contained (streams pre-spawned
+backend: the chunk payloads are self-contained (streams named
 parent-side, ``StreamSlice`` recipes rebuild bit-identical generators)
 and reassembly is by task index, never completion order.
 
@@ -14,7 +14,7 @@ What makes the fleet cheap to talk to is the **dehydration** step in
 :meth:`FleetBackend.map`: each chunk's trial — the per-chunk-invariant
 bulk of the payload — is content-addressed into the artifact cache and
 replaced by a :class:`~repro.execution.fleet.cache.TrialRef`, so the wire
-task is ``(start, TrialRef, StreamSlice)``.  Combined with the
+task is ``(start, TrialRef, stream recipes)``.  Combined with the
 host-or-reference hosting path (:meth:`host_eval_arrays` /
 :meth:`host_network`, which the ``shared_eval_arrays``/``shared_network``
 seam delegates to), a repeat request over the same spec pushes **zero**
@@ -70,11 +70,6 @@ class FleetBackend:
     connect_timeout:
         How long to wait for ``min_workers`` workers at first use.
     """
-
-    #: The fleet always crosses a process (and possibly machine) boundary,
-    #: whatever its size: even a one-worker fleet pickles every task onto a
-    #: socket, so stream payloads should compress to recipes.
-    pickles_tasks = True
 
     def __init__(
         self,

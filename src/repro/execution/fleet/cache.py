@@ -249,7 +249,7 @@ class TrialRef(ArtifactRef):
 
     The trial is the per-chunk-invariant part of a task; deduplicating it
     through the store leaves the chunk payload as
-    ``(start, TrialRef, StreamSlice)`` — a few hundred bytes regardless of
+    ``(start, TrialRef, stream recipes)`` — a few hundred bytes regardless of
     the trial's contents.
     """
 

@@ -62,8 +62,9 @@ class Exp1Config:
     perturb_sigma_stage: bool = True
     seed: int = 7
     #: Realizations per batched chunk (bounds peak memory, and the work-unit
-    #: granularity when sharding across workers); None = all at once.
-    chunk_size: Optional[int] = 250
+    #: granularity when sharding across workers); None = the trial's own
+    #: working-set hint (``preferred_chunk_size()``).
+    chunk_size: Optional[int] = None
     #: Execution backend for each (case, sigma) Monte Carlo run: ``workers=N``
     #: shards realization chunks across N processes, bit-identical to serial.
     backend: BackendLike = None

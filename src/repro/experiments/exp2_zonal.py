@@ -34,6 +34,7 @@ from ..execution import (
 from ..mesh.mesh import MZIMesh
 from ..mesh.svd_layer import LayerPerturbationBatch
 from ..onn.builder import SPNNTask, SPNNTrainingConfig, build_trained_spnn
+from ..onn.inference import network_chunk_size
 from ..onn.spnn import SPNN, NetworkPerturbationBatch
 from ..utils.rng import RNGLike, ensure_rng
 from ..utils.serialization import format_table
@@ -53,8 +54,9 @@ class Exp2Config:
     iterations: int = 1000
     seed: int = 11
     #: Realizations per batched chunk (bounds peak memory, and the work-unit
-    #: granularity when sharding across workers); None = all at once.
-    chunk_size: Optional[int] = 250
+    #: granularity when sharding across workers); None = the trial's own
+    #: working-set hint (``preferred_chunk_size()``).
+    chunk_size: Optional[int] = None
     #: Execution backend for each zone's Monte Carlo run: ``workers=N``
     #: shards realization chunks across N processes, bit-identical to serial.
     backend: BackendLike = None
@@ -166,6 +168,10 @@ class ZonalAccuracyBatchTrial:
     target_mesh_name: str
     sigma_map: np.ndarray
     background: UncertaintyModel
+
+    def preferred_chunk_size(self) -> int:
+        """The network trials' chunk hint (:func:`~repro.onn.inference.network_chunk_size`)."""
+        return network_chunk_size(self.spnn)
 
     def __call__(self, generators) -> np.ndarray:
         generators = list(generators)

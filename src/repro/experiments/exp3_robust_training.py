@@ -111,7 +111,9 @@ class Exp3Config:
     bisect: bool = False
     #: Bracket resolution of the bisection refinement (absolute sigma).
     bisect_tolerance: float = 5e-4
-    chunk_size: Optional[int] = 250
+    #: Realizations per batched evaluation chunk; None = the trial's own
+    #: working-set hint (``preferred_chunk_size()``).
+    chunk_size: Optional[int] = None
     #: Execution backend for the evaluation sweeps: ``workers=N`` shards the
     #: Monte Carlo chunks across N processes, bit-identical to serial.
     backend: BackendLike = None

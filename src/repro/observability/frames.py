@@ -157,18 +157,20 @@ def _chunk_fields(task: Any) -> tuple:
     """``(start, count)`` of a chunk task, tolerating foreign shapes.
 
     Chunk tasks across the engine share the ``(start, trial, streams)``
-    layout where ``streams`` is a generator tuple or a
-    :class:`~repro.utils.rng.StreamSlice` recipe — both sized.
+    layout where ``streams`` is a tuple of sized
+    :class:`~repro.utils.rng.StreamSlice` recipes, one per parent stream
+    the chunk touches; any other sized payload counts its items.
     """
     start = -1
     count = 0
     if isinstance(task, tuple) and task:
         if isinstance(task[0], int):
             start = task[0]
-        try:
-            count = len(task[-1])
-        except TypeError:
-            count = 0
+        streams = task[-1]
+        if isinstance(streams, tuple) and streams and all(hasattr(part, "__len__") for part in streams):
+            count = sum(len(part) for part in streams)
+        elif hasattr(streams, "__len__"):
+            count = len(streams)
     return start, count
 
 

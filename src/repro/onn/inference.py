@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.monte_carlo import MonteCarloRunner
+from ..analysis.monte_carlo import CHUNK_TARGET_BYTES, MonteCarloRunner
 from ..execution import BackendLike
 from ..execution.shared import ArrayLike, resolve_array, resolve_network
 from ..training.workspace import process_workspace
@@ -39,13 +39,28 @@ from ..variation import sampler
 from ..variation.models import UncertaintyModel
 from .spnn import SPNN, NetworkPerturbation
 
-#: Target working-set bytes of one scheduled Monte Carlo chunk: the runner's
-#: default chunking keeps a whole chunk (sampling buffers, stacked matrices
-#: and the chunk's forward activations) near this size no matter how large
-#: the evaluation set grows.  It sizes the scheduled chunk only; the forward
-#: inside :meth:`SPNN.accuracy_batch` runs in its own, smaller sub-chunks
-#: (:data:`repro.onn.spnn.FORWARD_CHUNK_BYTES`).
-CHUNK_TARGET_BYTES = 8 * 1024 * 1024
+
+def network_chunk_size(spnn) -> int:
+    """Realizations per chunk keeping one chunk's working set near the target.
+
+    :data:`~repro.analysis.monte_carlo.CHUNK_TARGET_BYTES` over what one
+    realization holds for its whole chunk: the network-wide draws and
+    their scaled fields (four parameter families per MZI, float64), the
+    largest mesh's complex block components, their column-sorted copies
+    and the sweep's ``CA``/``CB`` stacks (four values per MZI each; one
+    mesh is evaluated at a time), and the per-layer matrices.  Forward
+    activations are not counted: :meth:`SPNN.accuracy_batch` runs the
+    forward in its own sub-chunks (:data:`repro.onn.spnn.FORWARD_CHUNK_BYTES`)
+    whatever the chunk size.  ``spnn`` may be a shared-memory handle.
+    """
+    spnn = resolve_network(spnn)
+    per_realization = sum(out * inp for out, inp in spnn.architecture.weight_shapes()) * 16
+    if spnn.is_compiled:
+        layers = spnn.photonic_layers
+        largest_mesh = max(mesh.num_mzis for layer in layers for mesh in (layer.mesh_u, layer.mesh_v))
+        per_realization += 2 * 4 * sum(layer.num_mzis for layer in layers) * 8
+        per_realization += 3 * 4 * largest_mesh * 16
+    return max(1, CHUNK_TARGET_BYTES // per_realization)
 
 
 def hardware_accuracy(
@@ -126,34 +141,15 @@ class NetworkAccuracyBatchTrial:
     splitter_std_rows: Optional[np.ndarray] = None
 
     def preferred_chunk_size(self) -> int:
-        """Realizations per chunk keeping one vectorized call near the target.
+        """Realizations per chunk: :func:`network_chunk_size` of the network.
 
         Consulted by :class:`~repro.analysis.monte_carlo.MonteCarloRunner`
-        when no explicit ``chunk_size`` is given.  The estimate counts what
-        one realization adds to a chunk's working set — its slice of the
-        forward activations, the stacked per-layer hardware matrices, and
-        the perturbation sampling buffers — so the default chunk shrinks as
-        the evaluation set grows (the paper's 10k MNIST test set lands at a
-        handful of realizations per chunk) instead of letting a whole
-        1000-iteration run blow past :data:`CHUNK_TARGET_BYTES` in one
-        call.  Chunking never changes the samples.
+        and the folded yield sweep when no explicit ``chunk_size`` is
+        given.  It does not depend on the evaluation-set size, since the
+        forward runs in its own sub-chunks.  Chunking never changes the
+        samples.
         """
-        spnn = resolve_network(self.spnn)
-        features = resolve_array(self.features)
-        samples = int(features.shape[0]) if features.ndim > 1 else 1
-        architecture = spnn.architecture
-        width = max(architecture.layer_dims)
-        activation_bytes = samples * width * 16  # complex128 forward block
-        matrix_bytes = sum(out * inp for out, inp in architecture.weight_shapes()) * 16
-        mzis = (
-            sum(layer.num_mzis for layer in spnn.photonic_layers)
-            if spnn.is_compiled
-            else 0
-        )
-        # Four perturbed parameter families per MZI, drawn then scaled.
-        sampling_bytes = 2 * 4 * mzis * 8
-        per_realization = activation_bytes + matrix_bytes + sampling_bytes
-        return max(1, CHUNK_TARGET_BYTES // max(1, per_realization))
+        return network_chunk_size(self.spnn)
 
     def __call__(self, generators: Sequence[np.random.Generator]) -> np.ndarray:
         generators = list(generators)

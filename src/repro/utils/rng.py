@@ -8,8 +8,8 @@ reproducible end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,31 +81,24 @@ def spawn_rngs(rng: RNGLike, count: int) -> list[np.random.Generator]:
 
 
 # --------------------------------------------------------------------------- #
-# compact child-stream payloads for worker processes
+# child-stream recipes for scheduled chunks
 # --------------------------------------------------------------------------- #
-
-#: Either a materialized run of child generators or its compact recipe.
-StreamsLike = Union[Sequence[np.random.Generator], "StreamSlice"]
 
 
 @dataclass(frozen=True)
 class StreamSlice:
-    """Picklable ``(seed, count)`` recipe for a run of spawned child streams.
+    """Picklable ``(seed, range)`` recipe for a run of spawned child streams.
 
-    A chunk of ``spawn_rngs`` children is fully determined by the parent's
+    A run of ``spawn_rngs`` children is fully determined by the parent's
     seed material plus the range of spawn indices: NumPy derives child
     ``i`` of a parent :class:`~numpy.random.SeedSequence` as
-    ``SeedSequence(entropy, spawn_key=parent.spawn_key + (i,))``.  Shipping
-    that recipe instead of the pickled generators shrinks a Monte Carlo
-    chunk's stream payload from ~75 bytes per realization to O(100) bytes
-    per *chunk*, and the workers rebuild generators bit-identical to the
-    parent's — the RNG-equivalence guarantee is untouched because the
-    recipe names exactly the same seed material.
-
-    Instances are built with :meth:`from_generators` from freshly spawned
-    children (it verifies the run is contiguous and untouched, returning
-    ``None`` for anything it cannot prove equivalent) and materialized in
-    the workers with :meth:`generators` / :func:`materialize_streams`.
+    ``SeedSequence(entropy, spawn_key=parent.spawn_key + (i,))``.  The
+    schedulers build one recipe per run with :func:`spawn_slice`, slice it
+    per chunk (``recipe[start:stop]``) and let the chunk's evaluator build
+    its generators (:meth:`generators`), bit-identical to the ones
+    ``spawn_rngs`` returns.  A chunk therefore carries O(100) bytes of
+    stream payload whatever its size, and no generator exists before its
+    chunk runs.
     """
 
     entropy: object
@@ -118,90 +111,78 @@ class StreamSlice:
     def __len__(self) -> int:
         return self.count
 
-    def seed_sequences(self) -> List[np.random.SeedSequence]:
-        """The child seed sequences the slice describes."""
+    def __getitem__(self, window: slice) -> "StreamSlice":
+        """The recipe of ``generators()[window]`` (a step-1 slice)."""
+        if not isinstance(window, slice) or window.step not in (None, 1):
+            raise TypeError("StreamSlice supports only contiguous slices")
+        start, stop, _ = window.indices(self.count)
+        return replace(self, first=self.first + start, count=max(0, stop - start))
+
+    def child_slice(self, index: int, count: int) -> "StreamSlice":
+        """Recipe of ``spawn_rngs(self.generators()[index], count)``.
+
+        The children of a freshly built stream: its seed sequence has
+        spawned nothing yet, so they are spawn indices ``0 .. count - 1``
+        under its own spawn key, with the same bit generator.
+        """
+        if not 0 <= index < self.count:
+            raise IndexError(f"stream {index} is outside a slice of {self.count}")
+        return replace(self, spawn_key=self.spawn_key + (self.first + index,), first=0, count=count)
+
+    def generators(self) -> List[np.random.Generator]:
+        """Materialize the child generators, bit-identical to ``spawn_rngs``'s."""
+        bit_generator_cls = getattr(np.random, self.bit_generator)
         return [
-            np.random.SeedSequence(
-                entropy=self.entropy,
-                spawn_key=self.spawn_key + (index,),
-                pool_size=self.pool_size,
+            np.random.Generator(
+                bit_generator_cls(
+                    np.random.SeedSequence(
+                        self.entropy, spawn_key=self.spawn_key + (index,), pool_size=self.pool_size
+                    )
+                )
             )
             for index in range(self.first, self.first + self.count)
         ]
 
-    def generators(self) -> List[np.random.Generator]:
-        """Materialize the child generators, bit-identical to the originals."""
-        bit_generator_cls = getattr(np.random, self.bit_generator)
-        return [
-            np.random.Generator(bit_generator_cls(sequence))
-            for sequence in self.seed_sequences()
-        ]
 
-    @classmethod
-    def from_generators(
-        cls, generators: Sequence[np.random.Generator], trust_fresh: bool = False
-    ) -> Optional["StreamSlice"]:
-        """Compress a run of spawned child generators, or ``None``.
+def spawn_slice(rng: RNGLike, count: int) -> StreamSlice:
+    """The recipe of ``spawn_rngs(rng, count)``, without building generators.
 
-        Succeeds only when every generator wraps a seed sequence spawned
-        from one common parent, with consecutive spawn indices — i.e. a
-        contiguous slice of one ``spawn_rngs``/``SeedSequence.spawn`` call
-        — and (unless ``trust_fresh``) its bit generator is still in the
-        freshly seeded state, so the reconstruction is provably
-        bit-identical.  Callers that just spawned the children (the Monte
-        Carlo scheduler) pass ``trust_fresh=True`` to skip the state
-        comparison.
-        """
-        generators = list(generators)
-        if not generators:
-            return None
-        keys = []
-        for generator in generators:
-            if not isinstance(generator, np.random.Generator):
-                return None
-            sequence = getattr(generator.bit_generator, "seed_seq", None)
-            if not isinstance(sequence, np.random.SeedSequence) or not sequence.spawn_key:
-                return None
-            keys.append(sequence)
-        head = keys[0]
-        parent_key = tuple(head.spawn_key[:-1])
-        first = int(head.spawn_key[-1])
-        bit_generator = type(generators[0].bit_generator).__name__
-        for offset, (generator, sequence) in enumerate(zip(generators, keys)):
-            if (
-                type(generator.bit_generator).__name__ != bit_generator
-                or sequence.entropy != head.entropy
-                or sequence.pool_size != head.pool_size
-                or tuple(sequence.spawn_key[:-1]) != parent_key
-                or int(sequence.spawn_key[-1]) != first + offset
-                or sequence.n_children_spawned != 0
-            ):
-                return None
-        slice_ = cls(
-            entropy=head.entropy,
-            spawn_key=parent_key,
-            first=first,
-            count=len(generators),
-            pool_size=int(head.pool_size),
-            bit_generator=bit_generator,
-        )
-        if not trust_fresh:
-            rebuilt = slice_.generators()
-            if any(
-                original.bit_generator.state != copy.bit_generator.state
-                for original, copy in zip(generators, rebuilt)
-            ):
-                return None
-        return slice_
-
-
-def materialize_streams(streams: StreamsLike) -> List[np.random.Generator]:
-    """Child generators from either form of a chunk's stream payload.
-
-    Worker-side counterpart of :meth:`StreamSlice.from_generators`: accepts
-    the compact slice (rebuilding the generators from seed material) or an
-    already-materialized sequence (returned as a list, unchanged).
+    ``slice.generators()`` returns generators bit-identical to what
+    ``spawn_rngs(rng, count)`` would have returned, and a stateful parent
+    (a ``Generator`` or ``SeedSequence`` object) has its spawn counter
+    advanced by ``count`` exactly as that call advances it, so the next
+    ``spawn_rngs`` from the same parent returns the same children either
+    way.
     """
-    if isinstance(streams, StreamSlice):
-        return streams.generators()
-    return list(streams)
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    bit_generator = "PCG64"
+    if isinstance(rng, np.random.Generator):
+        sequence = rng.bit_generator.seed_seq
+        bit_generator = type(rng.bit_generator).__name__
+    elif isinstance(rng, np.random.SeedSequence):
+        sequence = rng
+    elif rng is None or isinstance(rng, (int, np.integer)):
+        sequence = np.random.SeedSequence(rng)
+    else:
+        raise TypeError(
+            f"rng must be None, an int seed, a SeedSequence or a Generator, got {type(rng)!r}"
+        )
+    first = int(sequence.n_children_spawned)
+    if isinstance(rng, (np.random.Generator, np.random.SeedSequence)):
+        # NumPy keeps the counter read-only: spawning (and dropping) the
+        # children is the only way to move it.
+        sequence.spawn(count)
+    return StreamSlice(
+        entropy=sequence.entropy,
+        spawn_key=tuple(sequence.spawn_key),
+        first=first,
+        count=int(count),
+        pool_size=int(sequence.pool_size),
+        bit_generator=bit_generator,
+    )
+
+
+def materialize_streams(parts: Sequence[StreamSlice]) -> List[np.random.Generator]:
+    """A chunk's generators, from its recipes in row order."""
+    return [generator for part in parts for generator in part.generators()]

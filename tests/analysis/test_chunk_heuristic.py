@@ -1,19 +1,25 @@
 """Eval-size-aware default chunking of the Monte Carlo runner.
 
-The ROADMAP open item: the serial default used to schedule *all* iterations
-as one vectorized chunk, so a 10k-sample MNIST eval set would stack every
-realization's working set in one call.  The batch trials now advertise a
-``preferred_chunk_size()`` derived from the evaluation-set size, and the
-runner honors it whenever no explicit ``chunk_size`` is configured.
+The serial default used to schedule *all* iterations as one vectorized
+chunk.  The batch trials advertise a ``preferred_chunk_size()`` derived
+from what one realization holds for the whole chunk, and the runner honors
+it whenever no explicit ``chunk_size`` is configured.  The forward pass
+runs in its own sub-chunks, so the hint does not depend on the
+evaluation-set size.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from repro.analysis.monte_carlo import MonteCarloRunner
 from repro.execution import MultiprocessBackend, SerialBackend, ThreadBackend
 from repro.onn import SPNNArchitecture
+from repro.analysis.monte_carlo import evaluate_batch_chunk
 from repro.onn.inference import CHUNK_TARGET_BYTES, NetworkAccuracyBatchTrial, monte_carlo_accuracy
 from repro.onn.spnn import SPNN
+from repro.utils.rng import spawn_slice
 from repro.variation.models import UncertaintyModel
 
 
@@ -41,23 +47,36 @@ def _trial(spnn, features, labels, sigma=0.02):
     )
 
 
+@pytest.fixture(scope="module")
+def paper_trial():
+    """The paper's shapes: 16-16-16-10 compiled to 687 MZIs, 1000 eval samples."""
+    spnn = _spnn().compile()
+    assert sum(layer.num_mzis for layer in spnn.photonic_layers) == 687
+    return _trial(spnn, *_eval_set(spnn, 1000))
+
+
 class TestPreferredChunkSize:
-    def test_shrinks_with_eval_set_size(self):
-        spnn = _spnn()
+    def test_does_not_depend_on_the_eval_set_size(self):
+        spnn = _spnn().compile()
         small = _trial(spnn, *_eval_set(spnn, 64))
         large = _trial(spnn, *_eval_set(spnn, 10_000))
-        assert large.preferred_chunk_size() < small.preferred_chunk_size()
-        assert large.preferred_chunk_size() >= 1
+        assert large.preferred_chunk_size() == small.preferred_chunk_size() >= 1
 
-    def test_full_mnist_scale_respects_the_activation_target(self):
-        """At the paper's 10k test set one chunk stays near the ~8 MB target."""
-        spnn = _spnn()
-        features, labels = _eval_set(spnn, 10_000)
-        trial = _trial(spnn, features, labels)
-        chunk = trial.preferred_chunk_size()
-        width = max(spnn.architecture.layer_dims)
-        activation_bytes = chunk * features.shape[0] * width * 16
-        assert activation_bytes <= CHUNK_TARGET_BYTES
+    def test_paper_shapes_hint(self, paper_trial):
+        assert 90 <= paper_trial.preferred_chunk_size() <= 130
+
+    def test_chunk_at_the_hint_traces_near_the_target(self, paper_trial):
+        """One chunk at the hint, generators included, traces within 25% of the target."""
+        hint = paper_trial.preferred_chunk_size()
+        task = (0, paper_trial, (spawn_slice(3, hint),))
+        evaluate_batch_chunk((0, paper_trial, (spawn_slice(3, 4),)))  # warm caches
+        tracemalloc.start()
+        try:
+            evaluate_batch_chunk(task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * CHUNK_TARGET_BYTES <= peak <= 1.25 * CHUNK_TARGET_BYTES, peak
 
     def test_runner_honors_the_hint_on_the_serial_backend(self):
         spnn = _spnn()
@@ -81,9 +100,10 @@ class TestPreferredChunkSize:
         runner = MonteCarloRunner(iterations=40)
         backend = MultiprocessBackend(workers=4)
         assert runner._effective_chunk_size(backend, trial) == 5
-        # Huge eval set -> small hint; it caps the parallel chunk.
-        big_trial = _trial(spnn, *_eval_set(spnn, 10_000))
-        assert runner._effective_chunk_size(backend, big_trial) == big_trial.preferred_chunk_size()
+        # Many iterations -> the hint caps the parallel chunk.
+        compiled = _trial(spnn.compile(), *_eval_set(spnn, 8))
+        runner = MonteCarloRunner(iterations=1000)
+        assert runner._effective_chunk_size(backend, compiled) == compiled.preferred_chunk_size()
 
     def test_thread_chunks_are_hint_sized_and_balanced(self):
         spnn = _spnn()

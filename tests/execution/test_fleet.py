@@ -48,7 +48,7 @@ from repro.execution.fleet import (
     send_frame,
 )
 from repro.execution.fleet.cache import ArtifactStore
-from repro.utils.rng import StreamSlice, spawn_rngs
+from repro.utils.rng import spawn_slice
 from repro.variation import UncertaintyModel
 
 WORKER_COUNTS = (1, 2, 4)
@@ -179,7 +179,6 @@ class TestFleetResolution:
         backend = resolve_backend("fleet", workers=3)
         assert isinstance(backend, FleetBackend)
         assert backend.min_workers == 3
-        assert backend.pickles_tasks is True
 
     def test_pool_scope_keeps_the_coordinator_alive(self):
         with local_fleet(workers=1) as fleet:
@@ -348,12 +347,9 @@ class TestArtifactCacheColdWarm:
 
 
 def _stream_slice_floor(count: int) -> int:
-    """Pickled bytes of a bare ``(start, digest-ref, StreamSlice)`` chunk task."""
-    parent = np.random.default_rng(0)
-    recipe = StreamSlice.from_generators(
-        tuple(spawn_rngs(parent, count)), trust_fresh=True
-    )
-    task = (0, TrialRef("0" * 32), recipe)
+    """Pickled bytes of a bare ``(start, digest-ref, (StreamSlice,))`` chunk task."""
+    recipe = spawn_slice(np.random.default_rng(0), count)
+    task = (0, TrialRef("0" * 32), (recipe,))
     return len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
 
 

@@ -123,9 +123,9 @@ class TestChunkBoundaries:
         assert np.array_equal(runner.run_batched(normal_batch_trial, rng=2).samples, serial)
 
     def test_explicit_chunk_size_caps_but_never_defeats_sharding(self):
-        # A chunk_size >= iterations (the experiment configs default to 250)
-        # must not collapse a parallel run to a single task.
-        from repro.execution import resolve_backend
+        # A chunk_size >= iterations must not collapse a parallel run to a
+        # single task.
+        from repro.execution import SerialBackend, resolve_backend
 
         runner = MonteCarloRunner(iterations=8, chunk_size=250, workers=2)
         backend = resolve_backend(runner.backend, runner.workers)
@@ -135,7 +135,7 @@ class TestChunkBoundaries:
         assert capped._effective_chunk_size(resolve_backend(capped.backend, capped.workers)) == 10
         # ... and staying untouched on the serial backend.
         serial = MonteCarloRunner(iterations=1000, chunk_size=250)
-        assert serial._effective_chunk_size(resolve_backend(None, None)) == 250
+        assert serial._effective_chunk_size(SerialBackend()) == 250
 
     def test_auto_chunking_covers_all_iterations(self):
         # No explicit chunk_size: parallel backends pick ~2 chunks per worker.

@@ -9,10 +9,12 @@ threads at once against the looped oracle.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -20,18 +22,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.monte_carlo import MonteCarloRunner, chunk_stream_payload
+from repro.analysis.monte_carlo import MonteCarloRunner
 from repro.analysis.timeline import timeline_sweep
 from repro.analysis.yield_analysis import yield_sweep
 from repro.arrays import HOST_BACKEND, apply_column_sweep
 from repro.cli import main
 from repro.execution import Backend, MultiprocessBackend, SerialBackend, ThreadBackend
-from repro.execution import blas
+from repro.execution import backends, blas
 from repro.mesh.mesh import MZIMesh
 from repro.observability import active_collector, observe
 from repro.training.workspace import process_workspace
 from repro.utils import random_unitary
-from repro.utils.rng import StreamSlice, spawn_rngs
+from repro.utils.rng import spawn_rngs
 from repro.variation.models import UncertaintyModel
 from repro.variation.process import OrnsteinUhlenbeckProcess
 from repro.variation.sampler import sample_mesh_perturbation_batch
@@ -60,6 +62,12 @@ def native_thread_id(_):
     return threading.get_native_id()
 
 
+def report_numba_pins(_):
+    """The ``set_num_threads`` calls the stub numba recorded in this worker."""
+    numba = sys.modules.get("numba")
+    return None if numba is None else list(numba.pins)
+
+
 class TestThreadBackend:
     def test_maps_in_order(self):
         assert ThreadBackend(3).map(square, range(10)) == [value * value for value in range(10)]
@@ -86,12 +94,6 @@ class TestThreadBackend:
     def test_task_error_propagates(self):
         with pytest.raises(RuntimeError, match="boom on 3"):
             ThreadBackend(2).map(fail_on_three, range(6))
-
-    def test_only_pickling_backends_get_stream_recipes(self):
-        generators = spawn_rngs(7, 4)
-        for backend in (SerialBackend(), ThreadBackend(2), MultiprocessBackend(workers=1)):
-            assert chunk_stream_payload(generators, backend) == tuple(generators)
-        assert isinstance(chunk_stream_payload(generators, MultiprocessBackend(workers=2)), StreamSlice)
 
 
 @needs_blas_control
@@ -122,6 +124,50 @@ class TestBlasPinning:
         assert MultiprocessBackend(workers=2).map(report_blas_threads, range(4)) == [1, 1, 1, 1]
         with MultiprocessBackend(workers=2) as backend:
             assert backend.map(report_blas_threads, range(4)) == [1, 1, 1, 1]
+
+
+class TestNumbaPinning:
+    """Process workers pin numba next to BLAS, only when numba is loaded.
+
+    numba is not a dependency, so a stub module stands in for it: the
+    fork-started workers inherit it and report what the pool initializer
+    asked of it.
+    """
+
+    @pytest.fixture
+    def stub_numba(self, monkeypatch):
+        stub = types.ModuleType("numba")
+        stub.pins = []
+        stub.set_num_threads = stub.pins.append
+        monkeypatch.setitem(sys.modules, "numba", stub)
+        return stub
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers inherit the stub only when forked"
+    )
+    def test_workers_pin_a_loaded_numba_to_their_share(self, monkeypatch, stub_numba):
+        monkeypatch.setattr(blas, "available_workers", lambda: 4)
+        pins = MultiprocessBackend(workers=2).map(report_numba_pins, range(4))
+        assert pins == [[2]] * 4
+        assert stub_numba.pins == []  # the parent itself is never pinned
+
+    def test_workers_never_import_numba_to_pin_it(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "numba", raising=False)
+        assert MultiprocessBackend(workers=2).map(report_numba_pins, range(2)) == [None, None]
+
+    def test_pool_passes_the_pin_only_when_numba_is_loaded(self, monkeypatch, stub_numba):
+        monkeypatch.setattr(blas, "available_workers", lambda: 2)
+        pool = backends._process_pool(2)
+        try:
+            assert pool._initargs == (1, True)
+        finally:
+            pool.shutdown()
+        monkeypatch.delitem(sys.modules, "numba")
+        pool = backends._process_pool(2)
+        try:
+            assert pool._initargs == (1, False)
+        finally:
+            pool.shutdown()
 
 
 class TestMissingBlasControl:
