@@ -347,9 +347,8 @@ def record_mesh_megakernel() -> dict:
         mesh, UncertaintyModel.both(0.01), spawn_rngs(11, batch)
     )
     backend = active_array_backend()
-    components, _ = mesh._blocks_and_phases(perturbation, backend)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation, backend)
     program = mesh.column_program(backend)
-    sorted_components = tuple(c[..., program.perm] for c in components)
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
     work = np.empty((batch, n, n), dtype=np.complex128)
 
@@ -358,13 +357,13 @@ def record_mesh_megakernel() -> dict:
         for _ in range(repeats):
             work[...] = eye
             start = time.perf_counter()
-            apply_column_sweep(backend, work, sorted_components, program, kernel=kernel)
+            apply_column_sweep(backend, work, stacks, program, kernel=kernel)
             samples.append(time.perf_counter() - start)
         return float(np.median(samples))
 
     def sweep_result(kernel: str) -> np.ndarray:
         out = eye.copy()
-        apply_column_sweep(backend, out, sorted_components, program, kernel=kernel)
+        apply_column_sweep(backend, out, stacks, program, kernel=kernel)
         return out
 
     bit_identical = bool(np.array_equal(sweep_result("looped"), sweep_result("fused")))

@@ -53,11 +53,10 @@ def build_sweep_inputs(n: int, batch: int, seed: int = 3):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(seed + 1, batch)
     )
-    components, _ = mesh._blocks_and_phases(perturbation, HOST_BACKEND)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation, HOST_BACKEND)
     program = mesh.column_program(HOST_BACKEND)
-    sorted_components = tuple(c[..., program.perm] for c in components)
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
-    return program, sorted_components, eye
+    return program, stacks, eye
 
 
 def main(argv=None) -> int:

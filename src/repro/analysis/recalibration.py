@@ -27,6 +27,7 @@ event counts into a time budget.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -184,13 +185,13 @@ def measure_renull_cost(layers: Sequence[PhotonicLinearLayer], repeats: int = 3)
     Both paths re-map the same weights; the warm path reuses the cached
     decomposition basis and structures (PR 4's incremental recompile
     machinery, here serving as the production re-null primitive).  Best of
-    ``repeats`` to shed scheduler noise.  The measured layers are retuned
-    in place (to their own weights, so their matrices are unchanged to
-    compile precision).
+    ``repeats`` to shed scheduler noise.  Both paths run on copies, so the
+    caller's layers keep their phases bit for bit (a warm retune to the
+    same weight still moves them in the last bits).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    layers = list(layers)
+    layers = [copy.deepcopy(layer) for layer in layers]
     weights = [np.array(layer.weight, copy=True) for layer in layers]
     watch = Stopwatch()
     warm_seconds = float("inf")

@@ -48,7 +48,8 @@ from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
-from ..variation.process import PerturbationProcess
+from ..variation.process import PerturbationProcess, state_values_per_timeline
+from ..variation.sampler import diagonal_batch_draw_length
 from .monte_carlo import CHUNK_TARGET_BYTES, plan_chunk_size
 from .recalibration import RecalibrationPolicy
 
@@ -88,26 +89,40 @@ class AccuracyTimelineTrial:
     use_workspace: bool = False
 
     def preferred_chunk_size(self) -> int:
-        """Timelines per chunk keeping one step's working set near target.
+        """Timelines per chunk keeping one chunk's working set near target.
 
-        Counts what one timeline holds for the whole chunk: its stacked
-        matrices and its draw/state buffers.  Forward activations are not
-        counted — each step's forward runs in fixed-size sub-chunks of
+        Counts what one timeline holds while a step is served: its state
+        ``z`` and the compensation of the tunable columns, the realized
+        perturbation fields, the per-layer hardware matrices, and the
+        packed component stacks of the largest mesh (meshes are evaluated
+        one at a time).  Forward activations are not counted — each
+        step's forward runs in fixed-size sub-chunks of
         :meth:`~repro.onn.SPNN.accuracy_batch`, whatever the chunk size.
-        Consulted by :func:`timeline_sweep` when no explicit ``chunk_size``
-        is given.
+        Consulted by :func:`timeline_sweep` when no explicit
+        ``chunk_size`` is given.
         """
         spnn = resolve_network(self.spnn)
-        architecture = spnn.architecture
-        matrix_bytes = sum(out * inp for out, inp in architecture.weight_shapes()) * 16
-        mzis = (
-            sum(layer.num_mzis for layer in spnn.photonic_layers)
-            if spnn.is_compiled
-            else 0
-        )
-        # Draw matrix + state + compensation per parameter family.
-        sampling_bytes = 3 * 4 * mzis * 8
-        per_timeline = matrix_bytes + sampling_bytes
+        matrix_bytes = sum(out * inp for out, inp in spnn.architecture.weight_shapes()) * 16
+        per_timeline = matrix_bytes
+        if spnn.is_compiled:
+            layers = spnn.photonic_layers
+            model = self.model
+            meshes = [mesh for layer in layers for mesh in (layer.mesh_u, layer.mesh_v)]
+            # Realized fields: theta and phi always, the splitters and the
+            # output screen only when perturbed, four per Sigma-bank device.
+            fields = sum(
+                (4 if model.perturb_splitters else 2) * mesh.num_mzis
+                + (mesh.n if model.perturb_output_phases else 0)
+                for mesh in meshes
+            )
+            fields += sum(
+                4 * layer.diagonal.num_mzis
+                for layer in layers
+                if diagonal_batch_draw_length(layer.diagonal.num_mzis, model) is not None
+            )
+            values = state_values_per_timeline(layers, model) + fields
+            stacks = 2 * 2 * 16 * max(mesh.num_mzis for mesh in meshes)
+            per_timeline += 8 * values + stacks
         return max(1, CHUNK_TARGET_BYTES // max(1, per_timeline))
 
     def __call__(

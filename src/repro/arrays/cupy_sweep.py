@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cupy_backend import _cupy, _device_usable
+from .kernels import block_components
 from .sweep import ColumnProgram, FusedSweepKernel, SweepKernel
 
 __all__ = ["CupyRawSweepKernel", "SWEEP_KERNEL_SOURCE"]
@@ -137,7 +138,7 @@ class CupyRawSweepKernel(SweepKernel):
         batch = work.shape[0]
         lead = matrices.shape[:-2]
         flat_components = []
-        for component in components:
+        for component in block_components(components):
             expanded = _cupy.broadcast_to(component, lead + component.shape[-1:])
             flat = _cupy.ascontiguousarray(
                 expanded.reshape((batch, num_devices)), dtype=_cupy.complex128

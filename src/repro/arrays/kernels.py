@@ -22,6 +22,7 @@ __all__ = [
     "log_softmax",
     "unit_phasor",
     "mzi_block_components",
+    "block_components",
     "apply_mzi_blocks",
 ]
 
@@ -101,12 +102,15 @@ def unit_phasor(xp, angle, out=None):
     return out
 
 
-def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None):
+def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None, out=None):
     """The four elements of the non-ideal MZI transfer matrix (paper Eq. (5)).
 
     Same physics as the assembled ``(..., 2, 2)`` matrix but returned as the
     tuple ``(T00, T01, T10, T11)`` of broadcast-shaped arrays — the layout
     the mesh evaluators consume directly.  All parameters broadcast.
+    ``out`` optionally names four destination arrays of the broadcast
+    shape (the mesh passes the :func:`block_components` views of its packed
+    sweep stacks); the values are the same either way.
     """
     theta = xp.asarray(theta, dtype=xp.float64)
     phi = xp.asarray(phi, dtype=xp.float64)
@@ -133,12 +137,25 @@ def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None):
     i_rt = 1j * (r2 * t1)
     i_tr = 1j * (t2 * r1)
     i_tr2 = 1j * (t1 * r2)
+    b00, b01, b10, b11 = (None,) * 4 if out is None else out
     return (
-        rr * e_both - tt * e_phi,
-        i_rt * e_theta + i_tr,
-        i_tr * e_both + i_tr2 * e_phi,
-        rr - tt * e_theta,
+        xp.subtract(rr * e_both, tt * e_phi, out=b00),
+        xp.add(i_rt * e_theta, i_tr, out=b01),
+        xp.add(i_tr * e_both, i_tr2 * e_phi, out=b10),
+        xp.subtract(rr, tt * e_theta, out=b11),
     )
+
+
+def block_components(stacks):
+    """The four block components as views of the packed sweep stacks.
+
+    ``stacks`` is the ``(CA, CB)`` pair of ``(..., M, 2)`` arrays every
+    sweep kernel takes: ``CA[..., i] = (b00, b10)`` and ``CB[..., i] =
+    (b01, b11)`` for device ``i`` in column order.  Returns the views
+    ``(b00, b01, b10, b11)``.
+    """
+    ca, cb = stacks
+    return ca[..., 0], cb[..., 0], ca[..., 1], cb[..., 1]
 
 
 def apply_mzi_blocks(matrices, components, program) -> None:
@@ -146,10 +163,10 @@ def apply_mzi_blocks(matrices, components, program) -> None:
 
     The *reference* column sweep — the byte-for-byte legacy arithmetic
     every registered sweep kernel (:mod:`repro.arrays.sweep`) is measured
-    against.  ``matrices`` has shape ``(..., n, n)``; ``components`` are
-    the four block-element arrays (``(..., M)`` or ``(M,)``, broadcasting
-    over the leading dimensions) **already gathered into column-sorted
-    order** by the program's propagation permutation; ``program`` is a
+    against.  ``matrices`` has shape ``(..., n, n)``; ``components`` is the
+    packed ``(CA, CB)`` pair of :func:`block_components` (``(..., M, 2)``
+    or ``(M, 2)``, broadcasting over the leading dimensions) **in
+    column-sorted order**; ``program`` is a
     :class:`~repro.arrays.sweep.ColumnProgram` whose packed ``top``/
     ``bottom`` index arrays live in the matrices' namespace.  Devices in
     one column act on disjoint mode pairs, so their two-row updates are
@@ -157,7 +174,7 @@ def apply_mzi_blocks(matrices, components, program) -> None:
     pure elementwise multiply-add, which makes the batched application
     bit-identical to the single-realization one.
     """
-    b00, b01, b10, b11 = components
+    b00, b01, b10, b11 = block_components(components)
     top_rows = program.top
     bottom_rows = program.bottom
     for start, stop in program.spans:

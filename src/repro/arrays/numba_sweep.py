@@ -27,6 +27,7 @@ from typing import Dict
 
 import numpy as np
 
+from .kernels import block_components
 from .sweep import ColumnProgram, SweepKernel
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -112,11 +113,12 @@ class NumbaSweepKernel(SweepKernel):
         if not work.flags["C_CONTIGUOUS"]:  # pragma: no cover - defensive
             work = np.ascontiguousarray(work)
         batch = work.shape[0]
-        # Broadcast 1-D components across the batch and force contiguity
-        # (the mesh broadcasts with stride-0 views when only the output
-        # phase screen was perturbed; the jitted loop wants real strides).
+        # Unpack the (CA, CB) stacks, broadcast 1-D components across the
+        # batch and force contiguity (the stack views are strided, and the
+        # mesh broadcasts with stride-0 views when only the output phase
+        # screen was perturbed; the jitted loop wants real strides).
         flat_components = []
-        for component in components:
+        for component in block_components(components):
             expanded = np.broadcast_to(component, lead + component.shape[-1:])
             flat = np.ascontiguousarray(expanded.reshape((batch, -1)))
             flat_components.append(flat)

@@ -100,7 +100,8 @@ class ColumnProgram:
         Matrix dimension (number of modes).
     perm:
         ``(M,)`` column-sorted propagation permutation over devices; the
-        caller gathers each block-component array by it once per sweep.
+        mesh gathers its real device parameters by it before computing
+        the block components, which therefore come out in column order.
     top, bottom:
         ``(M,)`` matrix row indices of each device's upper/lower mode, in
         column-sorted order.
@@ -177,8 +178,9 @@ class SweepKernel:
     """One strategy for executing a packed column sweep.
 
     Subclasses implement :meth:`run`; ``matrices`` is ``(..., n, n)``,
-    ``components`` the four ``(..., M)`` block component arrays *already
-    gathered into column-sorted order* (by ``program.perm``), and
+    ``components`` the packed ``(CA, CB)`` pair of ``(..., M, 2)`` block
+    component stacks *in column-sorted order*
+    (:func:`~repro.arrays.kernels.block_components` unpacks them), and
     ``program`` a :class:`ColumnProgram` already converted for
     ``backend``.  The sweep updates ``matrices`` in place and must be
     conformant with the ``looped`` reference (bit-identical on host/mock
@@ -288,11 +290,11 @@ class FusedSweepKernel(SweepKernel):
     adds and two scatters, every one allocating a fresh temporary.  This
     kernel collapses that to (at most) four namespace calls per column:
 
-    * The four block components are packed once per sweep into two
-      ``(..., M, 2)`` stacks — ``CA = [b00 | b10]``, ``CB = [b01 | b11]``
-      — so one broadcast multiply produces *both* row updates of every
-      device: ``new = CA * top + CB * bottom`` evaluated as two
-      multiplies and one add into preallocated contiguous scratch.
+    * The block components arrive packed in two ``(..., M, 2)`` stacks
+      — ``CA = [b00 | b10]``, ``CB = [b01 | b11]`` — so one broadcast
+      multiply produces *both* row updates of every device: ``new = CA *
+      top + CB * bottom`` evaluated as two multiplies and one add into
+      preallocated contiguous scratch.
     * Columns whose interleaved mode rows form a contiguous block
       (``program.bases``; every Clements column) need no gather at all:
       the update reads a reshaped ``(..., m, 2, n)`` *view* of the
@@ -403,21 +405,15 @@ class FusedSweepKernel(SweepKernel):
         return plan
 
     def run(self, backend, matrices, components, program: ColumnProgram) -> None:
-        b00, b01, b10, b11 = components
+        # CA[..., i, :] = (b00, b10) and CB[..., i, :] = (b01, b11), so the
+        # per-column views below broadcast one multiply over both output
+        # rows of a device.
+        ca, cb = components
         lead = tuple(matrices.shape[:-2])
-        comp_lead = tuple(b00.shape[:-1])
+        comp_lead = tuple(ca.shape[:-2])
         if program.num_devices == 0:
             return
         dtype = matrices.dtype
-        # Component stacks: CA[..., i, 0] = b00[..., i], CA[..., i, 1] =
-        # b10[..., i] (likewise CB with b01/b11), so the per-column views
-        # below broadcast one multiply over both output rows of a device.
-        ca = self._buffer(backend, "ca", comp_lead + (program.num_devices, 2), dtype)
-        cb = self._buffer(backend, "cb", comp_lead + (program.num_devices, 2), dtype)
-        ca[..., 0] = b00
-        ca[..., 1] = b10
-        cb[..., 0] = b01
-        cb[..., 1] = b11
         block = self._lead_block(backend, lead, comp_lead, program.n)
         if block is None:
             self._sweep(backend, matrices, ca, cb, program, lead, comp_lead, dtype)
@@ -564,12 +560,12 @@ def apply_column_sweep(
 ) -> None:
     """Run the column sweep on ``matrices`` in place with the best kernel.
 
-    ``components`` must already be gathered into column-sorted order (by
-    ``program.perm``) and ``program`` already converted for ``backend``
-    (:meth:`ColumnProgram.to_backend`); the mesh does both once per call
-    and per backend respectively.  ``kernel`` optionally pins a registry
-    name (or passes a :class:`SweepKernel` instance through), otherwise
-    :func:`select_sweep_kernel` decides.
+    ``components`` is the packed ``(CA, CB)`` stack pair in column-sorted
+    order and ``program`` already converted for ``backend``
+    (:meth:`ColumnProgram.to_backend`); the mesh builds both, once per
+    call and once per backend respectively.  ``kernel`` optionally pins a
+    registry name (or passes a :class:`SweepKernel` instance through),
+    otherwise :func:`select_sweep_kernel` decides.
 
     When a dispatch collector is installed
     (:mod:`repro.observability.dispatch`), each call records

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..arrays import HOST_BACKEND, active_array_backend
+from ..arrays.kernels import block_components
 from ..arrays.sweep import ColumnProgram, apply_column_sweep, select_sweep_kernel
 from ..exceptions import ShapeError, VariationModelError
 from ..photonics import constants
@@ -198,7 +199,8 @@ class MZIMesh:
         self._columns = np.array([c.column for c in self.configs], dtype=np.int64)
         self._thetas = np.array([c.theta for c in self.configs], dtype=np.float64)
         self._phis = np.array([c.phi for c in self.configs], dtype=np.float64)
-        self._nominal_r = np.full(len(self.configs), constants.IDEAL_SPLITTER_AMPLITUDE)
+        # Every splitter is nominally ideal, so this is also in column order.
+        self._column_r = np.full(len(self.configs), constants.IDEAL_SPLITTER_AMPLITUDE)
         # MZIs grouped by physical column, preserving propagation order within
         # each group.  Column assignment guarantees that devices sharing a
         # column act on disjoint mode pairs and that devices sharing a mode
@@ -208,8 +210,9 @@ class MZIMesh:
         self._column_groups = [
             np.flatnonzero(self._columns == column) for column in range(self.num_columns)
         ]
-        # Column-sorted (stable) propagation permutation: lets every sweep
-        # path gather each block component once and then slice per column.
+        # Column-sorted (stable) propagation permutation: every sweep path
+        # gathers the real device parameters by it once, so the block
+        # components come out in column order and slice per column.
         # Devices *within* a column act on disjoint mode pairs, so their
         # relative order is free; sorting each column by mode makes the
         # fused kernel's contiguous-block fast path apply wherever the
@@ -222,6 +225,7 @@ class MZIMesh:
         self._column_perm = (
             np.concatenate(self._column_groups) if self.num_mzis else np.zeros(0, dtype=np.int64)
         )
+        self._set_column_phases()
         boundaries = np.cumsum([0] + [len(group) for group in self._column_groups])
         # The packed flat-index column program: the sweep structure
         # "compiled" once per mesh (column-sorted top/bottom row indices,
@@ -353,6 +357,7 @@ class MZIMesh:
             raise ShapeError(f"output_phases must have shape ({self.n},), got {output_phases.shape}")
         self._thetas = thetas.copy()
         self._phis = phis.copy()
+        self._set_column_phases()
         self.output_phases = output_phases.copy()
         self.configs = [
             MZIConfig(mode=c.mode, theta=float(t), phi=float(p), column=c.column, index=c.index)
@@ -364,6 +369,11 @@ class MZIMesh:
             output_phases=self.output_phases,
             scheme=self.decomposition.scheme,
         )
+
+    def _set_column_phases(self) -> None:
+        """Cache the nominal phases in column-sorted order (the sweep's order)."""
+        self._column_thetas = self._thetas[self._column_perm]
+        self._column_phis = self._phis[self._column_perm]
 
     # ------------------------------------------------------------------ #
     # matrix evaluation
@@ -391,47 +401,57 @@ class MZIMesh:
         """
         if perturbation is not None:
             perturbation.validate(self.num_mzis, self.n)
-        components, output_phases = self._blocks_and_phases(perturbation)
+        stacks, output_phases = self._column_stacks_and_phases(perturbation)
         matrix = np.eye(self.n, dtype=np.complex128)
-        # Gather into column-sorted order (pure reordering, so the
-        # per-element arithmetic — and the result — is unchanged), then
-        # run the packed program through the selected sweep kernel.
-        program = self._column_program
-        sorted_components = tuple(c[..., program.perm] for c in components)
-        apply_column_sweep(HOST_BACKEND, matrix, sorted_components, program)
+        apply_column_sweep(HOST_BACKEND, matrix, stacks, self._column_program)
         return np.exp(1j * output_phases)[:, np.newaxis] * matrix  # host-only path
 
-    def _blocks_and_phases(self, perturbation, backend=None) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-        """Perturbed block components and output phases, shared by both paths.
+    def _column_stacks_and_phases(self, perturbation, backend=None):
+        """Perturbed block components in column order, and the output phases.
 
-        ``perturbation`` may be a :class:`MeshPerturbation` (1-D fields) or a
-        :class:`MeshPerturbationBatch` (2-D fields, leading batch axis); the
-        fields broadcast against the 1-D nominal parameter arrays either way,
-        so batched parameters go through the exact same elementwise
-        arithmetic as single realizations.  Under a device ``backend`` the
-        nominal parameter arrays are moved across once (cached transfer) and
-        every operation runs in the device namespace; the host backend
-        executes the exact historical NumPy calls.
+        Shared by both evaluation paths.  ``perturbation`` may be a
+        :class:`MeshPerturbation` (1-D fields) or a
+        :class:`MeshPerturbationBatch` (2-D fields, leading batch axis).
+        Each field is gathered into column-sorted order and added to the
+        column-ordered nominal parameters (``nominal + delta`` elementwise,
+        so the same values as adding in propagation order and permuting
+        after), and the block components are written straight into the
+        packed ``(CA, CB)`` stacks the sweep kernels take
+        (:func:`~repro.arrays.kernels.block_components`): the complex
+        components are never gathered or copied.  Unperturbed families
+        stay at their ``(M,)`` nominal shape and broadcast.  Under a device
+        ``backend`` the nominal arrays are moved across once (cached
+        transfer) and every operation runs in the device namespace.
         """
         backend = backend if backend is not None else HOST_BACKEND
         xp = backend.xp
-        thetas = backend.asarray_cached(self._thetas)
-        phis = backend.asarray_cached(self._phis)
-        r_in = backend.asarray_cached(self._nominal_r)
+        perm = self.column_program(backend).perm
+        thetas = backend.asarray_cached(self._column_thetas)
+        phis = backend.asarray_cached(self._column_phis)
+        r_in = backend.asarray_cached(self._column_r)
         r_out = r_in
         output_phases = backend.asarray_cached(self.output_phases)
+
+        def shifted(nominal, delta):
+            column_delta = xp.asarray(delta)[..., perm]
+            return xp.add(nominal, column_delta, out=column_delta)
+
         if perturbation is not None:
             if perturbation.delta_theta is not None:
-                thetas = thetas + xp.asarray(perturbation.delta_theta)
+                thetas = shifted(thetas, perturbation.delta_theta)
             if perturbation.delta_phi is not None:
-                phis = phis + xp.asarray(perturbation.delta_phi)
+                phis = shifted(phis, perturbation.delta_phi)
             if perturbation.delta_r_in is not None:
-                r_in = xp.clip(r_in + xp.asarray(perturbation.delta_r_in), 0.0, 1.0)
+                r_in = xp.clip(shifted(r_in, perturbation.delta_r_in), 0.0, 1.0)
             if perturbation.delta_r_out is not None:
-                r_out = xp.clip(r_out + xp.asarray(perturbation.delta_r_out), 0.0, 1.0)
+                r_out = xp.clip(shifted(r_out, perturbation.delta_r_out), 0.0, 1.0)
             if perturbation.delta_output_phase is not None:
                 output_phases = output_phases + xp.asarray(perturbation.delta_output_phase)
-        return mzi_transfer_components(thetas, phis, r_in, r2=r_out), output_phases
+        lead = max((p.shape[:-1] for p in (thetas, phis, r_in, r_out)), key=len)
+        shape = tuple(lead) + (self.num_mzis, 2)
+        stacks = (backend.empty(shape, np.complex128), backend.empty(shape, np.complex128))
+        mzi_transfer_components(thetas, phis, r_in, r2=r_out, out=block_components(stacks))
+        return stacks, output_phases
 
     def column_program(self, backend=None) -> ColumnProgram:
         """The packed column program, converted (and cached) for ``backend``.
@@ -504,23 +524,21 @@ class MZIMesh:
         if batch_size is not None and batch_size != batch:
             raise ShapeError(f"batch_size {batch_size} does not match perturbation batch {batch}")
 
-        # (B, num_mzis) block components; unperturbed parameter families broadcast.
-        components, output_phases = self._blocks_and_phases(perturbation, backend)
-        if components[0].ndim == 1:  # only the output phase screen was perturbed
-            components = tuple(xp.broadcast_to(c, (batch,) + c.shape) for c in components)
+        # (B, num_mzis, 2) column-ordered component stacks; unperturbed
+        # parameter families broadcast.
+        stacks, output_phases = self._column_stacks_and_phases(perturbation, backend)
+        if stacks[0].ndim == 2:  # only the output phase screen was perturbed
+            stacks = tuple(xp.broadcast_to(s, (batch,) + s.shape) for s in stacks)
         matrices = self._batch_buffer(backend, workspace, workspace_key, batch)
         matrices[...] = xp.eye(self.n, dtype=xp.complex128)
-        # Gather each component into column-sorted order once (cheap views
-        # per column afterwards; pure reordering), then run the sweep.  A
-        # kernel that blocks internally (the fused megakernel, the device
+        # A kernel that blocks internally (the fused megakernel, the device
         # kernels) takes the whole batch in one call; otherwise chunk the
         # batch axis here so the per-chunk matrices and gathered rows stay
         # cache-resident during the column sweep.
         program = self.column_program(backend)
-        sorted_components = tuple(c[..., program.perm] for c in components)
         kernel = select_sweep_kernel(backend)
         if kernel.blocks_internally:
-            apply_column_sweep(backend, matrices, sorted_components, program, kernel=kernel)
+            apply_column_sweep(backend, matrices, stacks, program, kernel=kernel)
         else:
             chunk = max(1, _APPLY_CHUNK_ELEMENTS // max(1, self.n * self.n))
             for start in range(0, batch, chunk):
@@ -528,7 +546,7 @@ class MZIMesh:
                 apply_column_sweep(
                     backend,
                     matrices[start:stop],
-                    tuple(c[start:stop] for c in sorted_components),
+                    tuple(s[start:stop] for s in stacks),
                     program,
                     kernel=kernel,
                 )

@@ -91,7 +91,9 @@ def mzi_transfer_nonideal(theta, phi, r1, t1=None, r2=None, t2=None) -> np.ndarr
     return out
 
 
-def mzi_transfer_components(theta, phi, r1, t1=None, r2=None, t2=None) -> Tuple[np.ndarray, ...]:
+def mzi_transfer_components(
+    theta, phi, r1, t1=None, r2=None, t2=None, out=None
+) -> Tuple[np.ndarray, ...]:
     """The four elements of the non-ideal transfer matrix as separate arrays.
 
     Same physics as :func:`mzi_transfer_nonideal` but returned as the tuple
@@ -103,10 +105,11 @@ def mzi_transfer_components(theta, phi, r1, t1=None, r2=None, t2=None) -> Tuple[
     The arithmetic lives in :func:`repro.arrays.kernels.mzi_block_components`
     and runs in the namespace of the operands, so device-resident parameter
     batches evaluate on the device while host arrays keep the exact
-    historical NumPy call sequence.
+    historical NumPy call sequence.  ``out`` optionally names four
+    destination arrays of the broadcast shape.
     """
     return mzi_block_components(
-        get_namespace(theta, phi, r1, t1, r2, t2), theta, phi, r1, t1=t1, r2=r2, t2=t2
+        get_namespace(theta, phi, r1, t1, r2, t2), theta, phi, r1, t1=t1, r2=r2, t2=t2, out=out
     )
 
 

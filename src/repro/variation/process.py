@@ -79,6 +79,7 @@ __all__ = [
     "RandomWalkProcess",
     "DriftRampProcess",
     "DriftState",
+    "state_values_per_timeline",
     "PROCESS_NAMES",
     "build_process",
 ]
@@ -145,6 +146,21 @@ def _network_stage_specs(
     return specs
 
 
+def state_values_per_timeline(
+    layers: Sequence[PhotonicLinearLayer], model: UncertaintyModel
+) -> int:
+    """Floats one timeline of a :class:`DriftState` holds once re-nulled.
+
+    The normalized state ``z`` of every active stage plus the compensation
+    of its tunable columns (the sizing input of the timeline chunk hint).
+    """
+    return sum(
+        spec.length + sum(stop - start for start, stop in spec.tunable)
+        for spec in _network_stage_specs(layers, model)
+        if spec is not None
+    )
+
+
 # --------------------------------------------------------------------------- #
 # timeline state
 # --------------------------------------------------------------------------- #
@@ -179,9 +195,11 @@ class DriftState:
         #: Normalized draw matrices, aligned with ``specs`` (``None`` until
         #: the first :meth:`advance`, and for inactive Sigma stages).
         self.z: List[Optional[object]] = [None] * len(self.specs)
-        #: Re-null compensation, subtracted from ``z`` at realization time.
-        #: Allocated lazily on the first re-null.
-        self.compensation: List[Optional[object]] = [None] * len(self.specs)
+        #: Re-null compensation: one ``(B, stop - start)`` block per
+        #: ``spec.tunable`` range, subtracted from those columns of ``z`` at
+        #: realization time (the other columns are never compensated, so no
+        #: block is held for them).  Allocated lazily on the first re-null.
+        self.compensation: List[Optional[Tuple[object, ...]]] = [None] * len(self.specs)
         #: Steps taken so far minus one (-1 = not yet advanced; the first
         #: :meth:`advance` is step 0, the fabrication draw).
         self.step = -1
@@ -220,7 +238,14 @@ class DriftState:
     def _effective(self, index: int):
         z = self.z[index]
         compensation = self.compensation[index]
-        return z if compensation is None else z - compensation
+        if compensation is None:
+            return z
+        # Bit-identical to ``z - full_width_compensation``: subtracting the
+        # +0.0 of an uncompensated column returns ``z`` exactly.
+        effective = z.copy()
+        for (start, stop), block in zip(self.specs[index].tunable, compensation):
+            effective[:, start:stop] -= block
+        return effective
 
     def realize(self) -> List[Optional[LayerPerturbationBatch]]:
         """Physical perturbation batches for the current step.
@@ -303,13 +328,14 @@ class DriftState:
                 continue
             z = self.z[index]
             if self.compensation[index] is None:
-                self.compensation[index] = xp.zeros(z.shape)
-            compensation = self.compensation[index]
-            for start, stop in spec.tunable:
+                self.compensation[index] = tuple(
+                    xp.zeros((self.batch_size, stop - start)) for start, stop in spec.tunable
+                )
+            for (start, stop), block in zip(spec.tunable, self.compensation[index]):
                 if rows is None:
-                    compensation[:, start:stop] = z[:, start:stop]
+                    block[...] = z[:, start:stop]
                 else:
-                    compensation[rows, start:stop] = z[rows, start:stop]
+                    block[rows] = z[rows, start:stop]
 
 
 # --------------------------------------------------------------------------- #

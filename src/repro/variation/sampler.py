@@ -265,7 +265,9 @@ def mesh_perturbation_batch_from_draws(
     sigma.  Applying it to draws produced by :func:`_draw_rows` reproduces
     :func:`sample_mesh_perturbation_batch` bit for bit; applying it to a
     temporally evolved state matrix yields the perturbation that state
-    represents under ``model``.
+    represents under ``model``.  When ``model`` does not perturb splitters,
+    ``delta_r_in``/``delta_r_out`` are ``None`` (the mesh then evaluates
+    the nominal reflectances, bit-identical to all-zero fields).
 
     ``phase_std_rows``/``splitter_std_rows`` optionally carry *per-row
     physical* standard deviations of shape ``(B, 1)`` — the sigma-folded
@@ -289,6 +291,12 @@ def mesh_perturbation_batch_from_draws(
     if splitter_std_rows is not None and model.perturb_splitters:
         splitter_sigma = splitter_std_rows
     extra = mesh.n if model.perturb_output_phases else 0
+    # Unperturbed splitters get no fields: ``draws * 0.0`` is all (signed)
+    # zeros, which leave ``r`` exactly nominal, so the mesh evaluates them
+    # at their ``(M,)`` shape instead.  Their draws are still sliced off,
+    # so no stream changes.  Phase fields stay even when zero: ``theta +
+    # 0.0`` turns a nominal ``-0.0`` into ``+0.0``.
+    splitters = model.perturb_splitters
     return MeshPerturbationBatch(
         delta_theta=_scaled_field(
             draws[:, 0:count], phase_sigma, workspace, (workspace_key, "delta_theta")
@@ -298,10 +306,14 @@ def mesh_perturbation_batch_from_draws(
         ),
         delta_r_in=_scaled_field(
             draws[:, 2 * count : 3 * count], splitter_sigma, workspace, (workspace_key, "delta_r_in")
-        ),
+        )
+        if splitters
+        else None,
         delta_r_out=_scaled_field(
             draws[:, 3 * count : 4 * count], splitter_sigma, workspace, (workspace_key, "delta_r_out")
-        ),
+        )
+        if splitters
+        else None,
         delta_output_phase=_scaled_field(
             draws[:, 4 * count :],
             phase_std_rows if phase_std_rows is not None else model.phase_std,

@@ -13,7 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis.monte_carlo import MonteCarloRunner
+from repro.analysis.monte_carlo import MonteCarloRunner, plan_chunk_size
+from repro.analysis.recalibration import RecalibrationPolicy
+from repro.analysis.timeline import AccuracyTimelineTrial, evaluate_timeline_chunk
 from repro.execution import MultiprocessBackend, SerialBackend, ThreadBackend
 from repro.onn import SPNNArchitecture
 from repro.analysis.monte_carlo import evaluate_batch_chunk
@@ -21,6 +23,7 @@ from repro.onn.inference import CHUNK_TARGET_BYTES, NetworkAccuracyBatchTrial, m
 from repro.onn.spnn import SPNN
 from repro.utils.rng import spawn_slice
 from repro.variation.models import UncertaintyModel
+from repro.variation.process import build_process
 
 
 def _spnn(seed=1, dims=(16, 16, 16, 10)):
@@ -134,6 +137,42 @@ class TestPreferredChunkSize:
     def test_scalar_trials_keep_the_old_default(self):
         runner = MonteCarloRunner(iterations=123)
         assert runner._effective_chunk_size(SerialBackend(), trial=None) == 123
+
+
+@pytest.fixture(scope="module")
+def paper_timeline_trial():
+    """The default drift study's chunk at paper shapes: phase-only OU drift."""
+    spnn = _spnn().compile()
+    features, labels = _eval_set(spnn, 1000)
+    return AccuracyTimelineTrial(
+        spnn=spnn,
+        features=features,
+        labels=labels,
+        model=UncertaintyModel.for_case("phs", 0.05),
+        process=build_process("ou"),
+        num_steps=3,
+        policy=RecalibrationPolicy(every=2),
+    )
+
+
+class TestTimelineChunkHint:
+    def test_paper_shapes_plan_two_100_timeline_chunks_on_two_threads(
+        self, paper_timeline_trial
+    ):
+        assert 100 <= paper_timeline_trial.preferred_chunk_size() <= 160
+        assert plan_chunk_size(200, ThreadBackend(2), None, paper_timeline_trial) == 100
+
+    def test_chunk_at_the_hint_traces_near_the_target(self, paper_timeline_trial):
+        """State, compensation, fields, matrices and stacks: within 25% of the target."""
+        hint = paper_timeline_trial.preferred_chunk_size()
+        evaluate_timeline_chunk((0, paper_timeline_trial, (spawn_slice(3, 4),)))  # warm caches
+        tracemalloc.start()
+        try:
+            evaluate_timeline_chunk((0, paper_timeline_trial, (spawn_slice(3, hint),)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.75 * CHUNK_TARGET_BYTES <= peak <= 1.25 * CHUNK_TARGET_BYTES, peak
 
 
 class TestRegressionAt10k:

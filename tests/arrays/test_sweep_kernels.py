@@ -48,14 +48,13 @@ def _sweep_inputs(n: int, batch: int, backend, scheme: str = "clements", seed: i
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.02), spawn_rngs(seed + 1, batch)
     )
-    components, _ = mesh._blocks_and_phases(perturbation, backend)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation, backend)
     program = mesh.column_program(backend)
-    sorted_components = tuple(c[..., program.perm] for c in components)
     xp = backend.xp
     eye = xp.broadcast_to(
         xp.eye(n, dtype=xp.complex128), (batch, n, n)
     )
-    return program, sorted_components, eye
+    return program, stacks, eye
 
 
 def _kernel_backend(name: str):

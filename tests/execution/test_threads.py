@@ -196,11 +196,10 @@ def _sweep_inputs(n: int, batch: int, seed: int):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.02), spawn_rngs(seed + 1, batch)
     )
-    components, _ = mesh._blocks_and_phases(perturbation, HOST_BACKEND)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation, HOST_BACKEND)
     program = mesh.column_program(HOST_BACKEND)
-    components = tuple(np.ascontiguousarray(c[..., program.perm]) for c in components)
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
-    return program, components, eye
+    return program, stacks, eye
 
 
 class TestSweepKernelUnderThreads:

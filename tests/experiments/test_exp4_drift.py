@@ -103,3 +103,25 @@ class TestPairedSweeps:
         np.testing.assert_array_equal(
             result.baseline.accuracy, result.recalibrated.accuracy
         )
+
+
+class TestNoSideEffects:
+    def test_second_study_on_one_task_is_byte_equal(self, small_task):
+        """Pricing a re-null works on copies: the task's layers keep their
+        phases bit for bit, so a second study repeats the first exactly."""
+        layers = small_task.spnn.photonic_layers
+        before = [layer.tuned_parameters() for layer in layers]
+        config = DriftConfig(
+            process="ou", sigma=0.05, num_steps=4, timelines=6, recalibrate_every=2,
+            cost_repeats=1,
+        )
+        first = run_drift(config, task=small_task)
+        second = run_drift(config, task=small_task)
+        for label in ("baseline", "recalibrated"):
+            one, two = getattr(first, label), getattr(second, label)
+            assert one.accuracy.tobytes() == two.accuracy.tobytes()
+            assert one.recalibrations.tobytes() == two.recalibrations.tobytes()
+        for layer, parameters in zip(layers, before):
+            after = layer.tuned_parameters()
+            for name, values in parameters.items():
+                assert after[name].tobytes() == values.tobytes(), name
