@@ -38,7 +38,6 @@ from .timeline import (
     AccuracyTimelineTrial,
     TimelineSweepResult,
     timeline_sweep,
-    timeline_sweep_multi,
 )
 from .yield_analysis import (
     YieldEstimate,
@@ -91,5 +90,4 @@ __all__ = [
     "AccuracyTimelineTrial",
     "TimelineSweepResult",
     "timeline_sweep",
-    "timeline_sweep_multi",
 ]

@@ -58,7 +58,6 @@ __all__ = [
     "TimelineSweepResult",
     "evaluate_timeline_chunk",
     "timeline_sweep",
-    "timeline_sweep_multi",
 ]
 
 
@@ -372,113 +371,3 @@ def timeline_sweep(
         nominal_accuracy=float(nominal_accuracy),
     )
 
-
-def timeline_sweep_multi(
-    spnn,
-    features: ArrayLike,
-    labels: ArrayLike,
-    models: Sequence[UncertaintyModel],
-    process: PerturbationProcess,
-    num_steps: int,
-    timelines: int = 256,
-    policy: Optional[RecalibrationPolicy] = None,
-    rng: RNGLike = None,
-    chunk_size: Optional[int] = None,
-    backend: BackendLike = None,
-    workers: Optional[int] = None,
-    device: Optional[str] = None,
-    forward_chunk_size: Optional[int] = None,
-    use_workspace: bool = False,
-) -> Tuple[TimelineSweepResult, ...]:
-    """Fold several uncertainty models into one scheduling pass.
-
-    Runs ``timeline_sweep`` once per model in ``models`` — same network,
-    process, policy and horizon — but hosts the evaluation set and the
-    network **once**, spawns the worker pool **once**, and submits every
-    model's timeline chunks through a single ``resolved.map`` call, so the
-    pool never drains between models.  One child stream per model is split
-    off ``rng`` up front; model ``i``'s curves are bit-identical to::
-
-        streams = spawn_rngs(rng, len(models))
-        timeline_sweep(..., model=models[i], rng=streams[i], ...)
-
-    for every backend, worker count and chunk size.
-
-    Returns one :class:`TimelineSweepResult` per model, in order.
-    """
-    models = tuple(models)
-    if not models:
-        raise ValueError("models must be non-empty")
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    if timelines < 1:
-        raise ValueError(f"timelines must be >= 1, got {timelines}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    nominal_accuracy = resolve_network(spnn).accuracy(
-        resolve_array(features), resolve_array(labels), use_hardware=True
-    )
-    model_streams = spawn_slice(rng, len(models))
-    resolved = resolve_backend(backend, workers, device)
-    already_hosted = is_hosted_array(features) or is_hosted_array(labels)
-    hosting = (
-        nullcontext((features, labels))
-        if already_hosted
-        else shared_eval_arrays(resolved, features, labels)
-    )
-    network_hosting = (
-        nullcontext(spnn) if is_hosted_network(spnn) else shared_network(resolved, spnn)
-    )
-    accuracy = np.empty((len(models) * timelines, num_steps), dtype=np.float64)
-    events = np.zeros((len(models) * timelines, num_steps), dtype=bool)
-    with pool_scope(resolved), hosting as (eval_features, eval_labels), network_hosting as network:
-        tasks: List[TimelineChunkTask] = []
-        chunk: Optional[int] = None
-        for index, model in enumerate(models):
-            streams = model_streams.child_slice(index, timelines)
-            trial = AccuracyTimelineTrial(
-                spnn=network,
-                features=eval_features,
-                labels=eval_labels,
-                model=model,
-                process=process,
-                num_steps=num_steps,
-                policy=policy,
-                forward_chunk_size=forward_chunk_size,
-                use_workspace=use_workspace,
-            )
-            if chunk is None:
-                chunk = plan_chunk_size(timelines, resolved, chunk_size, trial)
-            offset = index * timelines
-            tasks.extend(
-                (offset + start, trial, (streams[start : start + chunk],))
-                for start in range(0, timelines, chunk)
-            )
-        with _active_recorder().span(
-            "timeline/sweep_multi",
-            models=len(models),
-            timelines=timelines,
-            steps=num_steps,
-            chunks=len(tasks),
-            parallelism=resolved.parallelism,
-        ):
-            for start, (chunk_accuracy, chunk_events) in map_chunks(
-                resolved, evaluate_timeline_chunk, tasks, label="timeline"
-            ):
-                stop = start + chunk_accuracy.shape[0]
-                accuracy[start:stop] = chunk_accuracy
-                events[start:stop] = chunk_events
-    process_name = getattr(process, "name", "") or type(process).__name__
-    return tuple(
-        TimelineSweepResult(
-            accuracy=accuracy[index * timelines : (index + 1) * timelines],
-            recalibrations=events[index * timelines : (index + 1) * timelines],
-            num_steps=int(num_steps),
-            timelines=int(timelines),
-            process=process_name,
-            policy=policy,
-            nominal_accuracy=float(nominal_accuracy),
-        )
-        for index in range(len(models))
-    )

@@ -15,7 +15,9 @@ backend) so the yield curve of a design is one call away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +68,25 @@ class YieldEstimate:
         if n <= 1:
             return float("inf")
         return float(np.sqrt(p * (1.0 - p) / n))
+
+    def wilson_interval(self, confidence: float = 0.95) -> Tuple[float, float]:
+        """Wilson score interval of the yield at two-sided ``confidence``.
+
+        Unlike the Wald interval behind :attr:`standard_error`, it keeps a
+        non-zero width at 0% and 100% yield and its coverage stays close to
+        nominal near the ends.  Pure stdlib: the yield path imports no
+        scipy.
+        """
+        if not 0.0 < confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+        p, n = self.yield_fraction, self.samples
+        if n < 1:
+            return 0.0, 1.0
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        z2n = z * z / n
+        center = (p + z2n / 2.0) / (1.0 + z2n)
+        half = z * math.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n)) / (1.0 + z2n)
+        return max(0.0, center - half), min(1.0, center + half)
 
 
 def estimate_yield(accuracies: Sequence[float], accuracy_threshold: float) -> YieldEstimate:
@@ -245,16 +266,17 @@ class YieldSweepResult:
 
     def report(self) -> str:
         """Table of yield and mean accuracy per sigma plus the design verdict."""
-        headers = ["sigma", "yield [%]", "mean acc [%]", "std err [%]"]
+        headers = ["sigma", "yield [%]", "mean acc [%]", "95% Wilson CI [%]"]
         rows = []
         for sigma in self.sigmas:
             estimate = self.estimates[sigma]
+            low, high = estimate.wilson_interval()
             rows.append(
                 [
                     sigma,
                     100.0 * estimate.yield_fraction,
                     100.0 * estimate.mean_accuracy,
-                    100.0 * estimate.standard_error,
+                    f"{100.0 * low:.2f}-{100.0 * high:.2f}",
                 ]
             )
         header = (

@@ -49,11 +49,15 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _promote(data: np.ndarray) -> np.ndarray:
-    """Normalize dtypes to float64 / complex128."""
-    if np.iscomplexobj(data):
-        return np.asarray(data, dtype=np.complex128)
-    return np.asarray(data, dtype=np.float64)
+_NATIVE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
+def _promote(data) -> np.ndarray:
+    """Normalize dtypes to float64 / complex128 (no copy when already one)."""
+    if type(data) is np.ndarray and data.dtype in _NATIVE_DTYPES:
+        return data
+    data = np.asarray(data)
+    return np.asarray(data, dtype=np.complex128 if data.dtype.kind == "c" else np.float64)
 
 
 class Tensor:
@@ -74,7 +78,7 @@ class Tensor:
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data: np.ndarray = _promote(np.asarray(data))
+        self.data: np.ndarray = _promote(data)
         self.requires_grad: bool = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents: Tuple[Tensor, ...] = ()
@@ -102,7 +106,7 @@ class Tensor:
 
     @property
     def is_complex(self) -> bool:
-        return np.iscomplexobj(self.data)
+        return self.data.dtype.kind == "c"
 
     @property
     def T(self) -> "Tensor":
@@ -175,7 +179,7 @@ class Tensor:
                 )
             grad_arr = np.ones_like(self.data)
         else:
-            grad_arr = _promote(np.asarray(grad.data if isinstance(grad, Tensor) else grad))
+            grad_arr = _promote(grad.data if isinstance(grad, Tensor) else grad)
             if grad_arr.shape != self.shape:
                 raise AutogradError(f"gradient shape {grad_arr.shape} does not match tensor shape {self.shape}")
 
@@ -213,7 +217,7 @@ class Tensor:
                 for parent, parent_grad in zip(node._parents, parent_grads):
                     if parent_grad is None or not parent.requires_grad:
                         continue
-                    if not np.iscomplexobj(parent.data):
+                    if parent.data.dtype.kind != "c":
                         parent_grad = np.real(parent_grad)
                     existing = grads.get(id(parent))
                     grads[id(parent)] = parent_grad if existing is None else existing + parent_grad
@@ -307,23 +311,32 @@ class Tensor:
         a, b = self, other
 
         def backward(grad: np.ndarray):
+            # Only operands that take part in the graph get a gradient: the
+            # input batch of a linear layer is never differentiated.
             a_data, b_data = a.data, b.data
+            grad_a = grad_b = None
             if a_data.ndim == 1 and b_data.ndim == 1:
-                grad_a = grad * np.conj(b_data)
-                grad_b = grad * np.conj(a_data)
+                if a.requires_grad:
+                    grad_a = grad * np.conj(b_data)
+                if b.requires_grad:
+                    grad_b = grad * np.conj(a_data)
             elif a_data.ndim == 1:
                 # (k,) @ (k, n) -> (n,)
-                grad_a = grad @ np.conj(b_data).T
-                grad_b = np.outer(np.conj(a_data), grad)
+                if a.requires_grad:
+                    grad_a = grad @ np.conj(b_data).T
+                if b.requires_grad:
+                    grad_b = np.outer(np.conj(a_data), grad)
             elif b_data.ndim == 1:
                 # (m, k) @ (k,) -> (m,)
-                grad_a = np.outer(grad, np.conj(b_data))
-                grad_b = np.conj(a_data).T @ grad
+                if a.requires_grad:
+                    grad_a = np.outer(grad, np.conj(b_data))
+                if b.requires_grad:
+                    grad_b = np.conj(a_data).T @ grad
             else:
-                grad_a = grad @ np.conj(np.swapaxes(b_data, -1, -2))
-                grad_b = np.conj(np.swapaxes(a_data, -1, -2)) @ grad
-                grad_a = _unbroadcast(grad_a, a_data.shape)
-                grad_b = _unbroadcast(grad_b, b_data.shape)
+                if a.requires_grad:
+                    grad_a = _unbroadcast(grad @ np.conj(np.swapaxes(b_data, -1, -2)), a_data.shape)
+                if b.requires_grad:
+                    grad_b = _unbroadcast(np.conj(np.swapaxes(a_data, -1, -2)) @ grad, b_data.shape)
             return grad_a, grad_b
 
         return Tensor._make(data, (self, other), backward, "matmul")

@@ -27,10 +27,9 @@ from ..nn.activations import LogSoftmax, ModulusSoftplus, ModulusSquared
 from ..nn.layers import ComplexLinear
 from ..nn.metrics import TrainingHistory
 from ..nn.module import Sequential
-from ..nn.optim import Adam
-from ..nn.trainer import Trainer, TrainerConfig
 from ..utils.rng import RNGLike, ensure_rng
 from .spnn import SPNN, SPNNArchitecture
+from .training_step import train_spnn
 
 
 @dataclass
@@ -100,17 +99,24 @@ def train_software_model(
     val_labels: Optional[np.ndarray] = None,
     rng: RNGLike = None,
 ) -> Tuple[Sequential, TrainingHistory]:
-    """Train the complex-valued software model with Adam + cross-entropy."""
+    """Train the complex-valued software model with Adam + cross-entropy.
+
+    Runs the compiled training step (:mod:`repro.onn.training_step`),
+    byte-equal to the autograd :class:`~repro.nn.trainer.Trainer`.
+    """
     gen = ensure_rng(rng if rng is not None else config.seed)
     model = build_software_model(config.architecture, rng=gen)
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    trainer = Trainer(
+    history = train_spnn(
         model,
-        optimizer,
-        config=TrainerConfig(epochs=config.epochs, batch_size=config.batch_size),
+        features,
+        labels,
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        lr=config.learning_rate,
+        val_features=val_features,
+        val_labels=val_labels,
         rng=gen,
     )
-    history = trainer.fit(features, labels, val_features, val_labels)
     return model, history
 
 

@@ -1,6 +1,6 @@
 """Chunk schedulers built on stream recipes against a materialized oracle.
 
-The Monte Carlo runner, the folded yield sweep and the timeline sweeps
+The Monte Carlo runner, the folded yield sweep and the timeline sweep
 never spawn generators up front: each chunk carries the
 :class:`~repro.utils.rng.StreamSlice` recipes of its rows and builds its
 own generators.  The properties here check, on the serial, thread and
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.monte_carlo import MonteCarloRunner
-from repro.analysis.timeline import AccuracyTimelineTrial, timeline_sweep, timeline_sweep_multi
+from repro.analysis.timeline import AccuracyTimelineTrial, timeline_sweep
 from repro.analysis.yield_analysis import _folded_tasks, yield_sweep
 from repro.execution import MultiprocessBackend, SerialBackend, ThreadBackend
 from repro.experiments.exp1_global import DEFAULT_SIGMAS
@@ -143,26 +143,15 @@ def test_timeline_sweeps_match_spawned_generators(
     backends, eval_task, kind, seed, timelines, chunk, backend
 ):
     spnn, features, labels = eval_task
-    models = (UncertaintyModel.phase_only(0.05), UncertaintyModel.both(0.03))
+    model = UncertaintyModel.phase_only(0.05)
     kwargs = dict(process=OrnsteinUhlenbeckProcess(correlation_time=3.0), num_steps=3)
-
-    def oracle(model, generators):
-        trial = AccuracyTimelineTrial(spnn=spnn, features=features, labels=labels, model=model, **kwargs)
-        return trial(generators)
-
     scheduling = dict(timelines=timelines, chunk_size=chunk, backend=backends[backend])
     oracle_parent, parent = PARENTS[kind](seed), PARENTS[kind](seed)
-    swept = timeline_sweep(spnn, features, labels, models[0], rng=parent, **kwargs, **scheduling)
-    accuracy, events = oracle(models[0], spawn_rngs(oracle_parent, timelines))
+    swept = timeline_sweep(spnn, features, labels, model, rng=parent, **kwargs, **scheduling)
+    trial = AccuracyTimelineTrial(spnn=spnn, features=features, labels=labels, model=model, **kwargs)
+    accuracy, events = trial(spawn_rngs(oracle_parent, timelines))
     assert swept.accuracy.tobytes() == accuracy.tobytes()
     assert swept.recalibrations.tobytes() == events.tobytes()
-    assert _next_children(parent) == _next_children(oracle_parent)
-
-    oracle_parent, parent = PARENTS[kind](seed), PARENTS[kind](seed)
-    multi = timeline_sweep_multi(spnn, features, labels, models, rng=parent, **kwargs, **scheduling)
-    for model, stream, result in zip(models, spawn_rngs(oracle_parent, len(models)), multi):
-        accuracy, _ = oracle(model, spawn_rngs(stream, timelines))
-        assert result.accuracy.tobytes() == accuracy.tobytes()
     assert _next_children(parent) == _next_children(oracle_parent)
 
 

@@ -9,8 +9,7 @@ from repro.analysis.recalibration import (
     measure_renull_cost,
     renull_network,
 )
-from repro.analysis.timeline import timeline_sweep, timeline_sweep_multi
-from repro.utils.rng import spawn_rngs
+from repro.analysis.timeline import timeline_sweep
 from repro.variation.models import UncertaintyModel
 from repro.variation.process import (
     IIDGaussianProcess,
@@ -191,57 +190,6 @@ class TestRenullMachinery:
         assert "warm re-null" in cost.report()
         with pytest.raises(ValueError):
             measure_renull_cost(small_task.spnn.photonic_layers, repeats=0)
-
-
-class TestMultiModelSweep:
-    MODELS = (
-        UncertaintyModel.phase_only(0.04),
-        UncertaintyModel.phase_only(0.08),
-        UncertaintyModel.both(0.05),
-    )
-
-    def _multi(self, small_task, **overrides):
-        kwargs = dict(
-            models=self.MODELS,
-            process=RandomWalkProcess(),
-            num_steps=4,
-            timelines=8,
-            rng=11,
-        )
-        kwargs.update(overrides)
-        return timeline_sweep_multi(
-            small_task.spnn, small_task.test_features, small_task.test_labels, **kwargs
-        )
-
-    def test_bit_identical_to_sequential_sweeps(self, small_task):
-        """Model i of the folded pass IS timeline_sweep on child stream i."""
-        results = self._multi(small_task)
-        streams = spawn_rngs(11, len(self.MODELS))
-        for model, stream, result in zip(self.MODELS, streams, results):
-            single = timeline_sweep(
-                small_task.spnn,
-                small_task.test_features,
-                small_task.test_labels,
-                model=model,
-                process=RandomWalkProcess(),
-                num_steps=4,
-                timelines=8,
-                rng=stream,
-            )
-            np.testing.assert_array_equal(result.accuracy, single.accuracy)
-            np.testing.assert_array_equal(result.recalibrations, single.recalibrations)
-
-    def test_workers_bit_identical_to_serial(self, small_task):
-        policy = RecalibrationPolicy(every=2)
-        serial = self._multi(small_task, policy=policy)
-        sharded = self._multi(small_task, policy=policy, workers=2)
-        for a, b in zip(serial, sharded):
-            np.testing.assert_array_equal(a.accuracy, b.accuracy)
-            np.testing.assert_array_equal(a.recalibrations, b.recalibrations)
-
-    def test_requires_models(self, small_task):
-        with pytest.raises(ValueError):
-            self._multi(small_task, models=())
 
 
 class TestProcessDefaultsThroughSweep:

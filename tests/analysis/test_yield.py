@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.yield_analysis import (
+    YieldEstimate,
     estimate_yield,
     max_tolerable_sigma,
     yield_sweep,
@@ -53,6 +54,33 @@ def test_estimate_yield_standard_error():
     assert estimate.standard_error == pytest.approx(np.sqrt(0.5 * 0.5 / 4))
     single = estimate_yield([1.0], 0.5)
     assert single.standard_error == float("inf")
+
+
+@pytest.mark.parametrize("p", [0.02, 0.5, 0.98])
+def test_wilson_interval_covers_the_true_yield(p):
+    """Empirical coverage of the 95% interval on synthetic Bernoulli trials."""
+    n, replicates = 1000, 2000
+    successes = np.random.default_rng(17).binomial(n, p, replicates)
+    covered = 0
+    for k in successes:
+        low, high = YieldEstimate(0.5, k / n, 0.5, n).wilson_interval()
+        covered += low <= p <= high
+    assert covered / replicates >= 0.93
+
+
+@pytest.mark.parametrize("samples", [1, 10, 1000])
+def test_wilson_interval_has_width_at_zero_and_full_yield(samples):
+    """Where the Wald error reads 0 (0/n and n/n), the interval stays open."""
+    none = estimate_yield([0.1] * samples, 0.5)
+    every = estimate_yield([0.9] * samples, 0.5)
+    low, high = none.wilson_interval()
+    assert low == pytest.approx(0.0, abs=1e-15) and high > 0.0
+    low, high = every.wilson_interval()
+    assert low < 1.0 and high == 1.0
+    wide, narrow = none.wilson_interval(0.99), none.wilson_interval(0.9)
+    assert wide[1] > narrow[1]
+    with pytest.raises(ValueError):
+        none.wilson_interval(1.0)
 
 
 def test_estimate_yield_validation():
@@ -132,6 +160,7 @@ class TestYieldSweep:
         assert "Yield sweep" in report
         assert "max tolerable sigma" in report
         assert "MC iterations" in report
+        assert "95% Wilson CI" in report
 
     def test_worker_sharding_bit_identical(self, small_task):
         kwargs = dict(sigmas=(0.05,), iterations=6, rng=9)
