@@ -4,8 +4,9 @@ The Monte Carlo engine answers the *static* question ("what accuracy does a
 fresh fabrication draw serve?"); this runner answers the *operations*
 question: advance ``B`` independent device timelines through ``T`` steps of
 a temporal perturbation process (:mod:`repro.variation.process`), serve the
-evaluation set at every step, optionally re-null drifting phases under a
-:class:`~repro.analysis.recalibration.RecalibrationPolicy`, and report the
+evaluation set at every step, optionally re-null drifting phases under
+one or more :class:`~repro.analysis.recalibration.RecalibrationPolicy`
+objects served from the same trajectories, and report each policy's
 served-accuracy-vs-time curve plus the recalibration events that produced
 it.
 
@@ -66,11 +67,17 @@ class AccuracyTimelineTrial:
     """Picklable chunk evaluator: ``B`` timelines through ``T`` steps.
 
     Advances one :class:`~repro.variation.process.DriftState` for its chunk
-    of timelines and serves the evaluation set at every step.  Per step the
-    order is: evolve the state; apply due recalibrations (schedule,
-    drift threshold, and accuracy triggers raised by the *previous* step's
-    served traffic); serve; measure.  ``spnn``/``features``/``labels``
-    accept shared-memory handles exactly like the Monte Carlo trials.
+    of timelines and serves the evaluation set at every step under each of
+    ``policies``, each through its own
+    :meth:`~repro.variation.process.DriftState.view`, so the draws are
+    made once.  Per step the order is: evolve the state; then, per policy,
+    apply due recalibrations (schedule, drift threshold, and accuracy
+    triggers raised by the *previous* step's served traffic); serve;
+    measure.  A chunk whose timelines all realize the same bytes (a full
+    re-null that clears every field) evaluates one timeline and serves it
+    to all: a sample never depends on its chunk.  ``spnn``/``features``/
+    ``labels`` accept shared-memory handles exactly like the Monte Carlo
+    trials.
     """
 
     spnn: object
@@ -79,7 +86,9 @@ class AccuracyTimelineTrial:
     model: UncertaintyModel
     process: PerturbationProcess
     num_steps: int
-    policy: Optional[RecalibrationPolicy] = None
+    #: Recalibration policies served from the one trajectory; ``None`` (or
+    #: a null policy) is the no-maintenance baseline.
+    policies: Tuple[Optional[RecalibrationPolicy], ...] = (None,)
     #: Samples per forward-pass chunk inside ``accuracy_batch``; automatic
     #: when ``None``.  Never changes the curves.
     forward_chunk_size: Optional[int] = None
@@ -91,7 +100,8 @@ class AccuracyTimelineTrial:
         """Timelines per chunk keeping one chunk's working set near target.
 
         Counts what one timeline holds while a step is served: its state
-        ``z`` and the compensation of the tunable columns, the realized
+        ``z`` and the compensation of the tunable columns (once per armed
+        policy, and at least once), the realized
         perturbation fields, the per-layer hardware matrices, and the
         packed component stacks of the largest mesh (meshes are evaluated
         one at a time).  Forward activations are not counted — each
@@ -119,7 +129,8 @@ class AccuracyTimelineTrial:
                 for layer in layers
                 if diagonal_batch_draw_length(layer.diagonal.num_mzis, model) is not None
             )
-            values = state_values_per_timeline(layers, model) + fields
+            armed = sum(policy is not None and not policy.is_null for policy in self.policies)
+            values = state_values_per_timeline(layers, model, max(1, armed)) + fields
             stacks = 2 * 2 * 16 * max(mesh.num_mzis for mesh in meshes)
             per_timeline += 8 * values + stacks
         return max(1, CHUNK_TARGET_BYTES // max(1, per_timeline))
@@ -127,47 +138,59 @@ class AccuracyTimelineTrial:
     def __call__(
         self, generators: Sequence[np.random.Generator]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(accuracy, events)`` blocks of shape ``(B, num_steps)``."""
+        """``(accuracy, events)`` blocks of shape ``(len(policies), B, num_steps)``."""
         generators = list(generators)
         spnn = resolve_network(self.spnn)
         features = resolve_array(self.features)
         labels = resolve_array(self.labels)
         workspace = process_workspace() if self.use_workspace else None
-        policy = self.policy if self.policy is not None else RecalibrationPolicy()
+        policies = [
+            policy if policy is not None else RecalibrationPolicy() for policy in self.policies
+        ]
         state = self.process.init_state(spnn.photonic_layers, self.model, generators)
-        batch_size = len(generators)
-        accuracy = np.empty((batch_size, self.num_steps), dtype=np.float64)
-        events = np.zeros((batch_size, self.num_steps), dtype=bool)
+        # One trajectory, one view per policy: each keeps its own re-nulls.
+        views = [state] + [state.view() for _ in policies[1:]]
+        shape = (len(policies), len(generators), self.num_steps)
+        accuracy = np.empty(shape, dtype=np.float64)
+        events = np.zeros(shape, dtype=bool)
         # Accuracy-triggered re-nulls raised by the previous step's traffic.
-        pending = np.zeros(batch_size, dtype=bool)
+        pending = np.zeros(shape[:2], dtype=bool)
         for step in range(self.num_steps):
             state.advance()
-            mask = pending.copy()
-            if policy.scheduled(step):
-                mask[:] = True
-            if policy.drift_threshold is not None:
-                drifted = state.drift_rms() >= policy.drift_threshold
-                mask |= np.asarray(to_host(drifted), dtype=bool)
-            if mask.all():
-                state.renull()
-                events[:, step] = True
-            elif mask.any():
-                state.renull(rows=active_array_backend().xp.asarray(mask))
-                events[:, step] = mask
-            served = spnn.accuracy_batch(
-                features,
-                labels,
-                state.realize(),
-                batch_size=batch_size,
-                chunk_size=self.forward_chunk_size,
-                workspace=workspace,
-            )
-            accuracy[:, step] = np.asarray(to_host(served), dtype=np.float64)
-            if policy.accuracy_threshold is not None:
-                pending = accuracy[:, step] < policy.accuracy_threshold
-            else:
-                pending[:] = False
+            for index, (policy, view) in enumerate(zip(policies, views)):
+                mask = pending[index].copy()
+                if policy.scheduled(step):
+                    mask[:] = True
+                if policy.drift_threshold is not None:
+                    drifted = view.drift_rms() >= policy.drift_threshold
+                    mask |= np.asarray(to_host(drifted), dtype=bool)
+                renulled = bool(mask.all())
+                if renulled:
+                    view.renull()
+                elif mask.any():
+                    view.renull(rows=active_array_backend().xp.asarray(mask))
+                events[index, :, step] = mask
+                shared = renulled and view.renull_clears_every_field
+                served = self._serve(spnn, features, labels, view, shared, workspace)
+                accuracy[index, :, step] = np.asarray(to_host(served), dtype=np.float64)
+                if policy.accuracy_threshold is not None:
+                    pending[index] = accuracy[index, :, step] < policy.accuracy_threshold
         return accuracy, events
+
+    def _serve(self, spnn, features, labels, view, shared: bool, workspace):
+        """Served accuracy of the view's timelines; only timeline 0's when
+        ``shared`` (every timeline realizes the same bytes)."""
+        perturbations = view.realize()
+        if shared:
+            perturbations = [layer.realizations(slice(0, 1)) for layer in perturbations]
+        return spnn.accuracy_batch(
+            features,
+            labels,
+            perturbations,
+            batch_size=1 if shared else view.batch_size,
+            chunk_size=self.forward_chunk_size,
+            workspace=workspace,
+        )
 
 
 #: Worker payload: chunk's first timeline index, the trial, the recipes of
@@ -256,7 +279,7 @@ def timeline_sweep(
     process: PerturbationProcess,
     num_steps: int,
     timelines: int = 256,
-    policy: Optional[RecalibrationPolicy] = None,
+    policies: Sequence[Optional[RecalibrationPolicy]] = (None,),
     rng: RNGLike = None,
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
@@ -264,7 +287,7 @@ def timeline_sweep(
     device: Optional[str] = None,
     forward_chunk_size: Optional[int] = None,
     use_workspace: bool = False,
-) -> TimelineSweepResult:
+) -> List[TimelineSweepResult]:
     """Advance ``timelines`` independent devices ``num_steps`` steps and serve.
 
     Parameters
@@ -287,9 +310,13 @@ def timeline_sweep(
     timelines:
         Number of independent device timelines ``B`` (the Monte Carlo axis;
         each gets its own child stream spawned from ``rng`` up front).
-    policy:
-        Optional :class:`~repro.analysis.recalibration.RecalibrationPolicy`;
-        ``None`` (or a null policy) runs the no-maintenance baseline.
+    policies:
+        The :class:`~repro.analysis.recalibration.RecalibrationPolicy`
+        objects to serve under; ``None`` (or a null policy) is the
+        no-maintenance baseline.  All of them are served from the same
+        drift trajectories in one pass (re-nulling consumes no
+        randomness), so their curves are exactly paired and each equals a
+        sweep of that policy alone.
     rng:
         Seed; curves are reproducible and worker-count invariant at a
         fixed seed.
@@ -303,9 +330,10 @@ def timeline_sweep(
 
     Returns
     -------
-    TimelineSweepResult
-        Per-timeline served accuracy and recalibration events, with the
-        fleet-level curves derived on demand.
+    list of TimelineSweepResult
+        One per policy, in order: per-timeline served accuracy and
+        recalibration events, with the fleet-level curves derived on
+        demand.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -313,6 +341,9 @@ def timeline_sweep(
         raise ValueError(f"timelines must be >= 1, got {timelines}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    policies = tuple(policies)
+    if not policies:
+        raise ValueError("timeline_sweep needs at least one policy (None is the baseline)")
 
     nominal_accuracy = resolve_network(spnn).accuracy(
         resolve_array(features), resolve_array(labels), use_hardware=True
@@ -328,8 +359,8 @@ def timeline_sweep(
     network_hosting = (
         nullcontext(spnn) if is_hosted_network(spnn) else shared_network(resolved, spnn)
     )
-    accuracy = np.empty((timelines, num_steps), dtype=np.float64)
-    events = np.zeros((timelines, num_steps), dtype=bool)
+    accuracy = np.empty((len(policies), timelines, num_steps), dtype=np.float64)
+    events = np.zeros(accuracy.shape, dtype=bool)
     with pool_scope(resolved), hosting as (eval_features, eval_labels), network_hosting as network:
         trial = AccuracyTimelineTrial(
             spnn=network,
@@ -338,7 +369,7 @@ def timeline_sweep(
             model=model,
             process=process,
             num_steps=num_steps,
-            policy=policy,
+            policies=policies,
             forward_chunk_size=forward_chunk_size,
             use_workspace=use_workspace,
         )
@@ -358,16 +389,19 @@ def timeline_sweep(
             for start, (chunk_accuracy, chunk_events) in map_chunks(
                 resolved, evaluate_timeline_chunk, tasks, label="timeline"
             ):
-                stop = start + chunk_accuracy.shape[0]
-                accuracy[start:stop] = chunk_accuracy
-                events[start:stop] = chunk_events
-    return TimelineSweepResult(
-        accuracy=accuracy,
-        recalibrations=events,
-        num_steps=int(num_steps),
-        timelines=int(timelines),
-        process=getattr(process, "name", "") or type(process).__name__,
-        policy=policy,
-        nominal_accuracy=float(nominal_accuracy),
-    )
+                stop = start + chunk_accuracy.shape[1]
+                accuracy[:, start:stop] = chunk_accuracy
+                events[:, start:stop] = chunk_events
+    return [
+        TimelineSweepResult(
+            accuracy=accuracy[index],
+            recalibrations=events[index],
+            num_steps=int(num_steps),
+            timelines=int(timelines),
+            process=getattr(process, "name", "") or type(process).__name__,
+            policy=policy,
+            nominal_accuracy=float(nominal_accuracy),
+        )
+        for index, policy in enumerate(policies)
+    ]
 

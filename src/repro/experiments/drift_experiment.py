@@ -12,10 +12,12 @@ framework along that axis:
    thermal drift, random-walk aging, deterministic ramp, or the degenerate
    i.i.d. process for cross-checking) through the vectorized timeline sweep
    (:func:`repro.analysis.timeline.timeline_sweep`);
-2. run the *same seed* twice — without maintenance, and under a
-   :class:`~repro.analysis.recalibration.RecalibrationPolicy` — so the
-   served-accuracy-vs-time curves are exactly paired (re-nulling consumes
-   no randomness, so both runs see identical drift trajectories);
+2. serve every timeline twice from its one drift trajectory — without
+   maintenance, and under a
+   :class:`~repro.analysis.recalibration.RecalibrationPolicy` — in a single
+   sweep, so the served-accuracy-vs-time curves are exactly paired
+   (re-nulling consumes no randomness, so both policies see identical
+   drift);
 3. price the policy with the measured warm-retune cost of one
    recalibration event (:func:`~repro.analysis.recalibration.
    measure_renull_cost`), reporting served accuracy vs recalibration
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from ..analysis.recalibration import RecalibrationPolicy, RenullCost, measure_renull_cost
 from ..analysis.timeline import TimelineSweepResult, timeline_sweep
@@ -174,9 +174,9 @@ def run_drift(
         test set).  Built from ``config.training`` when omitted.
     rng:
         Seed for the drift trajectories (defaults to ``config.seed``).
-        Both sweeps consume the same seed, so their trajectories are
-        exactly paired and the difference of the curves isolates the
-        policy's effect.
+        Both policies are served from the same trajectories in one sweep,
+        so the curves are exactly paired and their difference isolates
+        the policy's effect.
     """
     if task is None:
         task = build_trained_spnn(config.training)
@@ -189,41 +189,25 @@ def run_drift(
         step_scale=config.step_scale,
         rate=config.rate,
     )
-    seed = rng if rng is not None else config.seed
-    if isinstance(seed, np.random.Generator):
-        # A stateful generator cannot be replayed; freeze one seed so both
-        # sweeps still spawn identical child streams (exact pairing).
-        seed = int(seed.integers(0, 2**63 - 1))
-    sweeps = {}
-    for label, armed in (("baseline", None), ("recalibrated", policy)):
-        # A SeedSequence mutates as it spawns; hand each sweep a fresh copy
-        # so both spawn the very same children.
-        sweep_seed = (
-            np.random.SeedSequence(
-                entropy=seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
-            )
-            if isinstance(seed, np.random.SeedSequence)
-            else seed
-        )
-        sweeps[label] = timeline_sweep(
-            task.spnn,
-            task.test_features,
-            task.test_labels,
-            model,
-            process,
-            num_steps=config.num_steps,
-            timelines=config.timelines,
-            policy=armed,
-            rng=sweep_seed,
-            chunk_size=config.chunk_size,
-            backend=config.backend,
-            workers=config.workers,
-            device=config.device,
-        )
+    baseline, recalibrated = timeline_sweep(
+        task.spnn,
+        task.test_features,
+        task.test_labels,
+        model,
+        process,
+        num_steps=config.num_steps,
+        timelines=config.timelines,
+        policies=(None, policy),
+        rng=rng if rng is not None else config.seed,
+        chunk_size=config.chunk_size,
+        backend=config.backend,
+        workers=config.workers,
+        device=config.device,
+    )
     cost = measure_renull_cost(task.spnn.photonic_layers, repeats=config.cost_repeats)
     return DriftExperimentResult(
-        baseline=sweeps["baseline"],
-        recalibrated=sweeps["recalibrated"],
+        baseline=baseline,
+        recalibrated=recalibrated,
         renull_cost=cost,
         config=config,
     )

@@ -136,6 +136,15 @@ class PerturbationBatchFields:
             if value is not None:
                 value *= factor
 
+    def realizations(self, window: slice):
+        """The realizations in ``window`` as a batch; fields are views (any namespace)."""
+        return type(self)(
+            **{
+                name: None if getattr(self, name) is None else getattr(self, name)[window]
+                for name in self._FIELDS
+            }
+        )
+
     def realization(self, index: int):
         """The single-realization perturbation at batch position ``index``."""
 

@@ -125,6 +125,14 @@ class LayerPerturbationBatch:
             ),
         )
 
+    def realizations(self, window: slice) -> "LayerPerturbationBatch":
+        """The realizations in ``window`` as a batch; fields are views."""
+        return LayerPerturbationBatch(
+            u=None if self.u is None else self.u.realizations(window),
+            v=None if self.v is None else self.v.realizations(window),
+            sigma=None if self.sigma is None else self.sigma.realizations(window),
+        )
+
     def realization(self, index: int) -> LayerPerturbation:
         """The single-realization perturbation at batch position ``index``."""
         return LayerPerturbation(

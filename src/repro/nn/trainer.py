@@ -54,6 +54,17 @@ def iterate_minibatches(
         yield features[batch], targets[batch]
 
 
+def check_finite_loss(loss: float, epoch: int) -> None:
+    """Raise :class:`TrainingError` on a non-finite loss (``epoch`` counts from 1).
+
+    The trainers check every minibatch loss before its backward pass, so a
+    diverging run stops at its first bad minibatch with finite weights,
+    and then every epoch's mean.
+    """
+    if not np.isfinite(loss):
+        raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
+
+
 @dataclass
 class TrainerConfig:
     """Hyper-parameters for :class:`Trainer`."""
@@ -143,7 +154,11 @@ class Trainer:
         return loss, outputs, batch_y
 
     def train_epoch(self, features: np.ndarray, targets: np.ndarray) -> Tuple[float, float]:
-        """Run one epoch; returns ``(mean_loss, mean_accuracy)``."""
+        """Run one epoch; returns ``(mean_loss, mean_accuracy)``.
+
+        Raises :class:`TrainingError` at the first non-finite minibatch
+        loss, before its backward pass and optimizer step.
+        """
         self.model.train()
         loss_avg = RunningAverage()
         acc_avg = RunningAverage()
@@ -152,10 +167,12 @@ class Trainer:
         ):
             self.optimizer.zero_grad()
             loss, outputs, step_targets = self.training_step(batch_x, batch_y)
+            loss_value = float(np.real(loss.item()))
+            check_finite_loss(loss_value, self.epoch + 1)
             loss.backward()
             self._clip_gradients()
             self.optimizer.step()
-            loss_avg.update(float(np.real(loss.item())), weight=len(batch_y))
+            loss_avg.update(loss_value, weight=len(batch_y))
             acc_avg.update(top1_accuracy(outputs, step_targets), weight=len(batch_y))
         return loss_avg.value, acc_avg.value
 
@@ -248,8 +265,7 @@ class Trainer:
                     lr=getattr(self.optimizer, "lr", None),
                     **self._progress_extra(),
                 )
-            if not np.isfinite(train_loss):
-                raise TrainingError(f"training diverged at epoch {epoch + 1} (loss={train_loss})")
+            check_finite_loss(train_loss, epoch + 1)
             if early_stop is not None and early_stop(self.history):
                 break
         return self.history

@@ -37,13 +37,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..arrays import kernels
-from ..exceptions import AutogradError, TrainingError
+from ..exceptions import AutogradError
 from ..nn.activations import LogSoftmax, ModulusSoftplus, ModulusSquared
 from ..nn.layers import ComplexLinear
 from ..nn.metrics import RunningAverage, TrainingHistory, top1_accuracy
 from ..nn.module import Parameter, Sequential
 from ..nn.optim import Adam
-from ..nn.trainer import iterate_minibatches
+from ..nn.trainer import check_finite_loss, iterate_minibatches
 from ..utils.rng import RNGLike, ensure_rng
 
 #: Softplus linearization threshold (the autograd ``softplus`` default).
@@ -133,7 +133,10 @@ class SPNNTrainingStep:
         return kernels.log_softmax(np, (z * np.conj(z)).real)
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-        """One Adam step on a minibatch; returns ``(loss, log_probs)``."""
+        """One Adam step on a minibatch; returns ``(loss, log_probs)``.
+
+        A non-finite loss takes no step: the weights stay as they were.
+        """
         weights = self._views(self.flat.data)
         inputs, outputs, magnitudes = [], [], []
         for weight, beta in zip(weights, self.betas):
@@ -147,6 +150,8 @@ class SPNNTrainingStep:
         inputs.append(x)
         log_probs = kernels.log_softmax(np, (z * np.conj(z)).real)
         loss = _nll(log_probs, labels)
+        if not np.isfinite(loss):
+            return loss, log_probs
 
         inv_n = 1.0 / len(labels)
         grad = np.exp(log_probs)
@@ -218,13 +223,13 @@ def train_spnn(
             loss_avg, acc_avg = RunningAverage(), RunningAverage()
             for batch_x, batch_y in iterate_minibatches(features, labels, batch_size, rng=gen):
                 loss, log_probs = step.step(batch_x, batch_y)
+                check_finite_loss(loss, epoch + 1)
                 loss_avg.update(loss, weight=len(batch_y))
                 acc_avg.update(top1_accuracy(log_probs, batch_y), weight=len(batch_y))
             train_loss, train_acc = loss_avg.value, acc_avg.value
             val_loss, val_acc = step.evaluate(val_features, val_labels, batch_size) if validate else (None, None)
             history.record(train_loss, train_acc, val_loss, val_acc)
-            if not np.isfinite(train_loss):
-                raise TrainingError(f"training diverged at epoch {epoch + 1} (loss={train_loss})")
+            check_finite_loss(train_loss, epoch + 1)
     finally:
         step.write_back()
     return history

@@ -51,6 +51,7 @@ cost accounting).
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -147,15 +148,16 @@ def _network_stage_specs(
 
 
 def state_values_per_timeline(
-    layers: Sequence[PhotonicLinearLayer], model: UncertaintyModel
+    layers: Sequence[PhotonicLinearLayer], model: UncertaintyModel, compensations: int = 1
 ) -> int:
     """Floats one timeline of a :class:`DriftState` holds once re-nulled.
 
     The normalized state ``z`` of every active stage plus the compensation
-    of its tunable columns (the sizing input of the timeline chunk hint).
+    of its tunable columns, once per re-nulling view
+    (:meth:`DriftState.view`) — the sizing input of the timeline chunk hint.
     """
     return sum(
-        spec.length + sum(stop - start for start, stop in spec.tunable)
+        spec.length + compensations * sum(stop - start for start, stop in spec.tunable)
         for spec in _network_stage_specs(layers, model)
         if spec is not None
     )
@@ -164,6 +166,16 @@ def state_values_per_timeline(
 # --------------------------------------------------------------------------- #
 # timeline state
 # --------------------------------------------------------------------------- #
+
+
+class _Trajectory:
+    """What every view of one drift state shares: the draws ``z`` and the step."""
+
+    __slots__ = ("z", "step")
+
+    def __init__(self, stages: int):
+        self.z: List[Optional[object]] = [None] * stages
+        self.step = -1
 
 
 class DriftState:
@@ -175,7 +187,8 @@ class DriftState:
     one step (consuming each timeline's own generator in the fixed stage
     order), :meth:`realize` maps the compensated state to physical
     perturbation batches, and :meth:`renull`/:meth:`drift_rms` implement
-    the recalibration seam.
+    the recalibration seam.  :meth:`view` gives further handles on the same
+    trajectory, one per recalibration policy.
     """
 
     def __init__(
@@ -192,22 +205,51 @@ class DriftState:
         if not self.generators:
             raise ValueError("a drift state requires at least one generator (one per timeline)")
         self.specs = _network_stage_specs(self.layers, model)
-        #: Normalized draw matrices, aligned with ``specs`` (``None`` until
-        #: the first :meth:`advance`, and for inactive Sigma stages).
-        self.z: List[Optional[object]] = [None] * len(self.specs)
+        self._trajectory = _Trajectory(len(self.specs))
         #: Re-null compensation: one ``(B, stop - start)`` block per
         #: ``spec.tunable`` range, subtracted from those columns of ``z`` at
         #: realization time (the other columns are never compensated, so no
         #: block is held for them).  Allocated lazily on the first re-null.
         self.compensation: List[Optional[Tuple[object, ...]]] = [None] * len(self.specs)
-        #: Steps taken so far minus one (-1 = not yet advanced; the first
-        #: :meth:`advance` is step 0, the fabrication draw).
-        self.step = -1
+
+    @property
+    def z(self) -> List[Optional[object]]:
+        """Normalized draw matrices, aligned with ``specs`` (``None`` until
+        the first :meth:`advance`, and for inactive Sigma stages)."""
+        return self._trajectory.z
+
+    @property
+    def step(self) -> int:
+        """Steps taken so far minus one (-1 = not yet advanced; the first
+        :meth:`advance` is step 0, the fabrication draw)."""
+        return self._trajectory.step
 
     @property
     def batch_size(self) -> int:
         """Number of independent timelines."""
         return len(self.generators)
+
+    def view(self) -> "DriftState":
+        """Another handle on this trajectory, with compensation of its own.
+
+        The view shares ``z`` and the step (an :meth:`advance` through
+        either moves both) but re-nulls on its own.  Re-nulling consumes no
+        randomness, so each view realizes what a separate state on the same
+        generators would: one trajectory serves several policies.
+        """
+        view = copy.copy(self)
+        view.compensation = [None] * len(self.specs)
+        return view
+
+    @property
+    def renull_clears_every_field(self) -> bool:
+        """Whether a re-null of every timeline leaves every realized field ``+0.0``.
+
+        True when every draw that reaches the hardware is tunable (phases
+        with a non-zero sigma, no splitters): ``z - z`` is ``+0.0``, so all
+        timelines then realize the same bytes.
+        """
+        return bool(self.model.phase_std) and not self.model.perturb_splitters
 
     # ------------------------------------------------------------------ #
     # evolution
@@ -221,7 +263,7 @@ class DriftState:
         own row, so the evolution is invariant to how timelines are
         chunked across workers.
         """
-        self.step += 1
+        self._trajectory.step += 1
         uses_noise = self.step == 0 or self.process.uses_noise_after_init
         for index, spec in enumerate(self.specs):
             if spec is None:

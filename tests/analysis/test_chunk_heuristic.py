@@ -141,7 +141,8 @@ class TestPreferredChunkSize:
 
 @pytest.fixture(scope="module")
 def paper_timeline_trial():
-    """The default drift study's chunk at paper shapes: phase-only OU drift."""
+    """The default drift study's chunk at paper shapes: phase-only OU drift,
+    served without maintenance and under the schedule in one pass."""
     spnn = _spnn().compile()
     features, labels = _eval_set(spnn, 1000)
     return AccuracyTimelineTrial(
@@ -151,7 +152,7 @@ def paper_timeline_trial():
         model=UncertaintyModel.for_case("phs", 0.05),
         process=build_process("ou"),
         num_steps=3,
-        policy=RecalibrationPolicy(every=2),
+        policies=(None, RecalibrationPolicy(every=2)),
     )
 
 

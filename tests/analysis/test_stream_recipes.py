@@ -147,9 +147,9 @@ def test_timeline_sweeps_match_spawned_generators(
     kwargs = dict(process=OrnsteinUhlenbeckProcess(correlation_time=3.0), num_steps=3)
     scheduling = dict(timelines=timelines, chunk_size=chunk, backend=backends[backend])
     oracle_parent, parent = PARENTS[kind](seed), PARENTS[kind](seed)
-    swept = timeline_sweep(spnn, features, labels, model, rng=parent, **kwargs, **scheduling)
+    [swept] = timeline_sweep(spnn, features, labels, model, rng=parent, **kwargs, **scheduling)
     trial = AccuracyTimelineTrial(spnn=spnn, features=features, labels=labels, model=model, **kwargs)
-    accuracy, events = trial(spawn_rngs(oracle_parent, timelines))
+    (accuracy,), (events,) = trial(spawn_rngs(oracle_parent, timelines))
     assert swept.accuracy.tobytes() == accuracy.tobytes()
     assert swept.recalibrations.tobytes() == events.tobytes()
     assert _next_children(parent) == _next_children(oracle_parent)

@@ -19,7 +19,8 @@ from repro.variation.process import (
 )
 
 
-def _sweep(small_task, **overrides):
+def _sweep(small_task, policy=None, **overrides):
+    """The sweep of one policy."""
     kwargs = dict(
         model=UncertaintyModel.phase_only(0.08),
         process=OrnsteinUhlenbeckProcess(correlation_time=4.0),
@@ -28,9 +29,14 @@ def _sweep(small_task, **overrides):
         rng=5,
     )
     kwargs.update(overrides)
-    return timeline_sweep(
-        small_task.spnn, small_task.test_features, small_task.test_labels, **kwargs
+    [result] = timeline_sweep(
+        small_task.spnn,
+        small_task.test_features,
+        small_task.test_labels,
+        policies=(policy,),
+        **kwargs,
     )
+    return result
 
 
 class TestWorkerInvariance:

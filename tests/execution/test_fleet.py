@@ -239,9 +239,9 @@ class TestFleetBitIdentity:
 
         features = small_task.test_features[:40]
         labels = small_task.test_labels[:40]
-        serial = timeline_sweep(small_task.spnn, features, labels, **_timeline_kwargs())
+        [serial] = timeline_sweep(small_task.spnn, features, labels, **_timeline_kwargs())
         with local_fleet(workers=workers) as fleet:
-            sharded = timeline_sweep(
+            [sharded] = timeline_sweep(
                 small_task.spnn, features, labels, backend=fleet, **_timeline_kwargs()
             )
         np.testing.assert_array_equal(serial.accuracy, sharded.accuracy)

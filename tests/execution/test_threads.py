@@ -295,8 +295,8 @@ def test_timeline_sweep_threaded_equals_serial(
         use_workspace=use_workspace,
     )
     args = (small_task.spnn, small_task.test_features, small_task.test_labels)
-    serial = timeline_sweep(*args, backend=SerialBackend(), **kwargs)
-    threaded = timeline_sweep(*args, backend=ThreadBackend(workers), **kwargs)
+    [serial] = timeline_sweep(*args, backend=SerialBackend(), **kwargs)
+    [threaded] = timeline_sweep(*args, backend=ThreadBackend(workers), **kwargs)
     assert threaded.accuracy.tobytes() == serial.accuracy.tobytes()
     assert threaded.recalibrations.tobytes() == serial.recalibrations.tobytes()
 

@@ -125,3 +125,58 @@ class TestNoSideEffects:
             after = layer.tuned_parameters()
             for name, values in parameters.items():
                 assert after[name].tobytes() == values.tobytes(), name
+
+
+class TestOnePassStudy:
+    """Both policies are served from one trajectory per chunk."""
+
+    CHUNKS, CHUNK, TIMELINES, STEPS = 2, 4, 6, 4
+
+    def _counted_run(self, small_task, monkeypatch, case):
+        from repro.onn.spnn import SPNN
+        from repro.variation.process import DriftState
+
+        advances, rows = [], []
+        advance, accuracy_batch = DriftState.advance, SPNN.accuracy_batch
+
+        def counted_advance(state):
+            advances.append(state.batch_size)
+            return advance(state)
+
+        def counted_accuracy_batch(spnn, *args, **kwargs):
+            served = accuracy_batch(spnn, *args, **kwargs)
+            rows.append(len(served))
+            return served
+
+        monkeypatch.setattr(DriftState, "advance", counted_advance)
+        monkeypatch.setattr(SPNN, "accuracy_batch", counted_accuracy_batch)
+        config = DriftConfig(
+            process="ou", sigma=0.05, case=case, num_steps=self.STEPS,
+            timelines=self.TIMELINES, recalibrate_every=2, chunk_size=self.CHUNK,
+            workers=1, cost_repeats=1,
+        )
+        result = run_drift(config, task=small_task)
+        # Per chunk and step: the baseline's call, then the schedule's.
+        calls = np.array(rows).reshape(self.CHUNKS, self.STEPS, 2)
+        return advances, calls, result
+
+    def test_each_chunk_advances_once_per_step(self, small_task, monkeypatch):
+        advances, _, _ = self._counted_run(small_task, monkeypatch, "phs")
+        assert len(advances) == self.CHUNKS * self.STEPS
+        assert sum(advances) == self.TIMELINES * self.STEPS
+
+    def _full_chunks(self):
+        """``accuracy_batch`` rows of every call when nothing is shared."""
+        rows = np.array([self.CHUNK, self.TIMELINES - self.CHUNK])[:, None, None]
+        return np.broadcast_to(rows, (self.CHUNKS, self.STEPS, 2)).copy()
+
+    def test_a_fully_renulled_phase_only_chunk_evaluates_one_row(self, small_task, monkeypatch):
+        _, calls, result = self._counted_run(small_task, monkeypatch, "phs")
+        expected = self._full_chunks()
+        expected[:, 0::2, 1] = 1  # the schedule's steps 0 and 2
+        np.testing.assert_array_equal(calls, expected)
+        assert result.recalibrated.recalibrations[:, 0::2].all()
+
+    def test_splitter_drift_evaluates_the_full_chunk(self, small_task, monkeypatch):
+        _, calls, _ = self._counted_run(small_task, monkeypatch, "both")
+        np.testing.assert_array_equal(calls, self._full_chunks())

@@ -152,9 +152,9 @@ class TestTimelineTracing:
         kwargs = self._sweep(small_task)
         features = small_task.test_features[:40]
         labels = small_task.test_labels[:40]
-        untraced = timeline_sweep(small_task.spnn, features, labels, **kwargs)
+        [untraced] = timeline_sweep(small_task.spnn, features, labels, **kwargs)
         with observe() as rec:
-            traced = timeline_sweep(small_task.spnn, features, labels, **kwargs)
+            [traced] = timeline_sweep(small_task.spnn, features, labels, **kwargs)
         np.testing.assert_array_equal(untraced.accuracy, traced.accuracy)
         np.testing.assert_array_equal(untraced.recalibrations, traced.recalibrations)
         (span,) = [s for s in rec.spans if s.name == "timeline/sweep"]

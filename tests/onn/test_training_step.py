@@ -6,6 +6,8 @@ because ``==`` hides signed zeros) and an exactly equal
 model, data and generator, and the same errors.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +31,11 @@ def _train(architecture, features, labels, compiled, val=(None, None), epochs=2,
     """Train a fresh model either way; returns ``(model, history, generator)``."""
     gen = np.random.default_rng(seed)
     model = build_software_model(architecture, rng=gen)
+    return _fit(model, gen, features, labels, compiled, val, epochs, batch_size, lr)
+
+
+def _fit(model, gen, features, labels, compiled, val=(None, None), epochs=2, batch_size=8, lr=2e-2):
+    """Train ``model`` in place either way; returns ``(model, history, generator)``."""
     if compiled:
         history = train_spnn(
             model, features, labels, epochs=epochs, batch_size=batch_size, lr=lr,
@@ -130,12 +137,23 @@ class TestSameErrors:
         error = self._errors(features, np.zeros(0, dtype=np.int64))
         assert error == (TrainingError, "cannot iterate over an empty dataset")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss(self):
+        """A NaN feature row stops both paths at its minibatch, before any
+        backward or Adam step: no warning escapes and the weights stay finite."""
         features, labels = _data(np.random.default_rng(2), 12, 3, 2, True, 1.0)
         features[4, 1] = np.nan
-        error = self._errors(features, labels)
-        assert error[0] is TrainingError and "diverged at epoch 1" in error[1]
+        raised = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for compiled in (False, True):
+                gen = np.random.default_rng(5)
+                model = build_software_model(self.ARCHITECTURE, rng=gen)
+                with pytest.raises(TrainingError) as info:
+                    _fit(model, gen, features, labels, compiled)
+                raised.append(str(info.value))
+                for parameter in model.parameters():
+                    assert np.isfinite(parameter.data).all()
+        assert raised[0] == raised[1] == "training diverged at epoch 1 (loss=nan)"
 
 
 def test_rejects_a_model_it_cannot_compile():

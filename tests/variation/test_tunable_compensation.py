@@ -139,7 +139,7 @@ class TestTunableOnlyCompensation:
                 model=MODELS[case],
                 process=candidate,
                 num_steps=5,
-                policy=POLICIES[policy],
+                policies=(POLICIES[policy],),
             )(spawn_rngs(seed, batch))
             for candidate in (drift, _full_width(drift))
         ]
