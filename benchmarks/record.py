@@ -6,11 +6,8 @@ scenarios of the current optimization work — the noise-aware training step
 (original vs. optimized), the warm vs. exact layer recompile, the batched
 vs. looped Monte Carlo engine, the per-chunk payload of the shared-memory
 network hosting and of the compact stream recipes, the drift timeline sweep
-with its warm re-null price, the device-resident engine behind
-``--device gpu``, the fused mesh column-sweep megakernel against the looped
-reference, and the distributed fleet — a full round trip over a localhost
-2-worker fleet plus the cold-vs-warm transfer bytes of its spec-hash
-artifact cache — the two set-up phases every paper-scale CLI run pays
+with its warm re-null price, the fused mesh column-sweep megakernel against
+the looped reference — the two set-up phases every paper-scale CLI run pays
 (``import repro.cli`` in a fresh interpreter and the synthetic-MNIST
 corpus, with the peak RSS after each), and the stages of one paper-shape
 Monte Carlo chunk (draws, hardware matrices, forward) — and writes one
@@ -287,41 +284,6 @@ def record_drift_timeline(config) -> dict:
     }
 
 
-def record_device_engine(config) -> dict:
-    """The device-resident engine (``--device gpu``) vs the serial CPU path.
-
-    On GPU machines this exercises CuPy; CPU-only machines fall back to the
-    strict mock namespace, where the value of the record is the invariance
-    check (mock results are bit-identical by contract) plus the overhead of
-    the seam, not a speedup.
-    """
-    from repro.arrays import available_array_backends
-    from repro.execution import GpuBackend, default_gpu_array_backend
-
-    preferred = default_gpu_array_backend()
-    available = available_array_backends()
-    array_backend = preferred if preferred in available else "mock_device"
-
-    task = build_trained_spnn(config.training)
-    features = task.test_features[:64]
-    labels = task.test_labels[:64]
-    model = UncertaintyModel.both(0.01)
-    kwargs = dict(iterations=200, rng=7)
-    serial_samples = monte_carlo_accuracy(task.spnn, features, labels, model, **kwargs)
-    backend = GpuBackend(array_backend=array_backend)
-    start = time.perf_counter()
-    device_samples = monte_carlo_accuracy(
-        task.spnn, features, labels, model, backend=backend, **kwargs
-    )
-    device_seconds = time.perf_counter() - start
-    return {
-        "array_backend": array_backend,
-        "seconds": device_seconds,
-        "matches_serial": bool(np.allclose(device_samples, serial_samples)),
-        "bit_identical_to_serial": bool(np.array_equal(device_samples, serial_samples)),
-    }
-
-
 def record_mesh_megakernel() -> dict:
     """Direct column-sweep timing: the looped reference vs the fused kernel.
 
@@ -336,7 +298,7 @@ def record_mesh_megakernel() -> dict:
     """
     from scipy.stats import unitary_group
 
-    from repro.arrays import active_array_backend, apply_column_sweep, available_sweep_kernels
+    from repro.arrays import apply_column_sweep, sweep_kernel_names
     from repro.mesh.mesh import MZIMesh
     from repro.utils.rng import spawn_rngs
     from repro.variation.sampler import sample_mesh_perturbation_batch
@@ -346,9 +308,8 @@ def record_mesh_megakernel() -> dict:
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(11, batch)
     )
-    backend = active_array_backend()
-    stacks, _ = mesh._column_stacks_and_phases(perturbation, backend)
-    program = mesh.column_program(backend)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation)
+    program = mesh.column_program()
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
     work = np.empty((batch, n, n), dtype=np.complex128)
 
@@ -357,13 +318,13 @@ def record_mesh_megakernel() -> dict:
         for _ in range(repeats):
             work[...] = eye
             start = time.perf_counter()
-            apply_column_sweep(backend, work, stacks, program, kernel=kernel)
+            apply_column_sweep(work, stacks, program, kernel=kernel)
             samples.append(time.perf_counter() - start)
         return float(np.median(samples))
 
     def sweep_result(kernel: str) -> np.ndarray:
         out = eye.copy()
-        apply_column_sweep(backend, out, stacks, program, kernel=kernel)
+        apply_column_sweep(out, stacks, program, kernel=kernel)
         return out
 
     bit_identical = bool(np.array_equal(sweep_result("looped"), sweep_result("fused")))
@@ -377,105 +338,7 @@ def record_mesh_megakernel() -> dict:
         "fused_seconds": fused,
         "speedup": looped / fused,
         "bit_identical": bit_identical,
-        "available_kernels": list(available_sweep_kernels(backend)),
-    }
-
-
-def record_fleet_round_trip(config) -> dict:
-    """A Monte Carlo accuracy sweep over a localhost 2-worker fleet vs serial.
-
-    The number that matters here is not a speedup (a localhost fleet adds
-    socket hops to the same two cores ``--workers 2`` would use) but the
-    bit-identity flag and the absolute round-trip price of the distributed
-    path: coordinator bind, worker dial-in, dehydrated chunks out, samples
-    back in task order.
-    """
-    from repro.execution.fleet import local_fleet
-
-    task = build_trained_spnn(config.training)
-    features = task.test_features[:64]
-    labels = task.test_labels[:64]
-    model = UncertaintyModel.both(0.01)
-    kwargs = dict(iterations=200, rng=7)
-    start = time.perf_counter()
-    serial_samples = monte_carlo_accuracy(task.spnn, features, labels, model, **kwargs)
-    serial_seconds = time.perf_counter() - start
-    with local_fleet(workers=2) as fleet:
-        start = time.perf_counter()
-        fleet_samples = monte_carlo_accuracy(
-            task.spnn, features, labels, model, backend=fleet, **kwargs
-        )
-        fleet_seconds = time.perf_counter() - start
-        workers = fleet.server.worker_count
-    return {
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "seconds": fleet_seconds,
-        "bit_identical_to_serial": bool(np.array_equal(fleet_samples, serial_samples)),
-    }
-
-
-def record_artifact_cache_hit(config) -> dict:
-    """Cold vs. warm transfer bytes for a repeat request on one fleet.
-
-    The cold request pushes the content-addressed blobs (the pickled trial
-    with its compiled network parameters and eval arrays) to each worker
-    link; a warm repeat of the same spec ships only digests and seed
-    recipes.  ``reduction`` is total cold wire bytes over warm wire bytes
-    — the headline the trajectory gate holds at >= 3x.
-    ``stream_floor_headroom`` checks the ISSUE's payload bound the same
-    way the tests do: warm per-chunk task bytes must stay within 2x of
-    what a bare ``(start, TrialRef, (StreamSlice,))`` chunk task pickles to,
-    so the ratio ``2 * floor / per_chunk`` must stay >= 1.
-    """
-    import pickle
-
-    from repro.execution.fleet import TrialRef, local_fleet
-    from repro.utils.rng import spawn_slice
-
-    task = build_trained_spnn(config.training)
-    features = task.test_features[:64]
-    labels = task.test_labels[:64]
-    model = UncertaintyModel.both(0.01)
-    kwargs = dict(iterations=200, rng=7)
-
-    def wire_bytes(entry: dict) -> int:
-        return entry["task_bytes"] + entry["fn_bytes"] + entry["artifact_bytes"]
-
-    with local_fleet(workers=2) as fleet:
-        cold_samples = monte_carlo_accuracy(
-            task.spnn, features, labels, model, backend=fleet, **kwargs
-        )
-        cold_bytes = sum(wire_bytes(entry) for entry in fleet.request_log)
-        cold_artifact_bytes = sum(
-            entry["artifact_bytes"] for entry in fleet.request_log
-        )
-        warm = fleet.request_log[-1]
-        for _ in range(4):  # links warm lazily; a couple of repeats saturate
-            warm_samples = monte_carlo_accuracy(
-                task.spnn, features, labels, model, backend=fleet, **kwargs
-            )
-            warm = fleet.request_log[-1]
-            if warm["artifact_bytes"] == 0:
-                break
-        matches = bool(np.array_equal(cold_samples, warm_samples))
-    warm_bytes = wire_bytes(warm)
-    per_chunk = warm["task_bytes"] / warm["tasks"]
-    recipe = spawn_slice(np.random.default_rng(0), kwargs["iterations"])
-    floor = len(
-        pickle.dumps((0, TrialRef("0" * 32), (recipe,)), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return {
-        "workers": 2,
-        "cold_bytes": cold_bytes,
-        "cold_artifact_bytes": cold_artifact_bytes,
-        "warm_bytes": warm_bytes,
-        "warm_artifact_bytes": warm["artifact_bytes"],
-        "reduction": cold_bytes / warm_bytes,
-        "stream_slice_floor_bytes": floor,
-        "warm_task_bytes_per_chunk": per_chunk,
-        "stream_floor_headroom": (2 * floor) / per_chunk,
-        "cold_and_warm_match": matches,
+        "available_kernels": list(sweep_kernel_names()),
     }
 
 
@@ -520,14 +383,8 @@ def main(argv=None) -> int:
     scenarios["stream_payload"] = record_stream_payload()
     print("recording drift timeline sweep ...")
     scenarios["drift_timeline"] = record_drift_timeline(config)
-    print("recording device-resident engine ...")
-    scenarios["device_engine"] = record_device_engine(config)
     print("recording mesh megakernel sweep ...")
     scenarios["mesh_megakernel"] = record_mesh_megakernel()
-    print("recording fleet round trip ...")
-    scenarios["fleet_round_trip"] = record_fleet_round_trip(config)
-    print("recording artifact cache hit ...")
-    scenarios["artifact_cache_hit"] = record_artifact_cache_hit(config)
 
     report = {
         "schema": 1,

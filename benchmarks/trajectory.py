@@ -48,11 +48,7 @@ HEADLINE_METRICS: Tuple[Tuple[str, str], ...] = (
     ("shared_network_payload", "reduction"),
     ("stream_payload", "reduction"),
     ("drift_timeline", "renull_speedup"),
-    ("device_engine", "seconds"),
     ("mesh_megakernel", "speedup"),
-    ("fleet_round_trip", "seconds"),
-    ("artifact_cache_hit", "reduction"),
-    ("artifact_cache_hit", "stream_floor_headroom"),
     ("setup_phases", "import_cli_median_s"),
     ("setup_phases", "synthesis_median_s"),
     ("setup_phases", "import_cli_peak_rss_mb"),
@@ -67,21 +63,14 @@ RATIO_KEYS = (
     "speedup",
     "reduction",
     "renull_speedup",
-    "stream_floor_headroom",
 )
 
 #: Absolute floors the newest artifact must clear whenever it records the
 #: metric — hard acceptance criteria, independent of earlier artifacts and
 #: of the relative tolerance.  The megakernel floor is the PR 7 acceptance
-#: bar: the fused sweep must stay at least 2x the looped reference.  The
-#: artifact-cache floors are the PR 9 bars: a warm repeat request must ship
-#: at least 3x fewer wire bytes than the cold one, and its per-chunk task
-#: payload must stay within 2x of the bare StreamSlice recipe (headroom =
-#: ``2 * floor / per_chunk`` staying >= 1).
+#: bar: the fused sweep must stay at least 2x the looped reference.
 ABSOLUTE_FLOORS: Dict[Tuple[str, str], float] = {
     ("mesh_megakernel", "speedup"): 2.0,
-    ("artifact_cache_hit", "reduction"): 3.0,
-    ("artifact_cache_hit", "stream_floor_headroom"): 1.0,
 }
 
 #: Fraction of the best earlier value the newest artifact must reach.

@@ -1,18 +1,11 @@
 """The column-sweep kernel registry: selection, conformance and the fused win.
 
 This walkthrough exercises :mod:`repro.arrays`' sweep-kernel registry on a
-paper-plus-size Clements mesh: it lists which kernels are available in this
-environment, checks every one of them against the ``looped`` reference on
-the same packed column program (host kernels bit for bit), and then times
-the ``looped`` vs ``fused`` kernels head to head in the megakernel regime —
-one whole perturbation batch per call, the shape every sigma-folded Monte
-Carlo sweep produces.
-
-It degrades gracefully on machines without the optional accelerators: no
-numba means the ``numba`` kernel reports unavailable (and is skipped, not
-failed); no CuPy means the same for ``cupy_raw``.  The ``looped`` and
-``fused`` kernels are pure NumPy and always present — the registry's
-guarantee is that *some* conformant kernel always serves the sweep.
+paper-plus-size Clements mesh: it lists the registered kernels, checks every
+one of them against the ``looped`` reference on the same packed column
+program (bit for bit), and then times the ``looped`` vs ``fused`` kernels
+head to head in the megakernel regime — one whole perturbation batch per
+call, the shape every sigma-folded Monte Carlo sweep produces.
 
 Run::
 
@@ -32,14 +25,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.arrays import (  # noqa: E402
-    HOST_BACKEND,
-    apply_column_sweep,
-    available_sweep_kernels,
-    get_sweep_kernel,
-    select_sweep_kernel,
-    sweep_kernel_names,
-)
+from repro.arrays import apply_column_sweep, select_sweep_kernel, sweep_kernel_names  # noqa: E402
 from repro.mesh.mesh import MZIMesh  # noqa: E402
 from repro.utils import random_unitary  # noqa: E402
 from repro.utils.rng import spawn_rngs  # noqa: E402
@@ -53,8 +39,8 @@ def build_sweep_inputs(n: int, batch: int, seed: int = 3):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.01), spawn_rngs(seed + 1, batch)
     )
-    stacks, _ = mesh._column_stacks_and_phases(perturbation, HOST_BACKEND)
-    program = mesh.column_program(HOST_BACKEND)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation)
+    program = mesh.column_program()
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
     return program, stacks, eye
 
@@ -66,30 +52,18 @@ def main(argv=None) -> int:
 
     n, batch, repeats = (16, 128, 1) if args.smoke else (32, 2048, 3)
 
-    print("sweep-kernel registry:")
-    available = available_sweep_kernels(HOST_BACKEND)
-    for name in sweep_kernel_names():
-        kernel = get_sweep_kernel(name)
-        if not kernel.available():
-            status = "unavailable (optional dependency missing) — skipped"
-        elif not kernel.supports(HOST_BACKEND):
-            status = "available, serves a device backend only"
-        else:
-            status = "available on the host backend"
-        print(f"  {name:9s} {status}")
-    selected = select_sweep_kernel(HOST_BACKEND)
-    print(f"selected for the host backend: {selected.name!r} "
-          f"(override with REPRO_SWEEP_KERNEL=<{'|'.join(available)}>)")
+    names = sweep_kernel_names()
+    print(f"sweep-kernel registry: {', '.join(names)}")
+    print(f"selected: {select_sweep_kernel().name!r} "
+          f"(override with REPRO_SWEEP_KERNEL=<{'|'.join(names)}>)")
 
     print(f"\nconformance on a {n}x{n} Clements mesh, batch={batch}:")
     program, components, eye = build_sweep_inputs(n, batch)
     reference = np.asarray(eye).copy()
-    apply_column_sweep(HOST_BACKEND, reference, components, program, kernel="looped")
-    for name in available:
-        if not get_sweep_kernel(name).supports(HOST_BACKEND):
-            continue
+    apply_column_sweep(reference, components, program, kernel="looped")
+    for name in names:
         result = np.asarray(eye).copy()
-        apply_column_sweep(HOST_BACKEND, result, components, program, kernel=name)
+        apply_column_sweep(result, components, program, kernel=name)
         assert np.array_equal(result, reference), f"{name} diverged from the reference"
         print(f"  {name:9s} BIT-IDENTICAL to the looped reference")
 
@@ -101,7 +75,7 @@ def main(argv=None) -> int:
         for _ in range(repeats + 1):  # one extra pass warms the column plan
             work[...] = eye
             start = time.perf_counter()
-            apply_column_sweep(HOST_BACKEND, work, components, program, kernel=name)
+            apply_column_sweep(work, components, program, kernel=name)
             best = min(best, time.perf_counter() - start)
         seconds[name] = best
         print(f"  {name:9s} {best * 1e3:8.1f} ms")
@@ -110,7 +84,7 @@ def main(argv=None) -> int:
         print("  (below the 2x acceptance floor — shared/loaded machine?)")
 
     print("\nThe same registry serves every mesh sweep implicitly:")
-    print("  mesh.matrix_batch(...)        # selects the best available kernel")
+    print("  mesh.matrix_batch(...)        # selects the preferred kernel")
     print("  REPRO_SWEEP_KERNEL=looped ... # pin the reference kernel")
     return 0
 

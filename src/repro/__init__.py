@@ -16,11 +16,11 @@ The package is organized as a hierarchy mirroring the paper's methodology:
   thermal crosstalk,
 * :mod:`repro.analysis` — RVD, sensitivity maps, Monte Carlo engine,
   criticality ranking, yield sweeps,
-* :mod:`repro.arrays` — the device-agnostic array seam (pluggable ``xp``
-  namespaces: NumPy reference, optional CuPy, strict mock device),
-* :mod:`repro.execution` — pluggable backends (serial / multiprocess /
-  gpu) that schedule the Monte Carlo chunks, bit-identical at every
-  worker count (GPU: allclose at fixed seeds),
+* :mod:`repro.arrays` — the NumPy hot-path kernels and the column-sweep
+  kernel registry,
+* :mod:`repro.execution` — the serial / thread / multiprocess backends
+  that schedule the Monte Carlo chunks, bit-identical at every worker
+  count,
 * :mod:`repro.experiments` — runners that regenerate every figure and
   headline number of the paper,
 * substrates: :mod:`repro.autograd`, :mod:`repro.nn`, :mod:`repro.datasets`,
@@ -35,7 +35,7 @@ from .analysis import (
     rvd,
     yield_sweep,
 )
-from .execution import GpuBackend, MultiprocessBackend, SerialBackend, ThreadBackend, resolve_backend
+from .execution import MultiprocessBackend, SerialBackend, ThreadBackend, resolve_backend
 from .exceptions import (
     AutogradError,
     ConfigurationError,
@@ -141,7 +141,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "MultiprocessBackend",
-    "GpuBackend",
     "resolve_backend",
     "NoiseInjector",
     "PerturbationSchedule",

@@ -38,7 +38,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..arrays import to_host
 from ..exceptions import ShapeError
 from ..execution import Backend, BackendLike, pool_scope, resolve_backend
 from ..observability import map_chunks
@@ -81,16 +80,10 @@ def evaluate_scalar_chunk(task: ChunkTask) -> Tuple[int, np.ndarray]:
 
 
 def evaluate_batch_chunk(task: ChunkTask) -> Tuple[int, np.ndarray]:
-    """Evaluate one chunk of a batch trial; returns ``(start, samples)``.
-
-    A device-resident trial (run under a device array backend) keeps its
-    whole chunk on the device and only the per-realization samples are
-    transferred back here — the single host transfer of the chunk, at
-    reassembly.
-    """
+    """Evaluate one chunk of a batch trial; returns ``(start, samples)``."""
     start, trial, streams = task
     generators = materialize_streams(streams)
-    values = np.asarray(to_host(trial(generators)), dtype=np.float64)
+    values = np.asarray(trial(generators), dtype=np.float64)
     if values.shape != (len(generators),):
         raise ShapeError(
             f"batch trial must return shape ({len(generators)},), got {values.shape}"

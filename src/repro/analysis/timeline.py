@@ -32,7 +32,6 @@ import numpy as np
 
 from contextlib import nullcontext
 
-from ..arrays import active_array_backend, to_host
 from ..execution import BackendLike, pool_scope, resolve_backend
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
@@ -163,16 +162,16 @@ class AccuracyTimelineTrial:
                     mask[:] = True
                 if policy.drift_threshold is not None:
                     drifted = view.drift_rms() >= policy.drift_threshold
-                    mask |= np.asarray(to_host(drifted), dtype=bool)
+                    mask |= drifted
                 renulled = bool(mask.all())
                 if renulled:
                     view.renull()
                 elif mask.any():
-                    view.renull(rows=active_array_backend().xp.asarray(mask))
+                    view.renull(rows=mask)
                 events[index, :, step] = mask
                 shared = renulled and view.renull_clears_every_field
                 served = self._serve(spnn, features, labels, view, shared, workspace)
-                accuracy[index, :, step] = np.asarray(to_host(served), dtype=np.float64)
+                accuracy[index, :, step] = served
                 if policy.accuracy_threshold is not None:
                     pending[index] = accuracy[index, :, step] < policy.accuracy_threshold
         return accuracy, events
@@ -284,7 +283,6 @@ def timeline_sweep(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    device: Optional[str] = None,
     forward_chunk_size: Optional[int] = None,
     use_workspace: bool = False,
 ) -> List[TimelineSweepResult]:
@@ -320,10 +318,10 @@ def timeline_sweep(
     rng:
         Seed; curves are reproducible and worker-count invariant at a
         fixed seed.
-    chunk_size, backend, workers, device:
+    chunk_size, backend, workers:
         Scheduling knobs, exactly as in the Monte Carlo engine: timelines
         are sharded into vectorized chunks across the selected execution
-        backend; ``device="gpu"`` runs the chunks device-resident.
+        backend.
     forward_chunk_size, use_workspace:
         Forwarded to the per-step forward pass (memory knobs; never change
         the curves).
@@ -349,7 +347,7 @@ def timeline_sweep(
         resolve_array(features), resolve_array(labels), use_hardware=True
     )
     streams = spawn_slice(rng, timelines)
-    resolved = resolve_backend(backend, workers, device)
+    resolved = resolve_backend(backend, workers)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
         nullcontext((features, labels))

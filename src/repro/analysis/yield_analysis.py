@@ -316,7 +316,6 @@ def yield_sweep(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    device: Optional[str] = None,
     use_workspace: bool = False,
 ) -> YieldSweepResult:
     """Sweep the uncertainty level and estimate the parametric yield at each.
@@ -368,11 +367,6 @@ def yield_sweep(
     chunk_size, backend, workers:
         Forwarded to the Monte Carlo engine (see
         :func:`repro.onn.inference.monte_carlo_accuracy`).
-    device:
-        ``"gpu"`` runs every sigma's realizations device-resident through
-        the :class:`~repro.execution.GpuBackend` (CuPy, or the strict mock
-        stand-in on CPU-only machines); ``"cpu"``/``None`` keeps the CPU
-        backends selected by ``backend``/``workers``.
     use_workspace:
         Recycle the vectorized engine's scratch buffers through each
         process's workspace arena (bit-identical; allocation reuse only).
@@ -407,7 +401,7 @@ def yield_sweep(
     # the caller already hosts them), so they cross the process boundary
     # once per worker, not once per chunk — the per-chunk payload shrinks to
     # the perturbation draws.
-    resolved = resolve_backend(backend, workers, device)
+    resolved = resolve_backend(backend, workers)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
         nullcontext((features, labels))
@@ -542,7 +536,6 @@ def bisect_max_tolerable_sigma(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    device: Optional[str] = None,
     use_workspace: bool = False,
 ) -> SigmaBisectionResult:
     """Refine the maximum tolerable sigma by bisection on the yield curve.
@@ -596,7 +589,7 @@ def bisect_max_tolerable_sigma(
         resolve_array(features), resolve_array(labels), use_hardware=True
     )
 
-    resolved = resolve_backend(backend, workers, device)
+    resolved = resolve_backend(backend, workers)
     already_hosted = is_hosted_array(features) or is_hosted_array(labels)
     hosting = (
         nullcontext((features, labels))

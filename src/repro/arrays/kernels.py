@@ -1,12 +1,8 @@
-"""Namespace-generic out-buffer kernels of the numerics hot paths.
+"""Out-buffer kernels of the numerics hot paths.
 
-Every function here takes the array namespace ``xp`` explicitly and touches
-arrays only through it (or through operators, which dispatch on the array
-type) — this module never imports NumPy, which the seam lint
-(``tools/check_numpy_seam.py``) enforces.  With ``xp`` bound to NumPy these
-are the exact ufunc sequences the pre-seam implementations executed, so the
-reference path stays byte-for-byte identical; with a device namespace the
-same code runs on the device.
+These are the exact NumPy ufunc sequences the forward pass, the MZI model
+and the column sweep rely on for bit-identity across batched and looped
+evaluation.
 
 The ``out=`` parameters follow the library-wide workspace contract: an out
 buffer only changes *where* the result lives, never its values, and callers
@@ -14,6 +10,8 @@ fully overwrite any buffer they receive.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "is_complex",
@@ -28,11 +26,11 @@ __all__ = [
 
 
 def is_complex(array) -> bool:
-    """Whether ``array`` holds complex values (dtype-kind test, any namespace)."""
+    """Whether ``array`` holds complex values (dtype-kind test)."""
     return getattr(array, "dtype", None) is not None and array.dtype.kind == "c"
 
 
-def matmul_transposed(xp, activations, matrix):
+def matmul_transposed(activations, matrix):
     """``activations @ matrix.T`` with a real/complex split on the hot path.
 
     After the modulus-Softplus the activations are real while the hardware
@@ -43,17 +41,17 @@ def matmul_transposed(xp, activations, matrix):
     as the 2-D product, which keeps the batched forward bit-identical to
     the single-realization one.
     """
-    transposed = xp.swapaxes(matrix, -2, -1)
+    transposed = np.swapaxes(matrix, -2, -1)
     if is_complex(activations):
-        return xp.matmul(activations, transposed)
-    real = xp.matmul(activations, transposed.real)
-    out = xp.empty(real.shape, dtype=xp.complex128)
+        return np.matmul(activations, transposed)
+    real = np.matmul(activations, transposed.real)
+    out = np.empty(real.shape, dtype=np.complex128)
     out.real = real
-    out.imag = xp.matmul(activations, transposed.imag)
+    out.imag = np.matmul(activations, transposed.imag)
     return out
 
 
-def softplus(xp, x, beta: float = 1.0, threshold: float = 30.0, out=None):
+def softplus(x, beta: float = 1.0, threshold: float = 30.0, out=None):
     """Numerically stable Softplus, ``log(1 + exp(beta x)) / beta``.
 
     ``out`` optionally supplies the result buffer and may be ``x`` itself
@@ -70,39 +68,39 @@ def softplus(xp, x, beta: float = 1.0, threshold: float = 30.0, out=None):
         out = scaled  # the scaled copy is scratch
     if any_saturated:
         # `x` is read again by the where() below, so never clamp into it.
-        result = xp.minimum(scaled, threshold, out=None if out is x else out)
-        xp.exp(result, out=result)
+        result = np.minimum(scaled, threshold, out=None if out is x else out)
+        np.exp(result, out=result)
     else:
-        result = xp.exp(scaled, out=out)
-    xp.log1p(result, out=result)
+        result = np.exp(scaled, out=out)
+    np.log1p(result, out=result)
     if beta != 1.0:
         result /= beta
     # With no saturated entries the where() would copy `result` verbatim.
-    return xp.where(saturated, x, result) if any_saturated else result
+    return np.where(saturated, x, result) if any_saturated else result
 
 
-def log_softmax(xp, x):
+def log_softmax(x):
     """Row-wise log-softmax over the last axis."""
-    shifted = x - xp.max(x, axis=-1, keepdims=True)
-    return shifted - xp.log(xp.sum(xp.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def unit_phasor(xp, angle, out=None):
+def unit_phasor(angle, out=None):
     """``exp(1j * angle)`` assembled from real sin/cos into one buffer.
 
     Bit-identical to ``exp(1j * angle)`` (complex exp of a purely imaginary
     argument reduces to exactly this) while skipping the complex temporary
     and the slower complex-exp kernel on the Monte Carlo hot path.
     """
-    angle = xp.asarray(angle, dtype=xp.float64)
+    angle = np.asarray(angle, dtype=np.float64)
     if out is None:
-        out = xp.empty(angle.shape, dtype=xp.complex128)
-    xp.cos(angle, out=out.real)
-    xp.sin(angle, out=out.imag)
+        out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     return out
 
 
-def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None, out=None):
+def mzi_block_components(theta, phi, r1, t1=None, r2=None, t2=None, out=None):
     """The four elements of the non-ideal MZI transfer matrix (paper Eq. (5)).
 
     Same physics as the assembled ``(..., 2, 2)`` matrix but returned as the
@@ -112,22 +110,22 @@ def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None, out=None
     shape (the mesh passes the :func:`block_components` views of its packed
     sweep stacks); the values are the same either way.
     """
-    theta = xp.asarray(theta, dtype=xp.float64)
-    phi = xp.asarray(phi, dtype=xp.float64)
-    r1 = xp.asarray(r1, dtype=xp.float64)
-    r2 = xp.asarray(r1 if r2 is None else r2, dtype=xp.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    r1 = np.asarray(r1, dtype=np.float64)
+    r2 = np.asarray(r1 if r2 is None else r2, dtype=np.float64)
     t1 = (
-        xp.sqrt(xp.clip(1.0 - r1**2, 0.0, 1.0))
+        np.sqrt(np.clip(1.0 - r1**2, 0.0, 1.0))
         if t1 is None
-        else xp.asarray(t1, dtype=xp.float64)
+        else np.asarray(t1, dtype=np.float64)
     )
     t2 = (
-        xp.sqrt(xp.clip(1.0 - r2**2, 0.0, 1.0))
+        np.sqrt(np.clip(1.0 - r2**2, 0.0, 1.0))
         if t2 is None
-        else xp.asarray(t2, dtype=xp.float64)
+        else np.asarray(t2, dtype=np.float64)
     )
-    e_theta = unit_phasor(xp, theta)
-    e_phi = unit_phasor(xp, phi)
+    e_theta = unit_phasor(theta)
+    e_phi = unit_phasor(phi)
     e_both = e_phi * e_theta
     # Shared splitter products; multiplying a real array by 1j is an exact
     # placement into the imaginary part, so the factored forms below equal
@@ -139,10 +137,10 @@ def mzi_block_components(xp, theta, phi, r1, t1=None, r2=None, t2=None, out=None
     i_tr2 = 1j * (t1 * r2)
     b00, b01, b10, b11 = (None,) * 4 if out is None else out
     return (
-        xp.subtract(rr * e_both, tt * e_phi, out=b00),
-        xp.add(i_rt * e_theta, i_tr, out=b01),
-        xp.add(i_tr * e_both, i_tr2 * e_phi, out=b10),
-        xp.subtract(rr, tt * e_theta, out=b11),
+        np.subtract(rr * e_both, tt * e_phi, out=b00),
+        np.add(i_rt * e_theta, i_tr, out=b01),
+        np.add(i_tr * e_both, i_tr2 * e_phi, out=b10),
+        np.subtract(rr, tt * e_theta, out=b11),
     )
 
 
@@ -168,7 +166,7 @@ def apply_mzi_blocks(matrices, components, program) -> None:
     or ``(M, 2)``, broadcasting over the leading dimensions) **in
     column-sorted order**; ``program`` is a
     :class:`~repro.arrays.sweep.ColumnProgram` whose packed ``top``/
-    ``bottom`` index arrays live in the matrices' namespace.  Devices in
+    ``bottom`` index arrays select the rows.  Devices in
     one column act on disjoint mode pairs, so their two-row updates are
     gathered and applied in a single elementwise step; the arithmetic is
     pure elementwise multiply-add, which makes the batched application

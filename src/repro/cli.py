@@ -17,8 +17,6 @@ Examples
     spnn-repro robust --smoke     # noise-aware training vs baseline (EXP 3)
     spnn-repro drift --smoke      # temporal drift + recalibration (EXP 4)
     spnn-repro summary            # hardware inventory (1374 phase shifters)
-    spnn-repro worker --connect HOST:PORT   # join a sweep fleet as a worker
-    spnn-repro yield --smoke --backend fleet --workers 2   # run on the fleet
 
 Without ``--workers`` the Monte Carlo realizations of the supporting
 experiments run on one thread per available CPU inside this process;
@@ -27,11 +25,6 @@ and ``--workers N`` (N > 1) shards them across N worker processes.  The
 samples are bit-identical in every case at the same seed (the child RNG
 streams are spawned before any scheduling), so the flag only changes
 wall-clock time and memory, never results.
-
-``--backend fleet`` (optionally with ``--fleet HOST:PORT`` to pick the
-coordinator's bind address) schedules the same chunks over persistent
-network workers started with ``spnn-repro worker --connect``; results stay
-bit-identical for any fleet size and cache state.
 """
 
 from __future__ import annotations
@@ -72,8 +65,8 @@ def _run_summary(smoke: bool) -> dict:
 def _record_kernel_table(info: dict) -> Path:
     """Write the kernel part of ``info`` to ``$XDG_CACHE_HOME/spnn-repro``.
 
-    The file, ``cost_table_<digest>.json``, holds which sweep kernels can
-    run on this machine and which array backends each serves.  Nothing in
+    The file, ``cost_table_<digest>.json``, holds which sweep kernels are
+    registered on this machine.  Nothing in
     the package reads it back: dispatch is the static order.  It is kept
     because ``perfbench/test_perfbench.py`` checks that the benchmark's warm-up,
     which runs ``info``, leaves such a file in its isolated cache.
@@ -87,26 +80,21 @@ def _record_kernel_table(info: dict) -> Path:
 def _run_info() -> dict:
     """Print (and return) the environment diagnostics behind a run.
 
-    Answers the usual "why is my run slow / which kernel ran / why is the
-    GPU path unavailable" questions without a debugger: platform, CPU
-    budget, the backend a run without ``--workers`` gets, the entry point
-    that pins BLAS threads, array-backend availability, which sweep
-    kernels can serve each backend (with the reason when one cannot run at
-    all), and the ``REPRO_*`` environment overrides currently in force.
-    The kernel part is also recorded in the user cache (see
-    ``_record_kernel_table``).
+    Answers the usual "why is my run slow / which kernel ran" questions
+    without a debugger: platform, CPU budget, the backend a run without
+    ``--workers`` gets, the entry point that pins BLAS threads, the sweep
+    kernels and the one dispatch picks, and the ``REPRO_*`` environment
+    overrides currently in force.  The kernel part is also recorded in the
+    user cache (see ``_record_kernel_table``).
     """
     import platform
 
-    import socket
-
-    from .arrays.namespace import array_backend_names, available_array_backends, get_array_backend
-    from .arrays.sweep import SWEEP_KERNEL_ENV, available_sweep_kernels, get_sweep_kernel, sweep_kernel_names
-    from .execution.backends import GPU_ARRAY_BACKEND_ENV, available_workers, resolve_backend
+    from .arrays.sweep import SWEEP_KERNEL_ENV, select_sweep_kernel, sweep_kernel_names
+    from .execution.backends import available_workers, resolve_backend
     from .execution.blas import blas_thread_control
-    from .execution.fleet import FLEET_ADDRESS_ENV, artifact_store, default_fleet_address, parse_address
     from .observability import TRACE_ENV
 
+    kernels = list(sweep_kernel_names())
     info: dict = {
         "platform": platform.platform(),
         "python": platform.python_version(),
@@ -115,46 +103,13 @@ def _run_info() -> dict:
         "thread_budget": available_workers(),
         "default_backend": repr(resolve_backend()),
         "blas_thread_control": blas_thread_control(),
+        "array_backends": {"numpy": {"available": True, "sweep_kernels": kernels}},
+        "sweep_kernels": {name: {"available": True, "reason": None} for name in kernels},
+        # Always null: kept because perfbench/run.py reads report["autotune"].
+        "autotune": None,
     }
-    usable = available_array_backends()
-    backends: dict = {}
-    for name in array_backend_names():
-        entry: dict = {"available": name in usable}
-        if entry["available"]:
-            entry["sweep_kernels"] = list(available_sweep_kernels(get_array_backend(name)))
-        backends[name] = entry
-    info["array_backends"] = backends
-    kernels: dict = {}
-    for name in sweep_kernel_names():
-        kernel = get_sweep_kernel(name)
-        kernels[name] = {
-            "available": kernel.available(),
-            "reason": kernel.unavailable_reason(),
-        }
-    info["sweep_kernels"] = kernels
-    # Fleet diagnostics: can the coordinator's transport actually bind the
-    # configured address, and what does the process artifact cache hold?
-    fleet_address = default_fleet_address()
-    try:
-        host, port = parse_address(fleet_address)
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.bind((host, port))
-        bindable, bind_error = True, None
-    except OSError as error:
-        bindable, bind_error = False, f"{type(error).__name__}: {error}"
-    except ValueError as error:
-        bindable, bind_error = False, str(error)
-    info["fleet"] = {
-        "coordinator_address": fleet_address,
-        "transport_bindable": bindable,
-        "transport_error": bind_error,
-        "artifact_cache": artifact_store().stats(),
-    }
-    # Always null: kept because perfbench/run.py reads report["autotune"].
-    info["autotune"] = None
-    overrides = (SWEEP_KERNEL_ENV, TRACE_ENV, GPU_ARRAY_BACKEND_ENV, FLEET_ADDRESS_ENV)
     info["env_overrides"] = {
-        variable: os.environ[variable] for variable in overrides if os.environ.get(variable)
+        variable: os.environ[variable] for variable in (SWEEP_KERNEL_ENV, TRACE_ENV) if os.environ.get(variable)
     }
     try:
         info["kernel_table"] = str(_record_kernel_table(info))
@@ -174,44 +129,9 @@ def _run_info() -> dict:
                 ["thread budget", info["thread_budget"]],
                 ["default backend", info["default_backend"]],
                 ["blas thread control", info["blas_thread_control"] or "none (cannot pin BLAS threads)"],
-            ],
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["array backend", "available", "sweep kernels"],
-            [
-                [name, "yes" if entry["available"] else "no", ", ".join(entry.get("sweep_kernels", [])) or "-"]
-                for name, entry in backends.items()
-            ],
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["sweep kernel", "available", "unavailable reason"],
-            [
-                [name, "yes" if entry["available"] else "no", entry["reason"] or "-"]
-                for name, entry in kernels.items()
-            ],
-        )
-    )
-    cache = info["fleet"]["artifact_cache"]
-    print(
-        format_table(
-            ["fleet", "value"],
-            [
-                ["coordinator address", info["fleet"]["coordinator_address"]],
-                [
-                    "transport bindable",
-                    "yes" if bindable else f"no ({bind_error})",
-                ],
-                [
-                    "artifact cache",
-                    f"{cache['entries']} entries, {cache['bytes']} bytes "
-                    f"({cache['hits']} hits, {cache['misses']} misses)",
-                ],
+                ["array backend", "numpy"],
+                ["sweep kernels", ", ".join(kernels)],
+                ["dispatched sweep kernel", select_sweep_kernel().name],
             ],
         )
     )
@@ -244,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help=(
             "experiment id (fig2, fig3, exp1, exp2, exp3/robust, yield, "
-            "drift/exp4, baseline), 'summary', 'info', 'list' or 'worker' "
-            "(join a sweep fleet; requires --connect)"
+            "drift/exp4, baseline), 'summary', 'info' or 'list'"
         ),
     )
     parser.add_argument(
@@ -267,18 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
             "1 runs Monte Carlo realizations serially, N > 1 shards them across N "
             "worker processes; default: one thread per available CPU in this process "
             "(bit-identical either way; applies to experiments with a workers knob)"
-        ),
-    )
-    parser.add_argument(
-        "--device",
-        choices=["cpu", "gpu"],
-        default=None,
-        help=(
-            "run the Monte Carlo realizations on this device: 'gpu' evaluates "
-            "chunks device-resident through the CuPy array backend (or the "
-            "strict mock stand-in selected by REPRO_GPU_ARRAY_BACKEND on "
-            "CPU-only machines); 'cpu' (default) keeps the thread/serial/multiprocess "
-            "backends"
         ),
     )
     parser.add_argument(
@@ -320,69 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "multiprocess", "gpu", "fleet"],
+        choices=["serial", "multiprocess"],
         default=None,
-        help=(
-            "execution backend for the Monte Carlo chunks; 'fleet' schedules "
-            "over persistent network workers (started with "
-            "'spnn-repro worker --connect'), with --workers as the minimum "
-            "fleet size to wait for"
-        ),
-    )
-    parser.add_argument(
-        "--fleet",
-        type=str,
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "bind the fleet coordinator at this address (implies "
-            "--backend fleet; default: REPRO_FLEET_ADDRESS or 127.0.0.1:0)"
-        ),
-    )
-    parser.add_argument(
-        "--connect",
-        type=str,
-        default=None,
-        metavar="HOST:PORT",
-        help="('worker' only) the fleet coordinator address to serve chunks for",
+        help="execution backend for the Monte Carlo chunks",
     )
     return parser
-
-
-def _run_worker(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """``spnn-repro worker --connect HOST:PORT`` — serve a fleet until EOF."""
-    if not args.connect:
-        parser.error("'worker' requires --connect HOST:PORT (the coordinator address)")
-    for flag, name in (
-        (args.workers, "--workers"), (args.device, "--device"),
-        (args.bisect, "--bisect"), (args.iterations, "--iterations"),
-        (args.backend, "--backend"), (args.fleet, "--fleet"),
-        (args.trace, "--trace"), (args.metrics_out, "--metrics-out"),
-    ):
-        if flag:
-            parser.error(f"'worker' does not support {name}")
-    from .execution.fleet import run_worker
-
-    print(f"[worker] pid {os.getpid()} connecting to {args.connect}", flush=True)
-    chunks = run_worker(args.connect)
-    print(f"[worker] coordinator gone; served {chunks} chunk(s)")
-    return 0
-
-
-def _fleet_backend(args: argparse.Namespace):
-    """Build the :class:`FleetBackend` behind ``--backend fleet``/``--fleet``."""
-    from .execution.fleet import FleetBackend
-
-    backend = FleetBackend(
-        address=args.fleet,  # None falls back to REPRO_FLEET_ADDRESS / 127.0.0.1:0
-        min_workers=args.workers if args.workers is not None else 1,
-    )
-    print(
-        f"[fleet] coordinator listening at {backend.address} — start workers "
-        f"with: spnn-repro worker --connect {backend.address}",
-        flush=True,
-    )
-    return backend
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -391,29 +240,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     identifier = args.experiment.lower()
-    if identifier == "worker":
-        return _run_worker(parser, args)
-    if args.connect is not None:
-        parser.error("--connect only applies to the 'worker' command")
-    if args.fleet is not None and args.backend is None:
-        args.backend = "fleet"
-    if args.fleet is not None and args.backend != "fleet":
-        parser.error("--fleet only applies to --backend fleet")
     if identifier in ("list", "summary", "info") and args.workers is not None:
         parser.error(f"{identifier!r} does not support --workers")
     if identifier in ("list", "summary", "info") and args.bisect:
         parser.error(f"{identifier!r} does not support --bisect")
-    if identifier in ("list", "summary", "info") and args.device is not None:
-        parser.error(f"{identifier!r} does not support --device")
     if identifier in ("list", "summary", "info") and args.backend is not None:
-        parser.error(f"{identifier!r} does not support --backend/--fleet")
+        parser.error(f"{identifier!r} does not support --backend")
     if identifier in ("list", "info") and (args.trace or args.metrics_out or args.progress):
         parser.error(f"{identifier!r} does not support --trace/--metrics-out/--progress")
-    if args.device == "gpu" and args.workers is not None and args.workers > 1:
-        parser.error(
-            "--device gpu cannot be combined with --workers > 1 "
-            "(the GPU executes chunks in order; its concurrency lives in the device kernels)"
-        )
     if identifier == "list":
         _print_experiment_list()
         return 0
@@ -442,24 +276,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.backend is not None:
         if not hasattr(config, "backend"):
             parser.error(f"experiment {spec.identifier!r} does not support --backend")
-        if args.device is not None:
-            parser.error("--backend cannot be combined with --device (the backend already decided)")
-        if args.backend == "fleet":
-            # --workers becomes the minimum fleet size (inside the backend
-            # instance) rather than a config knob: resolve_backend forbids
-            # combining a Backend instance with a separate workers count.
-            config = dataclasses.replace(config, backend=_fleet_backend(args))
-            args.workers = None
-        else:
-            config = dataclasses.replace(config, backend=args.backend)
+        config = dataclasses.replace(config, backend=args.backend)
     if args.workers is not None:
         if not hasattr(config, "workers"):
             parser.error(f"experiment {spec.identifier!r} does not support --workers")
         config = dataclasses.replace(config, workers=args.workers)
-    if args.device is not None:
-        if not hasattr(config, "device"):
-            parser.error(f"experiment {spec.identifier!r} does not support --device")
-        config = dataclasses.replace(config, device=args.device)
     if args.bisect:
         if not hasattr(config, "bisect"):
             parser.error(f"experiment {spec.identifier!r} does not support --bisect")

@@ -1,35 +1,23 @@
-"""Execution layer: pluggable backends that schedule Monte Carlo work.
+"""Execution layer: the backends that schedule Monte Carlo chunks on the CPU.
 
-See :mod:`repro.execution.backends` for the protocol and the determinism /
-picklability contracts shared by every backend,
-:mod:`repro.execution.shared` for shared-memory hosting of the (otherwise
-per-chunk re-pickled) evaluation arrays, and
-:mod:`repro.execution.fleet` for the distributed sweep fleet (network
-backend, persistent workers, spec-hash artifact cache).
+See :mod:`repro.execution.backends` for the serial, thread and
+multiprocess backends and the determinism / picklability contracts they
+share, :mod:`repro.execution.blas` for the BLAS thread pinning they apply,
+and :mod:`repro.execution.shared` for shared-memory hosting of the
+evaluation arrays and compiled networks that process workers read.
 """
 
 from .backends import (
     BACKEND_NAMES,
-    DEVICE_NAMES,
     Backend,
     BackendLike,
-    GpuBackend,
     MultiprocessBackend,
     SerialBackend,
     ThreadBackend,
     available_workers,
-    default_gpu_array_backend,
     gather_with_heartbeat,
     pool_scope,
     resolve_backend,
-)
-from .fleet import (
-    FleetBackend,
-    FleetRequestError,
-    FleetServer,
-    artifact_store,
-    local_fleet,
-    run_worker,
 )
 from .shared import (
     SharedArray,
@@ -47,22 +35,13 @@ __all__ = [
     "Backend",
     "BackendLike",
     "BACKEND_NAMES",
-    "DEVICE_NAMES",
     "SerialBackend",
     "ThreadBackend",
     "MultiprocessBackend",
-    "GpuBackend",
-    "FleetBackend",
-    "FleetRequestError",
-    "FleetServer",
-    "artifact_store",
     "available_workers",
-    "default_gpu_array_backend",
     "gather_with_heartbeat",
-    "local_fleet",
     "pool_scope",
     "resolve_backend",
-    "run_worker",
     "SharedArray",
     "SharedNetwork",
     "is_hosted_array",

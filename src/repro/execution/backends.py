@@ -1,21 +1,21 @@
-"""Pluggable execution backends for the Monte Carlo engine.
+"""CPU execution backends for the Monte Carlo engine.
 
 The paper's methodology multiplies quickly: 1000 uncertainty realizations
 per design point, hundreds of design points across EXP 1 / EXP 2 / the yield
-sweeps.  This module factors the *scheduling* of that work out of
-:class:`~repro.analysis.monte_carlo.MonteCarloRunner` into a small backend
-protocol so the same experiment code can run
+sweeps, all evaluated on the host.  This module factors the *scheduling* of
+that work out of :class:`~repro.analysis.monte_carlo.MonteCarloRunner` into a
+small backend protocol with three implementations, so the same experiment
+code runs
 
 * on threads of the calling process (:class:`ThreadBackend`, the default
   whenever the process may use more than one CPU),
 * inline on the calling thread (:class:`SerialBackend`, ``workers=1`` — the
-  reference every other backend is compared against),
+  reference every other backend is compared against), or
 * sharded across worker processes (:class:`MultiprocessBackend`, stdlib
-  :mod:`concurrent.futures`, no extra dependencies),
-* device-resident (:class:`GpuBackend`), or
-* across a persistent socket-connected worker fleet
-  (:class:`~repro.execution.fleet.FleetBackend`, stdlib sockets — see
-  :mod:`repro.execution.fleet`).
+  :mod:`concurrent.futures`, no extra dependencies).
+
+A failed task stops its ``map``: the parallel backends cancel every task of
+that call that has not started yet, then re-raise the error.
 
 **Threads or processes.**  The chunk work is NumPy ufuncs and BLAS calls,
 which release the GIL, so threads of one process use the cores without a
@@ -47,15 +47,12 @@ module-level callable dataclasses).
 
 from __future__ import annotations
 
-import os
-import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
 from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
-from ..arrays import available_array_backends, get_array_backend, use_array_backend
 from ..observability.progress import emit_progress, progress_sink
 from ..observability.recorder import Stopwatch
 from .blas import available_workers, blas_thread_control, blas_threads, pinned_blas_threads, set_blas_threads
@@ -93,8 +90,19 @@ def gather_with_heartbeat(label: str, results: Iterator[Any], total: int) -> Lis
 
 
 def _gather_futures(label: str, futures: List[Any]) -> List[Any]:
-    """Collect futures in submission order (with heartbeats when sunk)."""
-    return gather_with_heartbeat(label, (future.result() for future in futures), len(futures))
+    """Collect futures in submission order (with heartbeats when sunk).
+
+    On a failed task (or Ctrl-C) every future of this call that has not
+    started yet is cancelled before the error propagates, so a failed
+    sweep stops instead of running the rest of its queue.  A persistent
+    pool stays usable for the next ``map``.
+    """
+    try:
+        return gather_with_heartbeat(label, (future.result() for future in futures), len(futures))
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
 
 
 @runtime_checkable
@@ -199,8 +207,8 @@ class MultiprocessBackend:
 
     Results are gathered in submission order, so ``map`` preserves task
     order no matter which worker finishes first.  Each worker pins BLAS
-    (and numba, when this process has imported it) to
-    ``max(1, budget // workers)`` threads as it starts.
+    to ``max(1, budget // workers)`` threads as it starts.  A failed task
+    cancels the tasks of the same ``map`` that have not started.
 
     **Pool lifetime.**  By default every :meth:`map` call forks a fresh pool
     and tears it down again — safe, but the spin-up plus copy-on-write
@@ -279,17 +287,8 @@ class MultiprocessBackend:
             return _gather_futures("multiprocess", futures)
 
 
-def _pin_worker_threads(threads: int, pin_numba: bool) -> None:
-    """Pool initializer: pin BLAS, and numba when the parent uses it."""
-    set_blas_threads(threads)
-    if pin_numba:
-        import numba
-
-        numba.set_num_threads(threads)
-
-
 def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool whose workers each pin BLAS (and numba) to their share of the budget."""
+    """A pool whose workers each pin BLAS to their share of the budget."""
     # Look the BLAS entry points up here, so forked workers inherit the
     # result (and a missing symbol warns once, in this process).
     blas_thread_control()
@@ -299,74 +298,9 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     resource_tracker.ensure_running()
     return ProcessPoolExecutor(
         max_workers=workers,
-        initializer=_pin_worker_threads,
-        # numba is pinned only if already imported here: a worker never
-        # imports it just to pin it.
-        initargs=(pinned_blas_threads(workers), "numba" in sys.modules),
+        initializer=set_blas_threads,
+        initargs=(pinned_blas_threads(workers),),
     )
-
-
-#: Environment knob selecting the array backend behind ``--device gpu``.
-#: CPU-only CI sets it to ``mock_device`` so the GPU execution path is
-#: exercised end to end (strict device semantics, bit-identical results)
-#: without CuPy; on GPU machines the default is CuPy.
-GPU_ARRAY_BACKEND_ENV = "REPRO_GPU_ARRAY_BACKEND"
-
-
-def default_gpu_array_backend() -> str:
-    """The array backend ``GpuBackend`` targets when none is named."""
-    return os.environ.get(GPU_ARRAY_BACKEND_ENV, "cupy")
-
-
-@dataclass(frozen=True)
-class GpuBackend:
-    """Run every chunk device-resident through a device array namespace.
-
-    The scheduling itself is inline (one device executes chunks in order —
-    the concurrency lives inside the device's kernels): ``map`` activates
-    the configured array backend (:func:`repro.arrays.use_array_backend`)
-    around the evaluations, so the samplers, mesh sweeps and forward
-    kernels underneath allocate and compute on the device, and only the
-    per-chunk sample vectors are transferred back at reassembly
-    (``evaluate_batch_chunk`` calls :func:`repro.arrays.to_host`).
-
-    ``array_backend`` names the namespace: ``None`` picks CuPy (or the
-    ``REPRO_GPU_ARRAY_BACKEND`` override — CI uses the strict
-    ``mock_device`` stand-in).  Construction fails loudly when the chosen
-    namespace is unavailable, listing what is.
-
-    **Determinism.**  Randomness is always drawn on the host from the
-    pre-spawned child streams, so a device run consumes the same sampled
-    values as the serial path; the mock namespace is bit-identical, a real
-    GPU matches to ``allclose`` at fixed seeds (reduction order).
-    """
-
-    array_backend: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        # Resolve eagerly: a missing CuPy should fail at configuration time
-        # with the available alternatives, not deep inside a Monte Carlo run.
-        object.__setattr__(self, "array_backend", self.resolved_array_backend().name)
-
-    def resolved_array_backend(self):
-        name = self.array_backend if self.array_backend is not None else default_gpu_array_backend()
-        try:
-            return get_array_backend(name)
-        except Exception as error:
-            raise type(error)(
-                f"{error} — the GPU execution backend needs a device array namespace; "
-                f"available array backends: {available_array_backends()} "
-                f"(set {GPU_ARRAY_BACKEND_ENV}=mock_device for the CPU-only stand-in)"
-            ) from error
-
-    @property
-    def parallelism(self) -> int:
-        return 1
-
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        with use_array_backend(self.resolved_array_backend()):
-            tasks = list(tasks)
-            return gather_with_heartbeat("gpu", (fn(task) for task in tasks), len(tasks))
 
 
 @contextmanager
@@ -392,49 +326,26 @@ def pool_scope(backend: Backend) -> Iterator[Backend]:
 BackendLike = Union[None, str, Backend]
 
 #: Registered backend names (the strings accepted by :func:`resolve_backend`).
-BACKEND_NAMES = ("serial", "multiprocess", "gpu", "fleet")
-
-#: Devices accepted by the ``device`` knob (experiment configs and the CLI).
-DEVICE_NAMES = ("cpu", "gpu")
+BACKEND_NAMES = ("serial", "multiprocess")
 
 
-def resolve_backend(
-    backend: BackendLike = None,
-    workers: Optional[int] = None,
-    device: Optional[str] = None,
-) -> Backend:
-    """Turn a ``backend``/``workers``/``device`` knob trio into a backend.
+def resolve_backend(backend: BackendLike = None, workers: Optional[int] = None) -> Backend:
+    """Turn a ``backend``/``workers`` knob pair into a backend.
 
     Resolution rules (shared by every layer that exposes the knobs):
 
     * an existing :class:`Backend` instance is returned unchanged
-      (``workers``/``device`` must then be left unset — the instance
-      already decided),
-    * ``device="gpu"`` selects the device-resident :class:`GpuBackend`
-      (``workers`` must be unset or 1 — the GPU executes chunks in order,
-      the concurrency lives in its kernels); ``device="cpu"``/``None``
-      falls through to the CPU rules below,
+      (``workers`` must then be left unset — the instance already
+      decided),
     * ``None`` auto-selects: ``workers=None`` gives a
       :class:`ThreadBackend` over every CPU the process may use (the
       serial backend when that is one), ``workers=1`` the serial
       reference, anything larger a multiprocess backend with that many
       workers,
-    * ``"serial"`` / ``"multiprocess"`` / ``"gpu"`` / ``"fleet"`` select
-      explicitly; ``workers`` is honored by the multiprocess backend (pool
-      size) and the fleet backend (minimum connected workers) and must be
-      unset or 1 otherwise.  The fleet coordinator binds the address in
-      ``REPRO_FLEET_ADDRESS`` (default ``127.0.0.1:0``).
+    * ``"serial"`` / ``"multiprocess"`` select explicitly; ``workers`` is
+      honored by the multiprocess backend (pool size) and must be unset
+      or 1 for the serial one.
     """
-    if device is not None:
-        name = str(device).lower()
-        if name not in DEVICE_NAMES:
-            raise ValueError(f"unknown device {device!r}; expected one of {DEVICE_NAMES}")
-        if name == "gpu":
-            if backend is not None:
-                raise ValueError("device='gpu' cannot be combined with an explicit backend")
-            if workers is not None and workers > 1:
-                raise ValueError("device='gpu' cannot be combined with workers > 1")
-            return GpuBackend()
     if backend is not None and not isinstance(backend, str):
         if not isinstance(backend, Backend):
             raise TypeError(
@@ -460,14 +371,4 @@ def resolve_backend(
         return SerialBackend()
     if name == "multiprocess":
         return MultiprocessBackend(workers=workers)
-    if name == "gpu":
-        if workers is not None and workers > 1:
-            raise ValueError(f"the gpu backend cannot use {workers} workers")
-        return GpuBackend()
-    if name == "fleet":
-        # Imported lazily: the fleet package imports observability (spans)
-        # and would otherwise create an import cycle through this module.
-        from .fleet import FleetBackend
-
-        return FleetBackend(min_workers=workers if workers is not None else 1)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")

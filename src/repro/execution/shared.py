@@ -192,28 +192,24 @@ ArrayLike = Union[np.ndarray, SharedArray]
 
 
 def resolve_array(value: ArrayLike) -> np.ndarray:
-    """The ndarray behind ``value`` (attaching/fetching handles as needed).
+    """The ndarray behind ``value`` (attaching a shared handle as needed).
 
-    Accepts plain arrays, :class:`SharedArray` handles, and any other
-    hosted-array reference advertising ``provides_array`` with an
-    ``.array`` property (the fleet's content-addressed
-    :class:`~repro.execution.fleet.cache.ArrayRef` does) — the seam every
-    trial dataclass resolves its eval data through, whatever backend
+    Accepts plain arrays and :class:`SharedArray` handles — every trial
+    dataclass resolves its eval data through this, whatever backend
     hosted it.
     """
-    if isinstance(value, SharedArray) or getattr(value, "provides_array", False):
+    if isinstance(value, SharedArray):
         return value.array
     return np.asarray(value)
 
 
 def is_hosted_array(value) -> bool:
-    """Whether ``value`` is already a hosted-array handle (any flavor).
+    """Whether ``value`` is already a shared-memory handle.
 
-    True for shared-memory handles and for duck-typed references carrying
-    ``provides_array`` (fleet ``ArrayRef``).  Sweep layers use this to skip
-    re-hosting data a caller already hosted for an outer scope.
+    Sweep layers use this to skip re-hosting data a caller already hosted
+    for an outer scope.
     """
-    return isinstance(value, SharedArray) or bool(getattr(value, "provides_array", False))
+    return isinstance(value, SharedArray)
 
 
 # --------------------------------------------------------------------------- #
@@ -361,21 +357,16 @@ class SharedNetwork:
 def resolve_network(value):
     """The :class:`~repro.onn.spnn.SPNN` behind ``value`` (rebuilding as needed).
 
-    Accepts plain networks, :class:`SharedNetwork` handles, and duck-typed
-    hosted-network references advertising ``provides_network`` with a
-    ``.spnn`` property (the fleet's
-    :class:`~repro.execution.fleet.cache.NetworkRef`).
+    Accepts plain networks and :class:`SharedNetwork` handles.
     """
-    if isinstance(value, SharedNetwork) or getattr(value, "provides_network", False):
+    if isinstance(value, SharedNetwork):
         return value.spnn
     return value
 
 
 def is_hosted_network(value) -> bool:
-    """Whether ``value`` is already a hosted-network handle (any flavor)."""
-    return isinstance(value, SharedNetwork) or bool(
-        getattr(value, "provides_network", False)
-    )
+    """Whether ``value`` is already a shared-memory network handle."""
+    return isinstance(value, SharedNetwork)
 
 
 @contextmanager
@@ -389,17 +380,7 @@ def shared_network(backend, spnn) -> Iterator[object]:
     task payload shrinks to the perturbation draws instead of a re-pickled
     compiled SPNN.  Results are bit-identical either way (the rebuilt
     workers' networks reproduce the hosted matrices exactly).
-
-    **Host-or-reference seam.**  A backend that hosts networks its own way
-    exposes ``host_network`` (the fleet backend yields a content-addressed
-    :class:`~repro.execution.fleet.cache.NetworkRef`); this function
-    delegates to it, so sweeps stay backend-agnostic.
     """
-    host = getattr(backend, "host_network", None)
-    if host is not None:
-        with host(spnn) as hosted:
-            yield hosted
-        return
     if not shared_memory_available() or not _backend_shards(backend):
         yield spnn
         return
@@ -440,18 +421,7 @@ def shared_eval_arrays(backend, *arrays: np.ndarray) -> Iterator[Tuple[ArrayLike
     unlinked on exit (Linux keeps them alive for workers that are still
     attached).  Results are bit-identical either way — the segments hold
     byte-exact copies.
-
-    **Host-or-reference seam.**  A backend that hosts arrays its own way
-    exposes ``host_eval_arrays`` (the fleet backend yields
-    content-addressed :class:`~repro.execution.fleet.cache.ArrayRef`
-    handles whose blobs travel to each worker at most once); this function
-    delegates to it, so sweeps stay backend-agnostic.
     """
-    host = getattr(backend, "host_eval_arrays", None)
-    if host is not None:
-        with host(*arrays) as hosted:
-            yield tuple(hosted)
-        return
     if not shared_memory_available() or not _backend_shards(backend):
         yield tuple(np.asarray(array) for array in arrays)
         return

@@ -24,8 +24,8 @@ framework along that axis:
    budget.
 
 Like every sweep in the repo, the timelines shard across threads (the
-default), worker processes (``--workers N``) or run device-resident
-(``--device gpu``) with bit-identical curves at a fixed seed.
+default) or worker processes (``--workers N``) with bit-identical curves
+at a fixed seed.
 """
 
 from __future__ import annotations
@@ -73,11 +73,9 @@ class DriftConfig:
     chunk_size: Optional[int] = None
     #: Execution backend knobs, identical to the other sweeps: ``None``
     #: runs timeline chunks on one thread per CPU, ``workers=1`` serially,
-    #: ``workers=N`` shards them across N processes,
-    #: ``device="gpu"`` advances them device-resident — bit-identical.
+    #: ``workers=N`` shards them across N processes — bit-identical.
     backend: BackendLike = None
     workers: Optional[int] = None
-    device: Optional[str] = None
     #: Repeats of the renull-cost measurement (best-of).
     cost_repeats: int = 3
     #: Training configuration used only when no pre-built task is supplied.
@@ -202,7 +200,6 @@ def run_drift(
         chunk_size=config.chunk_size,
         backend=config.backend,
         workers=config.workers,
-        device=config.device,
     )
     cost = measure_renull_cost(task.spnn.photonic_layers, repeats=config.cost_repeats)
     return DriftExperimentResult(

@@ -61,9 +61,6 @@ class Exp2Config:
     #: shards realization chunks across N processes, bit-identical to serial.
     backend: BackendLike = None
     workers: Optional[int] = None
-    #: ``"gpu"`` runs the realizations device-resident (CuPy, or the mock
-    #: stand-in via REPRO_GPU_ARRAY_BACKEND); ``"cpu"``/None keeps CPU.
-    device: Optional[str] = None
     #: Training configuration used only when no pre-built task is supplied.
     training: SPNNTrainingConfig = field(default_factory=SPNNTrainingConfig)
 
@@ -214,7 +211,7 @@ def run_exp2(
     features, labels = task.test_features, task.test_labels
     # One backend for the whole zone sweep (54 small Monte Carlo runs on the
     # paper architecture); its worker pool survives across zones.
-    backend = resolve_backend(config.backend, config.workers, config.device)
+    backend = resolve_backend(config.backend, config.workers)
     runner = MonteCarloRunner(
         iterations=config.iterations,
         chunk_size=config.chunk_size,

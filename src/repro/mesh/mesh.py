@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..arrays import HOST_BACKEND, active_array_backend
 from ..arrays.kernels import block_components
 from ..arrays.sweep import ColumnProgram, apply_column_sweep, select_sweep_kernel
 from ..exceptions import ShapeError, VariationModelError
@@ -107,7 +106,7 @@ class MeshPerturbation:
                 return None
             if values.shape != mzi_mask.shape:
                 raise ShapeError(f"mask shape {mzi_mask.shape} does not match values {values.shape}")
-            return np.where(mzi_mask, values, 0.0)  # host-only path
+            return np.where(mzi_mask, values, 0.0)
 
         return MeshPerturbation(
             delta_theta=_mask(self.delta_theta),
@@ -155,8 +154,7 @@ class MeshPerturbationBatch(PerturbationBatchFields):
     def validate(self, num_mzis: int, n_modes: int) -> None:
         """Check array shapes ``(B, ...)`` against the mesh dimensions.
 
-        Host fields go through the historical float64 conversion; fields
-        sampled on a device backend are shape-checked in place (see
+        Fields go through the historical float64 conversion (see
         :func:`repro.mesh._batch.ensure_batch_field`).
         """
         batch = self.batch_size
@@ -251,14 +249,9 @@ class MZIMesh:
             top=sorted_modes,
             bottom=sorted_modes + 1,
             rows=rows,
-            starts=np.asarray(boundaries, dtype=np.int64),
             spans=spans,
             bases=tuple(bases),
         )
-        # Per-array-backend copies of the program (device namespaces index
-        # with their own arrays); the mesh structure never changes (retune
-        # only rewrites phases), so entries stay valid.
-        self._device_structure: Dict[str, ColumnProgram] = {}
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -403,10 +396,10 @@ class MZIMesh:
             perturbation.validate(self.num_mzis, self.n)
         stacks, output_phases = self._column_stacks_and_phases(perturbation)
         matrix = np.eye(self.n, dtype=np.complex128)
-        apply_column_sweep(HOST_BACKEND, matrix, stacks, self._column_program)
-        return np.exp(1j * output_phases)[:, np.newaxis] * matrix  # host-only path
+        apply_column_sweep(matrix, stacks, self._column_program)
+        return np.exp(1j * output_phases)[:, np.newaxis] * matrix
 
-    def _column_stacks_and_phases(self, perturbation, backend=None):
+    def _column_stacks_and_phases(self, perturbation):
         """Perturbed block components in column order, and the output phases.
 
         Shared by both evaluation paths.  ``perturbation`` may be a
@@ -419,22 +412,18 @@ class MZIMesh:
         packed ``(CA, CB)`` stacks the sweep kernels take
         (:func:`~repro.arrays.kernels.block_components`): the complex
         components are never gathered or copied.  Unperturbed families
-        stay at their ``(M,)`` nominal shape and broadcast.  Under a device
-        ``backend`` the nominal arrays are moved across once (cached
-        transfer) and every operation runs in the device namespace.
+        stay at their ``(M,)`` nominal shape and broadcast.
         """
-        backend = backend if backend is not None else HOST_BACKEND
-        xp = backend.xp
-        perm = self.column_program(backend).perm
-        thetas = backend.asarray_cached(self._column_thetas)
-        phis = backend.asarray_cached(self._column_phis)
-        r_in = backend.asarray_cached(self._column_r)
+        perm = self._column_perm
+        thetas = self._column_thetas
+        phis = self._column_phis
+        r_in = self._column_r
         r_out = r_in
-        output_phases = backend.asarray_cached(self.output_phases)
+        output_phases = self.output_phases
 
         def shifted(nominal, delta):
-            column_delta = xp.asarray(delta)[..., perm]
-            return xp.add(nominal, column_delta, out=column_delta)
+            column_delta = np.asarray(delta)[..., perm]
+            return np.add(nominal, column_delta, out=column_delta)
 
         if perturbation is not None:
             if perturbation.delta_theta is not None:
@@ -442,31 +431,20 @@ class MZIMesh:
             if perturbation.delta_phi is not None:
                 phis = shifted(phis, perturbation.delta_phi)
             if perturbation.delta_r_in is not None:
-                r_in = xp.clip(shifted(r_in, perturbation.delta_r_in), 0.0, 1.0)
+                r_in = np.clip(shifted(r_in, perturbation.delta_r_in), 0.0, 1.0)
             if perturbation.delta_r_out is not None:
-                r_out = xp.clip(shifted(r_out, perturbation.delta_r_out), 0.0, 1.0)
+                r_out = np.clip(shifted(r_out, perturbation.delta_r_out), 0.0, 1.0)
             if perturbation.delta_output_phase is not None:
-                output_phases = output_phases + xp.asarray(perturbation.delta_output_phase)
+                output_phases = output_phases + np.asarray(perturbation.delta_output_phase)
         lead = max((p.shape[:-1] for p in (thetas, phis, r_in, r_out)), key=len)
         shape = tuple(lead) + (self.num_mzis, 2)
-        stacks = (backend.empty(shape, np.complex128), backend.empty(shape, np.complex128))
+        stacks = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
         mzi_transfer_components(thetas, phis, r_in, r2=r_out, out=block_components(stacks))
         return stacks, output_phases
 
-    def column_program(self, backend=None) -> ColumnProgram:
-        """The packed column program, converted (and cached) for ``backend``.
-
-        Host backends reuse the precomputed NumPy program; device backends
-        get a cached device copy (the structure is immutable —
-        :meth:`retune` rewrites only phases — so entries never go stale).
-        """
-        if backend is None or backend.is_host:
-            return self._column_program
-        cached = self._device_structure.get(backend.name)
-        if cached is None:
-            cached = self._column_program.to_backend(backend)
-            self._device_structure[backend.name] = cached
-        return cached
+    def column_program(self) -> ColumnProgram:
+        """The packed column program every sweep kernel takes."""
+        return self._column_program
 
     def perturbed_matrix(self, perturbation: MeshPerturbation) -> np.ndarray:
         """Alias of :meth:`matrix` that makes call sites more readable."""
@@ -501,22 +479,19 @@ class MZIMesh:
         Returns
         -------
         numpy.ndarray
-            Complex array of shape ``(B, n, n)`` (in the active array
-            backend's namespace), bit-identical to stacking ``B`` calls of
-            :meth:`matrix` on the individual realizations.
+            Complex array of shape ``(B, n, n)``, bit-identical to stacking
+            ``B`` calls of :meth:`matrix` on the individual realizations.
         """
-        backend = active_array_backend()
-        xp = backend.xp
         if perturbation is None:
             if batch_size is None:
                 raise ValueError("batch_size is required when perturbation is None")
             if batch_size < 1:
                 raise ValueError(f"batch_size must be >= 1, got {batch_size}")
             nominal = self.matrix(None)
-            if workspace is None and backend.is_host:
+            if workspace is None:
                 return np.broadcast_to(nominal, (batch_size,) + nominal.shape).copy()
-            matrices = self._batch_buffer(backend, workspace, workspace_key, batch_size)
-            matrices[...] = xp.asarray(nominal)
+            matrices = self._batch_buffer(workspace, workspace_key, batch_size)
+            matrices[...] = nominal
             return matrices
 
         perturbation.validate(self.num_mzis, self.n)
@@ -526,44 +501,43 @@ class MZIMesh:
 
         # (B, num_mzis, 2) column-ordered component stacks; unperturbed
         # parameter families broadcast.
-        stacks, output_phases = self._column_stacks_and_phases(perturbation, backend)
+        stacks, output_phases = self._column_stacks_and_phases(perturbation)
         if stacks[0].ndim == 2:  # only the output phase screen was perturbed
-            stacks = tuple(xp.broadcast_to(s, (batch,) + s.shape) for s in stacks)
-        matrices = self._batch_buffer(backend, workspace, workspace_key, batch)
-        matrices[...] = xp.eye(self.n, dtype=xp.complex128)
-        # A kernel that blocks internally (the fused megakernel, the device
-        # kernels) takes the whole batch in one call; otherwise chunk the
-        # batch axis here so the per-chunk matrices and gathered rows stay
-        # cache-resident during the column sweep.
-        program = self.column_program(backend)
-        kernel = select_sweep_kernel(backend)
+            stacks = tuple(np.broadcast_to(s, (batch,) + s.shape) for s in stacks)
+        matrices = self._batch_buffer(workspace, workspace_key, batch)
+        matrices[...] = np.eye(self.n, dtype=np.complex128)
+        # A kernel that blocks internally (the fused megakernel) takes the
+        # whole batch in one call; otherwise chunk the batch axis here so
+        # the per-chunk matrices and gathered rows stay cache-resident
+        # during the column sweep.
+        program = self._column_program
+        kernel = select_sweep_kernel()
         if kernel.blocks_internally:
-            apply_column_sweep(backend, matrices, stacks, program, kernel=kernel)
+            apply_column_sweep(matrices, stacks, program, kernel=kernel)
         else:
             chunk = max(1, _APPLY_CHUNK_ELEMENTS // max(1, self.n * self.n))
             for start in range(0, batch, chunk):
                 stop = min(start + chunk, batch)
                 apply_column_sweep(
-                    backend,
                     matrices[start:stop],
                     tuple(s[start:stop] for s in stacks),
                     program,
                     kernel=kernel,
                 )
-        phases = xp.exp(1j * output_phases)
+        phases = np.exp(1j * output_phases)
         if phases.ndim == 1:
             phases = phases[None]
         if workspace is None:
             return phases[:, :, None] * matrices
-        xp.multiply(phases[:, :, None], matrices, out=matrices)
+        np.multiply(phases[:, :, None], matrices, out=matrices)
         return matrices
 
-    def _batch_buffer(self, backend, workspace, workspace_key, batch: int):
+    def _batch_buffer(self, workspace, workspace_key, batch: int):
         """The ``(B, n, n)`` destination of the batched sweep (arena or fresh)."""
         shape = (batch, self.n, self.n)
         if workspace is not None:
             return workspace.buffer((workspace_key, "mesh/matrices"), shape, np.complex128)
-        return backend.empty(shape, np.complex128)
+        return np.empty(shape, np.complex128)
 
     # ------------------------------------------------------------------ #
     # summaries

@@ -1,7 +1,7 @@
 """Zero-overhead observability: span tracing, worker telemetry, metrics.
 
-The engine spans multiprocess pools, shared-memory hosting, a GPU backend
-and a runtime sweep-kernel registry; this package makes all of it visible
+The engine spans thread and process pools, shared-memory hosting and a
+sweep-kernel registry; this package makes all of it visible
 without making any of it slower:
 
 * :mod:`~repro.observability.recorder` — the span/counter recorder behind
@@ -11,7 +11,7 @@ without making any of it slower:
   ``REPRO_TRACE`` environment variable, or the CLI ``--trace`` /
   ``--metrics-out`` flags.
 * :mod:`~repro.observability.dispatch` — per-call kernel-dispatch metrics
-  for :func:`repro.arrays.sweep.apply_column_sweep` (kernel name, backend,
+  for :func:`repro.arrays.sweep.apply_column_sweep` (kernel name,
   shape, seconds): the raw data shape-aware adaptive kernel selection
   needs.
 * :mod:`~repro.observability.frames` — worker-side telemetry riding the

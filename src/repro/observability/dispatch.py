@@ -4,8 +4,8 @@
 thread's collector before every dispatch.  ``None`` (the default) means disabled —
 the sweep's only overhead is one thread-local read per call.  Collectors
 are per thread: worker threads start with none installed.  While a
-collector is installed, every dispatch records ``(kernel_name, backend,
-n, batch, columns, seconds)``; the :class:`DispatchAggregator` folds the
+collector is installed, every dispatch records ``(kernel_name, n, batch,
+columns, seconds)``; the :class:`DispatchAggregator` folds the
 calls into per-shape totals: which kernel served which shapes, and how
 long each took.  Recording is observation only — kernel selection never
 reads it.
@@ -20,8 +20,7 @@ Collectors are installed two ways:
   processes and inline alike — and ships the result back inside the
   chunk's telemetry frame.
 
-This module is numpy-free (it is imported by the numpy-free kernel
-registry) and never touches the swept arrays — only their shapes.
+This module never touches the swept arrays — only their shapes.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = [
 class DispatchAggregator:
     """Folds kernel dispatches into deterministic per-shape totals.
 
-    Keyed by ``(kernel, backend, n, batch, columns)``; the call count per
+    Keyed by ``(kernel, n, batch, columns)``; the call count per
     key is deterministic for a deterministic workload, only the
     accumulated seconds vary between runs.
     """
@@ -49,10 +48,10 @@ class DispatchAggregator:
     __slots__ = ("_totals",)
 
     def __init__(self) -> None:
-        self._totals: Dict[Tuple[str, str, int, int, int], List[float]] = {}
+        self._totals: Dict[Tuple[str, int, int, int], List[float]] = {}
 
-    def record(self, kernel: str, backend: str, n: int, batch: int, columns: int, seconds: float) -> None:
-        key = (kernel, backend, n, batch, columns)
+    def record(self, kernel: str, n: int, batch: int, columns: int, seconds: float) -> None:
+        key = (kernel, n, batch, columns)
         entry = self._totals.get(key)
         if entry is None:
             self._totals[key] = [1, seconds]
@@ -72,7 +71,6 @@ class DispatchAggregator:
         for entry in entries:
             key = (
                 str(entry["kernel"]),
-                str(entry["backend"]),
                 int(entry["n"]),
                 int(entry["batch"]),
                 int(entry["columns"]),
@@ -89,14 +87,13 @@ class DispatchAggregator:
         return [
             {
                 "kernel": kernel,
-                "backend": backend,
                 "n": n,
                 "batch": batch,
                 "columns": columns,
                 "calls": int(calls),
                 "seconds": float(seconds),
             }
-            for (kernel, backend, n, batch, columns), (calls, seconds) in sorted(self._totals.items())
+            for (kernel, n, batch, columns), (calls, seconds) in sorted(self._totals.items())
         ]
 
 

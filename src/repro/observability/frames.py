@@ -13,8 +13,8 @@ so the merge into the trace is deterministic.
 
 Because enablement travels *through the wrapped function* rather than
 through environment or global state, the scheme works identically for the
-serial backend (inline calls), the multiprocess backend (fork/spawn
-workers, persistent pools included) and the GPU backend.
+serial backend (inline calls), the thread backend and the multiprocess
+backend (fork/spawn workers, persistent pools included).
 
 When tracing is disabled, :func:`map_chunks` is a straight pass-through to
 ``backend.map`` — no wrapper, no frames, structurally the pre-observability
@@ -28,18 +28,12 @@ result-array contents (only ``nbytes`` metadata); every field except
 from __future__ import annotations
 
 import pickle
-import platform
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence
 
 from . import dispatch as _dispatch
 from . import recorder as _recorder
-
-#: The machine identity stamped on frames produced by this process.  With
-#: the fleet backend chunks evaluate on other machines, so ``worker`` (a
-#: native thread id) is not a unique identity — ``(host, worker)`` is.
-_HOST = platform.node() or "localhost"
 
 __all__ = [
     "ChunkFrame",
@@ -54,7 +48,6 @@ class KernelDispatch:
     """One aggregated kernel-dispatch row inside a chunk frame."""
 
     kernel: str
-    backend: str
     n: int
     batch: int
     columns: int
@@ -65,7 +58,6 @@ class KernelDispatch:
     def from_entry(cls, entry: dict) -> "KernelDispatch":
         return cls(
             kernel=str(entry["kernel"]),
-            backend=str(entry["backend"]),
             n=int(entry["n"]),
             batch=int(entry["batch"]),
             columns=int(entry["columns"]),
@@ -76,7 +68,6 @@ class KernelDispatch:
     def to_record(self) -> dict:
         return {
             "kernel": self.kernel,
-            "backend": self.backend,
             "n": self.n,
             "batch": self.batch,
             "columns": self.columns,
@@ -106,7 +97,6 @@ class ChunkFrame:
     result_bytes: int
     dispatches: List[KernelDispatch] = field(default_factory=list)
     index: int = -1
-    host: str = _HOST
 
     def to_record(self) -> dict:
         return {
@@ -117,7 +107,6 @@ class ChunkFrame:
             "count": self.count,
             "seconds": self.seconds,
             "worker": self.worker,
-            "host": self.host,
             "task_bytes": self.task_bytes,
             "result_bytes": self.result_bytes,
             "dispatches": [entry.to_record() for entry in self.dispatches],
@@ -135,7 +124,6 @@ class ChunkFrame:
             result_bytes=int(record.get("result_bytes", 0)),
             dispatches=[KernelDispatch.from_entry(entry) for entry in record.get("dispatches", ())],
             index=int(record.get("index", -1)),
-            host=str(record.get("host", "")),
         )
 
 
@@ -187,8 +175,8 @@ class InstrumentedChunkEvaluator:
 
     Carrying enablement inside the mapped function — instead of an
     environment variable or module global that fork may or may not copy —
-    is what makes worker telemetry uniform across Serial / Multiprocess /
-    Gpu backends and across pool reuse.
+    is what makes worker telemetry uniform across Serial / Thread /
+    Multiprocess backends and across pool reuse.
 
     A chunk-local :class:`~repro.observability.dispatch.DispatchAggregator`
     is installed around the evaluation, so kernel dispatches triggered by

@@ -14,10 +14,6 @@ installs one for the whole process and writes the JSONL trace at exit.
 reads result-array contents; span/frame/dispatch records are deterministic
 in everything but their timing fields.  Traced runs are therefore
 bit-identical to untraced runs — asserted by the observability test suite.
-
-This module (like the rest of the package) is numpy-free and enforced so
-by ``tools/check_numpy_seam.py``: telemetry must stay importable from the
-namespace-generic kernels without dragging a host array library in.
 """
 
 from __future__ import annotations
@@ -127,7 +123,7 @@ class NullRecorder:
     def add_frame(self, frame) -> None:
         return None
 
-    def add_dispatch(self, kernel: str, backend: str, n: int, batch: int, columns: int, seconds: float) -> None:
+    def add_dispatch(self, kernel: str, n: int, batch: int, columns: int, seconds: float) -> None:
         return None
 
 
@@ -246,8 +242,8 @@ class TraceRecorder:
     def add_frame(self, frame) -> None:
         self.frames.append(frame)
 
-    def add_dispatch(self, kernel: str, backend: str, n: int, batch: int, columns: int, seconds: float) -> None:
-        self.dispatches.record(kernel, backend, n, batch, columns, seconds)
+    def add_dispatch(self, kernel: str, n: int, batch: int, columns: int, seconds: float) -> None:
+        self.dispatches.record(kernel, n, batch, columns, seconds)
 
     # ------------------------------------------------------------------ #
     # export

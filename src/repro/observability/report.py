@@ -30,18 +30,15 @@ class MetricsReport:
 
     ``spans``    — ``{"name", "calls", "seconds"}`` totals, sorted by name.
     ``counters`` — counter name to accumulated value.
-    ``kernels``  — per-``(kernel, backend, n, batch, columns)`` dispatch
+    ``kernels``  — per-``(kernel, n, batch, columns)`` dispatch
     totals, parent-side and worker-side merged.
     ``chunks``   — the chunk schedule in merge (task) order:
-    ``{"label", "index", "start", "count", "worker", "host", "seconds",
+    ``{"label", "index", "start", "count", "worker", "seconds",
     "task_bytes", "result_bytes"}``.
-    ``workers``  — per-``(host, worker)`` chunk counts, busy seconds, row
-    totals and measured ``rows_per_second`` throughput (with the fleet
-    backend chunks evaluate on other machines, so a worker id alone is not an
-    identity).
+    ``workers``  — per-worker chunk counts, busy seconds, row totals and
+    measured ``rows_per_second`` throughput.
     ``imbalance`` — max/mean worker busy time (1.0 = perfectly balanced),
-    ``None`` when no worker was busy.  :attr:`worker_imbalance` breaks the
-    same ratio out per host.
+    ``None`` when no worker was busy.
     """
 
     spans: List[dict] = field(default_factory=list)
@@ -85,7 +82,6 @@ class MetricsReport:
                         "start": int(record.get("start", -1)),
                         "count": int(record.get("count", 0)),
                         "worker": int(record.get("worker", -1)),
-                        "host": str(record.get("host", "")),
                         "seconds": float(record.get("seconds", 0.0)),
                         "task_bytes": int(record.get("task_bytes", 0)),
                         "result_bytes": int(record.get("result_bytes", 0)),
@@ -108,19 +104,6 @@ class MetricsReport:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def worker_imbalance(self) -> Dict[str, Optional[float]]:
-        """Per-host max/mean busy-time ratio across that host's workers.
-
-        The fleet-era refinement of :attr:`imbalance`: with workers spread
-        over machines, a single global ratio conflates "one slow host" with
-        "one slow worker".  Hosts with no busy worker map to ``None``.
-        """
-        by_host: Dict[str, List[dict]] = {}
-        for entry in self.workers:
-            by_host.setdefault(str(entry.get("host", "")), []).append(entry)
-        return {host: _imbalance(entries) for host, entries in sorted(by_host.items())}
-
     def chunk_schedule(self, label: Optional[str] = None) -> List[tuple]:
         """``(start, count)`` pairs in merge order, optionally one label's.
 
@@ -187,10 +170,10 @@ class MetricsReport:
                 rendered = int(value) if float(value).is_integer() else value
                 lines.append(f"  {name} = {rendered}")
         if self.kernels:
-            lines.append("kernel dispatches (kernel/backend, n, batch, columns):")
+            lines.append("kernel dispatches (kernel, n, batch, columns):")
             for entry in self.kernels:
                 lines.append(
-                    f"  {entry['kernel']}/{entry['backend']}"
+                    f"  {entry['kernel']}"
                     f"  n={entry['n']} batch={entry['batch']} cols={entry['columns']}"
                     f"  x{entry['calls']}  {entry['seconds']:9.4f}s"
                 )
@@ -204,39 +187,28 @@ class MetricsReport:
         if self.workers:
             lines.append("workers (chunks, busy seconds, rows/s):")
             for entry in self.workers:
-                host = str(entry.get("host", "")) or "?"
                 rate = entry.get("rows_per_second")
                 rate_text = f", {rate:10.1f} rows/s" if rate else ""
                 lines.append(
-                    f"  {host}/worker {entry['worker']}: "
+                    f"  worker {entry['worker']}: "
                     f"{entry['chunks']} chunks, {entry['seconds']:9.4f}s{rate_text}"
                 )
             if self.imbalance is not None:
                 lines.append(f"  imbalance (max/mean busy): {self.imbalance:.3f}")
-            per_host = {
-                host: ratio
-                for host, ratio in self.worker_imbalance.items()
-                if ratio is not None
-            }
-            if len(per_host) > 1 or (per_host and len(self.worker_imbalance) > 1):
-                for host, ratio in per_host.items():
-                    lines.append(f"    {host or '?'}: imbalance {ratio:.3f}")
         if not lines:
             lines.append("(empty trace)")
         return "\n".join(lines)
 
 
 def _worker_table(chunks: List[dict]) -> List[dict]:
-    totals: Dict[tuple, List[float]] = {}
+    totals: Dict[int, List[float]] = {}
     for chunk in chunks:
-        key = (str(chunk.get("host", "")), int(chunk["worker"]))
-        entry = totals.setdefault(key, [0, 0.0, 0])
+        entry = totals.setdefault(int(chunk["worker"]), [0, 0.0, 0])
         entry[0] += 1
         entry[1] += float(chunk["seconds"])
         entry[2] += int(chunk.get("count", 0))
     return [
         {
-            "host": host,
             "worker": worker,
             "chunks": int(count),
             "seconds": float(seconds),
@@ -244,7 +216,7 @@ def _worker_table(chunks: List[dict]) -> List[dict]:
             # Measured throughput; ``None`` when never busy.
             "rows_per_second": (float(rows) / seconds) if seconds > 0.0 else None,
         }
-        for (host, worker), (count, seconds, rows) in sorted(totals.items())
+        for worker, (count, seconds, rows) in sorted(totals.items())
     ]
 
 

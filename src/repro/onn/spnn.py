@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arrays import active_array_backend
 from ..arrays import kernels as _kernels
 from ..exceptions import ConfigurationError, ShapeError
 from ..mesh.svd_layer import LayerPerturbation, LayerPerturbationBatch, PhotonicLinearLayer
@@ -353,7 +352,7 @@ class SPNN:
     ) -> np.ndarray:
         """Forward pass of validated ``(samples, n)`` features through stacked matrices."""
         modulus = self._modulus_batch_with_matrices(features, matrices)
-        return _kernels.log_softmax(active_array_backend().xp, modulus**2)
+        return _kernels.log_softmax(modulus**2)
 
     def _modulus_batch_with_matrices(
         self, features: np.ndarray, matrices: Sequence[np.ndarray]
@@ -367,19 +366,14 @@ class SPNN:
         feature-major, or stacking products across realizations, changes
         which BLAS micro-kernel computes an entry and with it the last bit.
         Buffers are fresh per call and Softplus runs in place over the
-        modulus.  Under a device array backend the features move across
-        once (cached transfer) and the whole pipeline runs device-resident.
+        modulus.
         """
-        backend = active_array_backend()
-        xp = backend.xp
-        if not backend.is_host:
-            features = backend.asarray_cached(features)
         beta = self.architecture.softplus_beta
         activations = features  # (samples, n) broadcasts over B
         for matrix in matrices[:-1]:
-            modulus = xp.abs(_kernels.matmul_transposed(xp, activations, matrix))
-            activations = _kernels.softplus(xp, modulus, beta=beta, out=modulus)
-        return xp.abs(_kernels.matmul_transposed(xp, activations, matrices[-1]))
+            modulus = np.abs(_kernels.matmul_transposed(activations, matrix))
+            activations = _kernels.softplus(modulus, beta=beta, out=modulus)
+        return np.abs(_kernels.matmul_transposed(activations, matrices[-1]))
 
     def accuracy_batch(
         self,
@@ -416,16 +410,13 @@ class SPNN:
             raise ShapeError(
                 f"features batch {features.shape[0]} does not match labels {labels.shape}"
             )
-        backend = active_array_backend()
-        xp = backend.xp
         matrices = self.hardware_matrices_batch(
             perturbations, batch_size=batch_size, workspace=workspace
         )
         batch = int(matrices[0].shape[0])
         if chunk_size is None:
             chunk_size = self._forward_chunk_size(features.shape[0])
-        device_labels = labels if backend.is_host else backend.asarray_cached(labels)
-        accuracies = xp.empty(batch, dtype=xp.float64)
+        accuracies = np.empty(batch, dtype=np.float64)
         for start in range(0, batch, chunk_size):
             stop = min(start + chunk_size, batch)
             # argmax over the output modulus equals argmax over the published
@@ -434,8 +425,8 @@ class SPNN:
             modulus = self._modulus_batch_with_matrices(
                 features, [matrix[start:stop] for matrix in matrices]
             )
-            predictions = xp.argmax(modulus, axis=-1)
-            accuracies[start:stop] = xp.mean(predictions == device_labels[None, :], axis=1)
+            predictions = np.argmax(modulus, axis=-1)
+            accuracies[start:stop] = np.mean(predictions == labels[None, :], axis=1)
         return accuracies
 
     def _forward_chunk_size(self, num_samples: int) -> int:
@@ -450,7 +441,7 @@ class SPNN:
     def _forward_with_matrices(self, features: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
         single = np.asarray(features).ndim == 1
         modulus = self._modulus_with_matrices(self._validated_features(features), matrices)
-        log_probs = _kernels.log_softmax(np, modulus**2)
+        log_probs = _kernels.log_softmax(modulus**2)
         return log_probs[0] if single else log_probs
 
     def _modulus_with_matrices(self, features: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -462,21 +453,15 @@ class SPNN:
         squaring of non-negative values and subtracting a per-row constant
         are monotone), so prediction/accuracy helpers can consume the
         modulus directly and skip the normalization work.
-
-        This is the single-realization reference path and is host-only by
-        design (its matrices come from the host-only mesh evaluators), so
-        the kernels are pinned to the NumPy namespace rather than the
-        active backend — a scalar trial scheduled under ``GpuBackend``
-        simply computes on the host.
         """
         activations = features
         last = len(matrices) - 1
         for index, matrix in enumerate(matrices):
-            activations = _kernels.matmul_transposed(np, activations, matrix)
+            activations = _kernels.matmul_transposed(activations, matrix)
             if index != last:
-                modulus = np.abs(activations)  # host-only path
-                activations = _kernels.softplus(np, modulus, beta=self.architecture.softplus_beta)
-        return np.abs(activations)  # host-only path
+                modulus = np.abs(activations)
+                activations = _kernels.softplus(modulus, beta=self.architecture.softplus_beta)
+        return np.abs(activations)
 
     # ------------------------------------------------------------------ #
     # prediction / accuracy helpers
@@ -497,7 +482,7 @@ class SPNN:
             log_probs = self.forward_hardware(features, perturbations)
         else:
             log_probs = self.forward_software(features)
-        return np.argmax(log_probs, axis=-1)  # host-only path
+        return np.argmax(log_probs, axis=-1)
 
     def accuracy(
         self,
@@ -518,7 +503,7 @@ class SPNN:
         modulus = self._modulus_with_matrices(self._validated_features(features), matrices)
         # argmax over the modulus equals argmax over the log-probabilities
         # (see _modulus_with_matrices), matching predict() exactly.
-        predictions = np.argmax(modulus, axis=-1)  # host-only path
+        predictions = np.argmax(modulus, axis=-1)
         if single:
             predictions = predictions[0]
         if np.ndim(predictions) == 0 and labels.shape == (1,):
@@ -529,7 +514,7 @@ class SPNN:
             )
         if labels.size == 0:
             raise ConfigurationError("cannot compute accuracy on an empty dataset")
-        return float(np.mean(predictions == labels))  # host-only path
+        return float(np.mean(predictions == labels))
 
     def hardware_fidelity(self) -> float:
         """Max |difference| between nominal hardware matrices and the weights."""

@@ -128,9 +128,9 @@ class SPNNTrainingStep:
         weights = self._views(self.flat.data)
         for weight, beta in zip(weights, self.betas):
             magnitude = np.abs(x @ weight.T)
-            x = kernels.softplus(np, magnitude, beta, _THRESHOLD, out=magnitude)
+            x = kernels.softplus(magnitude, beta, _THRESHOLD, out=magnitude)
         z = x @ weights[-1].T
-        return kernels.log_softmax(np, (z * np.conj(z)).real)
+        return kernels.log_softmax((z * np.conj(z)).real)
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
         """One Adam step on a minibatch; returns ``(loss, log_probs)``.
@@ -145,10 +145,10 @@ class SPNNTrainingStep:
             inputs.append(x)
             outputs.append(z)
             magnitudes.append(magnitude)
-            x = kernels.softplus(np, magnitude, beta, _THRESHOLD)
+            x = kernels.softplus(magnitude, beta, _THRESHOLD)
         z = x @ weights[-1].T
         inputs.append(x)
-        log_probs = kernels.log_softmax(np, (z * np.conj(z)).real)
+        log_probs = kernels.log_softmax((z * np.conj(z)).real)
         loss = _nll(log_probs, labels)
         if not np.isfinite(loss):
             return loss, log_probs

@@ -21,8 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..arrays import get_namespace
-from ..arrays.kernels import mzi_block_components, unit_phasor
+from ..arrays.kernels import mzi_block_components
 from ..utils.validation import as_float_array
 from . import constants
 from .beam_splitter import BeamSplitter
@@ -31,17 +30,6 @@ from .phase_shifter import PhaseShifter
 # --------------------------------------------------------------------------- #
 # closed-form transfer matrices
 # --------------------------------------------------------------------------- #
-
-
-def _unit_phasor(angle: np.ndarray) -> np.ndarray:
-    """``exp(1j * angle)`` assembled from real sin/cos into one buffer.
-
-    Bit-identical to ``np.exp(1j * angle)`` (complex exp of a purely
-    imaginary argument reduces to exactly this) while skipping the complex
-    temporary and the slower complex-exp kernel on the Monte Carlo hot path.
-    Device arrays evaluate through their own namespace (array seam).
-    """
-    return unit_phasor(get_namespace(angle), angle)
 
 
 def mzi_transfer(theta, phi) -> np.ndarray:
@@ -55,8 +43,8 @@ def mzi_transfer(theta, phi) -> np.ndarray:
     shape = np.broadcast_shapes(theta.shape, phi.shape)
     theta = np.broadcast_to(theta, shape)
     phi = np.broadcast_to(phi, shape)
-    e_theta = np.exp(1j * theta)  # host-only path
-    e_phi = np.exp(1j * phi)  # host-only path
+    e_theta = np.exp(1j * theta)
+    e_phi = np.exp(1j * phi)
     out = np.empty(shape + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = e_phi * (e_theta - 1.0) / 2.0
     out[..., 0, 1] = 1j * (e_theta + 1.0) / 2.0
@@ -103,14 +91,10 @@ def mzi_transfer_components(
     the strided ``(..., 2, 2)`` block array on the Monte Carlo hot path.
 
     The arithmetic lives in :func:`repro.arrays.kernels.mzi_block_components`
-    and runs in the namespace of the operands, so device-resident parameter
-    batches evaluate on the device while host arrays keep the exact
-    historical NumPy call sequence.  ``out`` optionally names four
-    destination arrays of the broadcast shape.
+    and keeps the exact historical NumPy call sequence.  ``out`` optionally
+    names four destination arrays of the broadcast shape.
     """
-    return mzi_block_components(
-        get_namespace(theta, phi, r1, t1, r2, t2), theta, phi, r1, t1=t1, r2=r2, t2=t2, out=out
-    )
+    return mzi_block_components(theta, phi, r1, t1=t1, r2=r2, t2=t2, out=out)
 
 
 def mzi_jacobian(theta, phi) -> Tuple[np.ndarray, np.ndarray]:
@@ -123,9 +107,9 @@ def mzi_jacobian(theta, phi) -> Tuple[np.ndarray, np.ndarray]:
     shape = np.broadcast_shapes(theta.shape, phi.shape)
     theta = np.broadcast_to(theta, shape)
     phi = np.broadcast_to(phi, shape)
-    e_theta = np.exp(1j * theta)  # host-only path
-    e_phi = np.exp(1j * phi)  # host-only path
-    e_both = np.exp(1j * (theta + phi))  # host-only path
+    e_theta = np.exp(1j * theta)
+    e_phi = np.exp(1j * phi)
+    e_both = np.exp(1j * (theta + phi))
 
     d_theta = np.empty(shape + (2, 2), dtype=np.complex128)
     d_theta[..., 0, 0] = 1j * e_both / 2.0
@@ -170,10 +154,10 @@ def mzi_element_relative_deviation(theta, phi, k: float, eps: float = 1e-12) -> 
     """
     nominal = mzi_transfer(theta, phi)
     deviation = mzi_relative_deviation(theta, phi, k)
-    magnitude = np.abs(nominal)  # host-only path
+    magnitude = np.abs(nominal)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(deviation) / magnitude  # host-only path
-    rel = np.where(magnitude < eps, np.nan, rel)  # host-only path
+        rel = np.abs(deviation) / magnitude
+    rel = np.where(magnitude < eps, np.nan, rel)
     return rel
 
 
@@ -258,12 +242,12 @@ class MZI:
 
     def power_transmission(self) -> np.ndarray:
         """2x2 matrix of power transmission ``|T_ij|^2``."""
-        return np.abs(self.transfer_matrix()) ** 2  # host-only path
+        return np.abs(self.transfer_matrix()) ** 2
 
     def insertion_error(self) -> float:
         """Deviation of the device from unitarity (non-zero only for asymmetric splitters)."""
         matrix = self.transfer_matrix()
-        return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(2))))  # host-only path
+        return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(2))))
 
     # ------------------------------------------------------------------ #
     # tuning and uncertainty injection

@@ -9,7 +9,7 @@ reproducible end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -186,3 +186,21 @@ def spawn_slice(rng: RNGLike, count: int) -> StreamSlice:
 def materialize_streams(parts: Sequence[StreamSlice]) -> List[np.random.Generator]:
     """A chunk's generators, from its recipes in row order."""
     return [generator for part in parts for generator in part.generators()]
+
+
+def standard_normal_rows(
+    generators: Sequence[np.random.Generator], length: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """A ``(B, length)`` standard-normal matrix, row ``b`` drawn from stream ``b``.
+
+    ``standard_normal(out=row)`` consumes each stream exactly like a plain
+    ``standard_normal(length)`` call, so the rows are bit-identical to
+    per-stream draws.  ``out`` optionally supplies the destination buffer.
+    """
+    draws = out
+    if draws is None:
+        draws = np.empty((len(generators), length), dtype=np.float64)
+    if length:
+        for row, gen in zip(draws, generators):
+            gen.standard_normal(out=row)
+    return draws

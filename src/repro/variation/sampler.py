@@ -24,11 +24,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..arrays import active_array_backend
 from ..mesh.diagonal import DiagonalPerturbation, DiagonalPerturbationBatch
 from ..mesh.mesh import MeshPerturbation, MeshPerturbationBatch, MZIMesh
 from ..mesh.svd_layer import LayerPerturbation, LayerPerturbationBatch, PhotonicLinearLayer
-from ..utils.rng import RNGLike, ensure_rng
+from ..utils.rng import RNGLike, ensure_rng, standard_normal_rows
 from .models import UncertaintyModel
 
 
@@ -44,7 +43,7 @@ def _splitter_sigmas(model: UncertaintyModel, count: int, override: Optional[np.
     """Per-MZI splitter sigmas: an array for overrides, a cheap scalar otherwise."""
     if override is not None:
         override = np.asarray(override, dtype=np.float64)
-        return override / np.sqrt(2.0) if model.perturb_splitters else np.zeros(count)  # host-only path
+        return override / np.sqrt(2.0) if model.perturb_splitters else np.zeros(count)
     return model.splitter_std
 
 
@@ -187,47 +186,29 @@ def _draw_rows(
     per-iteration draws of the looped samplers while avoiding per-field
     array allocations and Python overhead.  A ``workspace`` additionally
     recycles the draw buffer itself across calls.
-
-    Randomness never originates on a device: under a device array backend
-    the draws still consume the NumPy streams on the host (into a staging
-    buffer) and are then transferred — the namespace-aware RNG shim of
-    :meth:`repro.arrays.ArrayBackend.standard_normal_rows` — so every
-    backend sees the *same sampled values* at a fixed seed.
     """
-    backend = active_array_backend()
     shape = (len(generators), length)
     out = workspace.buffer((key, "draws"), shape, np.float64) if workspace is not None else None
-    if backend.is_host:
-        return backend.standard_normal_rows(generators, length, out=out)
-    staging = (
-        workspace.host_buffer((key, "draws/staging"), shape, np.float64)
-        if workspace is not None
-        else None
-    )
-    return backend.standard_normal_rows(generators, length, out=out, host_staging=staging)
+    return standard_normal_rows(generators, length, out=out)
 
 
 def _scaled_field(draws, sigma, workspace, key):
     """``draws * sigma`` written into a reusable buffer when a workspace is given.
 
-    ``sigma`` may be a scalar or a per-device array (moved into the draws'
-    namespace as needed); the multiply is the same ufunc either way, so the
-    values are bit-identical to the plain product.
+    ``sigma`` may be a scalar or a per-device array; the multiply is the
+    same ufunc either way, so the values are bit-identical to the plain
+    product.
     """
-    backend = active_array_backend()
-    xp = backend.xp
-    if isinstance(sigma, np.ndarray) and not backend.is_host:
-        sigma = xp.asarray(sigma)
     if workspace is None:
         return draws * sigma
     out = workspace.buffer(key, draws.shape, np.float64)
-    xp.multiply(draws, sigma, out=out)
+    np.multiply(draws, sigma, out=out)
     return out
 
 
 def _zero_field(shape, workspace, key):
     if workspace is None:
-        return active_array_backend().xp.zeros(shape)
+        return np.zeros(shape)
     out = workspace.buffer(key, shape, np.float64)
     out[...] = 0.0
     return out

@@ -1,14 +1,11 @@
-"""Backend conformance: the numerics core against the array seam.
+"""Conformance of the batched hot paths against the looped oracle.
 
-Every parametrized case runs a kernel/sampler/evaluator once on the NumPy
-reference backend and once on a device backend, and compares the results.
-For the strict mock backend the comparison is **exact** (its arithmetic is
-NumPy's — any difference means a seam bug); a real CuPy device, when
-present, is held to the documented ``allclose``-at-fixed-seeds contract.
-
-Because the mock namespace refuses implicit host transfers, merely *running*
-these cases under it proves the hot paths are free of stray ``np.`` calls
-and host/device mixing.
+Every batched kernel, sampler and evaluator must reproduce, **bit for
+bit**, what the per-realization code computes from the same random
+streams.  The cases span both mesh schemes, several sizes and the three
+uncertainty cases (phase-only perturbations carry no splitter fields,
+splitter-only ones no phase fields), and the engine cases hold every
+execution backend and chunking to the serial run.
 """
 
 from __future__ import annotations
@@ -16,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arrays import available_array_backends, get_array_backend, to_host, use_array_backend
-from repro.execution import GpuBackend
-from repro.mesh.mesh import MZIMesh
 from repro.analysis.monte_carlo import MonteCarloRunner
+from repro.execution import MultiprocessBackend, ThreadBackend
+from repro.mesh import MeshPerturbationBatch, MZIMesh
+from repro.onn import stack_network_perturbations
 from repro.onn.inference import NetworkAccuracyBatchTrial, NetworkAccuracyTrial, monte_carlo_accuracy
 from repro.onn.spnn import SPNN, SPNNArchitecture
 from repro.training.workspace import VectorizedWorkspace, reset_process_workspace
@@ -27,30 +24,24 @@ from repro.utils import random_unitary
 from repro.utils.rng import spawn_rngs
 from repro.variation.models import UncertaintyModel
 from repro.variation.sampler import (
+    sample_layer_perturbation,
     sample_layer_perturbation_batch,
+    sample_mesh_perturbation,
     sample_mesh_perturbation_batch,
+    sample_network_perturbation,
     sample_network_perturbation_batch,
 )
 
-#: Device backends to hold against the NumPy reference.  The mock backend
-#: must match bit for bit; CuPy (exercised only on GPU machines) to
-#: allclose at the shared fixed seeds.
-DEVICE_BACKENDS = [
-    name for name in ("mock_device", "cupy") if name in available_array_backends()
-]
+MODEL = UncertaintyModel(sigma_phs=0.01, sigma_bes=0.008)
 
+#: The three uncertainty cases of the paper's experiments.
+CASES = {
+    "phs": UncertaintyModel.phase_only(0.02),
+    "bes": UncertaintyModel.splitter_only(0.02),
+    "both": UncertaintyModel.both(0.02),
+}
 
-def _assert_matches(backend_name: str, device_result, host_result) -> None:
-    device_result = to_host(device_result)
-    if backend_name == "mock_device":
-        np.testing.assert_array_equal(device_result, host_result)
-    else:  # pragma: no cover - requires a CUDA device
-        np.testing.assert_allclose(device_result, host_result, rtol=1e-10, atol=1e-12)
-
-
-@pytest.fixture
-def mesh() -> MZIMesh:
-    return MZIMesh.from_unitary(random_unitary(6, rng=3))
+MESHES = [(4, "clements"), (5, "reck"), (6, "clements"), (7, "reck")]
 
 
 @pytest.fixture
@@ -72,158 +63,151 @@ def eval_set():
     return features, labels
 
 
-MODEL = UncertaintyModel(sigma_phs=0.01, sigma_bes=0.008)
-
-
-@pytest.mark.parametrize("backend_name", DEVICE_BACKENDS)
-class TestKernelConformance:
-    def test_mesh_sampler_batch(self, backend_name, mesh):
-        host = sample_mesh_perturbation_batch(mesh, MODEL, spawn_rngs(5, 4))
-        with use_array_backend(backend_name):
-            device = sample_mesh_perturbation_batch(mesh, MODEL, spawn_rngs(5, 4))
-        for field in host._FIELDS:
-            host_value = getattr(host, field)
-            device_value = getattr(device, field)
-            if host_value is None:
-                assert device_value is None
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("n,scheme", MESHES)
+class TestMeshConformance:
+    def test_sampler_batch_equals_looped_samples(self, n, scheme, case):
+        mesh = MZIMesh.from_unitary(random_unitary(n, rng=n), scheme=scheme)
+        model = CASES[case]
+        batch = sample_mesh_perturbation_batch(mesh, model, spawn_rngs(5, 4))
+        looped = MeshPerturbationBatch.stack(
+            [sample_mesh_perturbation(mesh, model, g) for g in spawn_rngs(5, 4)]
+        )
+        for field in batch._FIELDS:
+            value = getattr(batch, field)
+            if value is None:
+                # A family the model leaves unperturbed carries no field; the
+                # stacked loop holds zeros there.
+                expected = getattr(looped, field)
+                assert expected is None or not np.any(expected)
             else:
-                _assert_matches(backend_name, device_value, host_value)
+                np.testing.assert_array_equal(value, getattr(looped, field))
 
-    def test_mesh_matrix_batch(self, backend_name, mesh):
-        host_batch = sample_mesh_perturbation_batch(mesh, MODEL, spawn_rngs(5, 4))
-        host_matrices = mesh.matrix_batch(host_batch)
-        with use_array_backend(backend_name):
-            device_batch = sample_mesh_perturbation_batch(mesh, MODEL, spawn_rngs(5, 4))
-            device_matrices = mesh.matrix_batch(device_batch)
-        _assert_matches(backend_name, device_matrices, host_matrices)
+    def test_matrix_batch_equals_looped_matrices(self, n, scheme, case):
+        mesh = MZIMesh.from_unitary(random_unitary(n, rng=n), scheme=scheme)
+        model = CASES[case]
+        perturbations = [sample_mesh_perturbation(mesh, model, g) for g in spawn_rngs(6, 5)]
+        batched = mesh.matrix_batch(
+            sample_mesh_perturbation_batch(mesh, model, spawn_rngs(6, 5))
+        )
+        looped = np.stack([mesh.matrix(p) for p in perturbations])
+        assert batched.shape == (5, n, n)
+        np.testing.assert_array_equal(batched, looped)
 
-    def test_mesh_matrix_batch_nominal(self, backend_name, mesh):
-        host_matrices = mesh.matrix_batch(None, batch_size=3)
-        with use_array_backend(backend_name):
-            device_matrices = mesh.matrix_batch(None, batch_size=3)
-        _assert_matches(backend_name, device_matrices, host_matrices)
 
-    def test_layer_matrix_batch(self, backend_name, spnn):
+@pytest.mark.parametrize("n,scheme", MESHES)
+def test_mesh_matrix_batch_nominal(n, scheme):
+    mesh = MZIMesh.from_unitary(random_unitary(n, rng=n), scheme=scheme)
+    nominal = mesh.matrix_batch(None, batch_size=3)
+    assert nominal.shape == (3, n, n)
+    for matrix in nominal:
+        np.testing.assert_array_equal(matrix, mesh.matrix())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+class TestNetworkConformance:
+    def test_layer_matrix_batch(self, spnn, case):
         layer = spnn.photonic_layers[0]
-        host_batch = sample_layer_perturbation_batch(layer, MODEL, spawn_rngs(8, 3))
-        host_matrices = layer.matrix_batch(host_batch)
-        with use_array_backend(backend_name):
-            device_batch = sample_layer_perturbation_batch(layer, MODEL, spawn_rngs(8, 3))
-            device_matrices = layer.matrix_batch(device_batch)
-        _assert_matches(backend_name, device_matrices, host_matrices)
+        model = CASES[case]
+        batched = layer.matrix_batch(
+            sample_layer_perturbation_batch(layer, model, spawn_rngs(8, 3))
+        )
+        looped = np.stack(
+            [layer.matrix(sample_layer_perturbation(layer, model, g)) for g in spawn_rngs(8, 3)]
+        )
+        np.testing.assert_array_equal(batched, looped)
 
-    def test_forward_hardware_batch(self, backend_name, spnn, eval_set):
+    def test_forward_hardware_batch(self, spnn, eval_set, case):
         features, _labels = eval_set
-        host_batch = sample_network_perturbation_batch(
-            spnn.photonic_layers, MODEL, spawn_rngs(11, 3)
+        model = CASES[case]
+        realizations = [
+            sample_network_perturbation(spnn.photonic_layers, model, g)
+            for g in spawn_rngs(11, 3)
+        ]
+        batched = spnn.forward_hardware_batch(
+            features, sample_network_perturbation_batch(spnn.photonic_layers, model, spawn_rngs(11, 3))
         )
-        host_logits = spnn.forward_hardware_batch(features, host_batch)
-        with use_array_backend(backend_name):
-            device_batch = sample_network_perturbation_batch(
-                spnn.photonic_layers, MODEL, spawn_rngs(11, 3)
-            )
-            device_logits = spnn.forward_hardware_batch(features, device_batch)
-        _assert_matches(backend_name, device_logits, host_logits)
+        looped = np.stack([spnn.forward_hardware(features, r) for r in realizations])
+        np.testing.assert_array_equal(batched, looped)
 
-    def test_accuracy_batch(self, backend_name, spnn, eval_set):
+    def test_accuracy_batch(self, spnn, eval_set, case):
         features, labels = eval_set
-        host_batch = sample_network_perturbation_batch(
-            spnn.photonic_layers, MODEL, spawn_rngs(12, 4)
-        )
-        host_accuracy = spnn.accuracy_batch(features, labels, host_batch)
-        with use_array_backend(backend_name):
-            device_batch = sample_network_perturbation_batch(
-                spnn.photonic_layers, MODEL, spawn_rngs(12, 4)
-            )
-            device_accuracy = spnn.accuracy_batch(features, labels, device_batch)
-        _assert_matches(backend_name, device_accuracy, host_accuracy)
+        model = CASES[case]
+        realizations = [
+            sample_network_perturbation(spnn.photonic_layers, model, g)
+            for g in spawn_rngs(12, 4)
+        ]
+        batched = spnn.accuracy_batch(features, labels, stack_network_perturbations(realizations))
+        looped = np.array([spnn.accuracy(features, labels, perturbations=r) for r in realizations])
+        np.testing.assert_array_equal(batched, looped)
 
-    def test_accuracy_batch_with_device_workspace(self, backend_name, spnn, eval_set):
+    def test_accuracy_batch_with_workspace(self, spnn, eval_set, case):
         features, labels = eval_set
-        host_batch = sample_network_perturbation_batch(
-            spnn.photonic_layers, MODEL, spawn_rngs(13, 4)
-        )
-        host_accuracy = spnn.accuracy_batch(features, labels, host_batch)
-        with use_array_backend(backend_name) as backend:
-            workspace = VectorizedWorkspace(backend)
-            device_batch = sample_network_perturbation_batch(
-                spnn.photonic_layers, MODEL, spawn_rngs(13, 4), workspace=workspace
-            )
-            device_accuracy = spnn.accuracy_batch(
-                features, labels, device_batch, workspace=workspace
-            )
-        _assert_matches(backend_name, device_accuracy, host_accuracy)
-
-
-@pytest.mark.parametrize("backend_name", DEVICE_BACKENDS)
-class TestEngineConformance:
-    def test_monte_carlo_engine_end_to_end(self, backend_name, spnn, eval_set):
-        """The full engine behind ``--device gpu`` vs. the serial CPU run."""
-        features, labels = eval_set
-        serial = monte_carlo_accuracy(spnn, features, labels, MODEL, iterations=16, rng=7)
-        device = monte_carlo_accuracy(
-            spnn,
+        model = CASES[case]
+        plain = spnn.accuracy_batch(
             features,
             labels,
-            MODEL,
-            iterations=16,
-            rng=7,
-            backend=GpuBackend(array_backend=backend_name),
+            sample_network_perturbation_batch(spnn.photonic_layers, model, spawn_rngs(13, 4)),
         )
-        _assert_matches(backend_name, device, serial)
+        workspace = VectorizedWorkspace()
+        batch = sample_network_perturbation_batch(
+            spnn.photonic_layers, model, spawn_rngs(13, 4), workspace=workspace
+        )
+        fused = spnn.accuracy_batch(features, labels, batch, workspace=workspace)
+        np.testing.assert_array_equal(fused, plain)
 
-    def test_device_engine_with_workspace_and_chunking(self, backend_name, spnn, eval_set):
+
+class TestEngineConformance:
+    @pytest.mark.parametrize("backend", [ThreadBackend(2), MultiprocessBackend(2)], ids=repr)
+    def test_monte_carlo_engine_end_to_end(self, spnn, eval_set, backend):
+        features, labels = eval_set
+        serial = monte_carlo_accuracy(spnn, features, labels, MODEL, iterations=16, rng=7)
+        sharded = monte_carlo_accuracy(
+            spnn, features, labels, MODEL, iterations=16, rng=7, chunk_size=5, backend=backend
+        )
+        np.testing.assert_array_equal(sharded, serial)
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 12])
+    def test_engine_with_workspace_and_chunking(self, spnn, eval_set, chunk_size):
         features, labels = eval_set
         reset_process_workspace()
         try:
-            serial = monte_carlo_accuracy(
-                spnn, features, labels, MODEL, iterations=12, rng=3
-            )
-            device = monte_carlo_accuracy(
+            serial = monte_carlo_accuracy(spnn, features, labels, MODEL, iterations=12, rng=3)
+            chunked = monte_carlo_accuracy(
                 spnn,
                 features,
                 labels,
                 MODEL,
                 iterations=12,
                 rng=3,
-                chunk_size=5,
+                chunk_size=chunk_size,
                 use_workspace=True,
-                backend=GpuBackend(array_backend=backend_name),
             )
-            _assert_matches(backend_name, device, serial)
+            np.testing.assert_array_equal(chunked, serial)
         finally:
             reset_process_workspace()
 
-    def test_scalar_looped_path_stays_host_under_device_backend(
-        self, backend_name, spnn, eval_set
-    ):
-        """The scalar oracle trial is host-only by design and must not pick
-        up the active device namespace (its mesh evaluators are host-only,
-        so mixing would crash)."""
+    def test_scalar_looped_trial_equals_batched_trial(self, spnn, eval_set):
         features, labels = eval_set
         oracle = NetworkAccuracyTrial(spnn, features, labels, MODEL)
-        serial = MonteCarloRunner(iterations=6).run(oracle, rng=9).samples
-        device = (
-            MonteCarloRunner(iterations=6, backend=GpuBackend(array_backend=backend_name))
-            .run(oracle, rng=9)
-            .samples
+        looped = MonteCarloRunner(iterations=6).run(oracle, rng=9).samples
+        batched = NetworkAccuracyBatchTrial(
+            spnn=spnn, features=features, labels=labels, model=MODEL
         )
-        np.testing.assert_array_equal(device, serial)
+        np.testing.assert_array_equal(batched(spawn_rngs(9, 6)), looped)
 
-    def test_trial_returns_device_array_and_engine_rehosts(
-        self, backend_name, spnn, eval_set
-    ):
+    def test_batch_trial_returns_a_host_array(self, spnn, eval_set):
         features, labels = eval_set
         trial = NetworkAccuracyBatchTrial(
             spnn=spnn, features=features, labels=labels, model=MODEL
         )
-        with use_array_backend(backend_name) as backend:
-            result = trial(spawn_rngs(1, 3))
-            assert backend.owns(result)
+        result = trial(spawn_rngs(1, 3))
+        assert isinstance(result, np.ndarray)
+        assert result.shape == (3,) and result.dtype == np.float64
 
 
 class TestWorkspaceFusion:
-    """The fused matrix_batch path (host): same values, arena-backed buffers."""
+    """The fused matrix_batch path: same values, arena-backed buffers."""
 
     def test_fused_matrices_bit_identical(self, spnn):
         layer = spnn.photonic_layers[0]

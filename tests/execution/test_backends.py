@@ -1,6 +1,7 @@
 """Tests for the pluggable execution backends and backend resolution."""
 
 import pickle
+import time
 
 import pytest
 
@@ -26,6 +27,16 @@ def faulty(value):
     raise RuntimeError(f"boom on {value}")
 
 
+def fail_first_then_mark(task):
+    """Task 0 fails at once; every other task sleeps, then leaves a marker file."""
+    directory, index = task
+    if index == 0:
+        raise RuntimeError("task 0 failed")
+    time.sleep(0.05)
+    (directory / f"ran-{index}").touch()
+    return index
+
+
 class TestSerialBackend:
     def test_maps_in_order(self):
         assert SerialBackend().map(square, [1, 2, 3, 4]) == [1, 4, 9, 16]
@@ -38,6 +49,32 @@ class TestSerialBackend:
 
     def test_satisfies_protocol(self):
         assert isinstance(SerialBackend(), Backend)
+
+
+class TestFailedMapStops:
+    """A failed task cancels the queued tasks of its ``map`` instead of running them."""
+
+    TASKS = 40
+
+    def _tasks(self, directory):
+        return [(directory, index) for index in range(self.TASKS)]
+
+    def test_per_call_pool_stops_after_a_failure(self, tmp_path):
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            MultiprocessBackend(workers=2).map(fail_first_then_mark, self._tasks(tmp_path))
+        assert len(list(tmp_path.iterdir())) < self.TASKS // 2
+
+    def test_persistent_pool_stops_and_stays_usable(self, tmp_path):
+        with MultiprocessBackend(workers=2) as backend:
+            with pytest.raises(RuntimeError, match="task 0 failed"):
+                backend.map(fail_first_then_mark, self._tasks(tmp_path))
+            assert backend.map(square, range(5)) == [0, 1, 4, 9, 16]
+        assert len(list(tmp_path.iterdir())) < self.TASKS // 2
+
+    def test_thread_backend_stops_after_a_failure(self, tmp_path):
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            ThreadBackend(2).map(fail_first_then_mark, self._tasks(tmp_path))
+        assert len(list(tmp_path.iterdir())) < self.TASKS // 2
 
 
 class TestMultiprocessBackend:
@@ -184,4 +221,4 @@ class TestResolveBackend:
             resolve_backend(None, 0)
 
     def test_backend_names_constant(self):
-        assert set(BACKEND_NAMES) == {"serial", "multiprocess", "gpu", "fleet"}
+        assert set(BACKEND_NAMES) == {"serial", "multiprocess"}

@@ -9,12 +9,10 @@ threads at once against the looped oracle.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 import sys
 import threading
-import types
 import warnings
 
 import numpy as np
@@ -25,10 +23,10 @@ from hypothesis import strategies as st
 from repro.analysis.monte_carlo import MonteCarloRunner
 from repro.analysis.timeline import timeline_sweep
 from repro.analysis.yield_analysis import yield_sweep
-from repro.arrays import HOST_BACKEND, apply_column_sweep
+from repro.arrays import apply_column_sweep
 from repro.cli import main
 from repro.execution import Backend, MultiprocessBackend, SerialBackend, ThreadBackend
-from repro.execution import backends, blas
+from repro.execution import blas
 from repro.mesh.mesh import MZIMesh
 from repro.observability import active_collector, observe
 from repro.training.workspace import process_workspace
@@ -60,12 +58,6 @@ def report_blas_threads(_):
 
 def native_thread_id(_):
     return threading.get_native_id()
-
-
-def report_numba_pins(_):
-    """The ``set_num_threads`` calls the stub numba recorded in this worker."""
-    numba = sys.modules.get("numba")
-    return None if numba is None else list(numba.pins)
 
 
 class TestThreadBackend:
@@ -126,50 +118,6 @@ class TestBlasPinning:
             assert backend.map(report_blas_threads, range(4)) == [1, 1, 1, 1]
 
 
-class TestNumbaPinning:
-    """Process workers pin numba next to BLAS, only when numba is loaded.
-
-    numba is not a dependency, so a stub module stands in for it: the
-    fork-started workers inherit it and report what the pool initializer
-    asked of it.
-    """
-
-    @pytest.fixture
-    def stub_numba(self, monkeypatch):
-        stub = types.ModuleType("numba")
-        stub.pins = []
-        stub.set_num_threads = stub.pins.append
-        monkeypatch.setitem(sys.modules, "numba", stub)
-        return stub
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork", reason="workers inherit the stub only when forked"
-    )
-    def test_workers_pin_a_loaded_numba_to_their_share(self, monkeypatch, stub_numba):
-        monkeypatch.setattr(blas, "available_workers", lambda: 4)
-        pins = MultiprocessBackend(workers=2).map(report_numba_pins, range(4))
-        assert pins == [[2]] * 4
-        assert stub_numba.pins == []  # the parent itself is never pinned
-
-    def test_workers_never_import_numba_to_pin_it(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, "numba", raising=False)
-        assert MultiprocessBackend(workers=2).map(report_numba_pins, range(2)) == [None, None]
-
-    def test_pool_passes_the_pin_only_when_numba_is_loaded(self, monkeypatch, stub_numba):
-        monkeypatch.setattr(blas, "available_workers", lambda: 2)
-        pool = backends._process_pool(2)
-        try:
-            assert pool._initargs == (1, True)
-        finally:
-            pool.shutdown()
-        monkeypatch.delitem(sys.modules, "numba")
-        pool = backends._process_pool(2)
-        try:
-            assert pool._initargs == (1, False)
-        finally:
-            pool.shutdown()
-
-
 class TestMissingBlasControl:
     @pytest.fixture
     def no_symbols(self, monkeypatch):
@@ -196,8 +144,8 @@ def _sweep_inputs(n: int, batch: int, seed: int):
     perturbation = sample_mesh_perturbation_batch(
         mesh, UncertaintyModel.both(0.02), spawn_rngs(seed + 1, batch)
     )
-    stacks, _ = mesh._column_stacks_and_phases(perturbation, HOST_BACKEND)
-    program = mesh.column_program(HOST_BACKEND)
+    stacks, _ = mesh._column_stacks_and_phases(perturbation)
+    program = mesh.column_program()
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (batch, n, n))
     return program, stacks, eye
 
@@ -207,15 +155,15 @@ class TestSweepKernelUnderThreads:
     def test_threads_at_once_match_the_looped_oracle(self, kernel):
         """Different batch shapes and draws, concurrently, more threads than cores.
 
-        ``default`` runs whatever kernel the registry selects (numba where
-        it is installed), as the thread backend does.
+        ``default`` runs whatever kernel the registry selects, as the
+        thread backend does.
         """
         shapes = ((37, 3), (64, 11), (5, 19))
         cases = [_sweep_inputs(16, batch, seed) for batch, seed in shapes]
         oracles = []
         for program, components, eye in cases:
             looped = eye.copy()
-            apply_column_sweep(HOST_BACKEND, looped, components, program, kernel="looped")
+            apply_column_sweep(looped, components, program, kernel="looped")
             oracles.append(looped)
         start = threading.Barrier(len(cases))
         mismatches = []
@@ -226,7 +174,7 @@ class TestSweepKernelUnderThreads:
             start.wait()
             for _ in range(25):
                 swept = eye.copy()
-                apply_column_sweep(HOST_BACKEND, swept, components, program, kernel=kernel)
+                apply_column_sweep(swept, components, program, kernel=kernel)
                 if not np.array_equal(swept, oracles[index]):
                     mismatches.append(index)
             done.append(index)

@@ -55,6 +55,24 @@ def test_parser_flags():
     assert args.experiment == "yield" and args.workers == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yield", "--device", "gpu"],
+        ["yield", "--fleet", "127.0.0.1:0"],
+        ["worker", "--connect", "127.0.0.1:0"],
+        ["yield", "--backend", "gpu"],
+        ["yield", "--backend", "fleet"],
+        ["exp1", "--device", "cpu"],
+        ["drift", "--connect", "127.0.0.1:0"],
+    ],
+)
+def test_removed_execution_flags_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+
+
 def test_workers_flag_rejects_non_positive_values(capsys):
     # Validated at parse time, before any training starts.
     with pytest.raises(SystemExit):
@@ -105,6 +123,7 @@ def test_info_writes_json(tmp_path, monkeypatch, capsys):
     payload = json.loads(output.read_text())
     assert payload["cpus_available"] >= 1
     assert payload["array_backends"]["numpy"]["available"] is True
+    assert {"fused", "looped"} <= set(payload["array_backends"]["numpy"]["sweep_kernels"])
     assert "looped" in payload["sweep_kernels"]
     for entry in payload["sweep_kernels"].values():
         assert entry["available"] == (entry["reason"] is None)

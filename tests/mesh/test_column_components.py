@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrays import HOST_BACKEND
 from repro.arrays.kernels import apply_mzi_blocks, block_components, mzi_block_components
 from repro.arrays.sweep import SWEEP_KERNEL_ENV
 from repro.mesh.mesh import MeshPerturbationBatch, MZIMesh
@@ -70,7 +69,7 @@ def _propagation_order_matrices(mesh: MZIMesh, perturbation) -> np.ndarray:
     output_phases = mesh.output_phases
     if perturbation.delta_output_phase is not None:
         output_phases = output_phases + perturbation.delta_output_phase
-    program = mesh.column_program(HOST_BACKEND)
+    program = mesh.column_program()
     b00, b01, b10, b11 = (
         c[..., program.perm] for c in mzi_transfer_components(thetas, phis, r_in, r2=r_out)
     )
@@ -133,14 +132,14 @@ class TestNominalSplitters:
 
         def stacked(*args, **kwargs):
             stacks = (np.empty((batch, count, 2), complex), np.empty((batch, count, 2), complex))
-            mzi_block_components(np, *args, out=block_components(stacks), **kwargs)
+            mzi_block_components(*args, out=block_components(stacks), **kwargs)
             return stacks
 
         nominal = stacked(theta, phi, r_in, r2=r_out)
         shifted = stacked(
             theta, phi, np.clip(r_in + zeros, 0.0, 1.0), r2=np.clip(r_out + zeros, 0.0, 1.0)
         )
-        plain = mzi_block_components(np, theta, phi, r_in, r2=r_out)
+        plain = mzi_block_components(theta, phi, r_in, r2=r_out)
         for got, want in zip(nominal, shifted):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(block_components(nominal), plain):

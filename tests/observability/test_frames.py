@@ -40,7 +40,7 @@ class TestChunkFrame:
             worker=4242,
             task_bytes=100,
             result_bytes=40,
-            dispatches=[KernelDispatch("fused", "numpy", 16, 5, 2, 3, 0.01)],
+            dispatches=[KernelDispatch("fused", 16, 5, 2, 3, 0.01)],
             index=2,
         )
         record = frame.to_record()

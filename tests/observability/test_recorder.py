@@ -47,7 +47,7 @@ class TestNullRecorder:
         rec.event("evt", x=1)
         rec.counter_add("count", 2.0)
         rec.add_frame(object())
-        rec.add_dispatch("k", "b", 4, 2, 3, 0.1)
+        rec.add_dispatch("k", 4, 2, 3, 0.1)
         assert rec.enabled is False
 
     def test_span_is_a_cached_singleton(self):
@@ -129,7 +129,7 @@ class TestTraceRecorder:
             pass
         rec.event("e")
         rec.counter_add("c", 1.0)
-        rec.add_dispatch("fused", "numpy", 16, 8, 2, 0.01)
+        rec.add_dispatch("fused", 16, 8, 2, 0.01)
         records = list(rec.records())
         kinds = [record["type"] for record in records]
         assert kinds[0] == "meta"

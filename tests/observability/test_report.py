@@ -58,11 +58,11 @@ class TestAggregation:
         frame = ChunkFrame(
             label="mc", start=0, count=4, seconds=0.1, worker=1,
             task_bytes=10, result_bytes=32,
-            dispatches=[KernelDispatch("fused", "numpy", 16, 4, 2, 6, 0.05)],
+            dispatches=[KernelDispatch("fused", 16, 4, 2, 6, 0.05)],
         )
         parent_dispatch = {
             "type": "dispatch", "scope": "parent", "kernel": "fused",
-            "backend": "numpy", "n": 16, "batch": 4, "columns": 2,
+            "n": 16, "batch": 4, "columns": 2,
             "calls": 2, "seconds": 0.01,
         }
         report = MetricsReport.from_records([frame.to_record(), parent_dispatch])
@@ -116,14 +116,14 @@ class TestRendering:
     def test_render_covers_every_section(self):
         _, rec = _recorded_run(workers=2)
         rec.counter_add("retunes", 3)
-        rec.add_dispatch("fused", "numpy", 16, 4, 2, 0.01)
+        rec.add_dispatch("fused", 16, 4, 2, 0.01)
         text = MetricsReport.from_recorder(rec).render()
         assert "spans (total seconds, calls):" in text
         assert "mc/run" in text
         assert "counters:" in text
         assert "retunes = 3" in text
         assert "kernel dispatches" in text
-        assert "fused/numpy" in text
+        assert "fused  n=16" in text
         assert "chunks: 4 evaluated, 12 realizations" in text
         assert "workers (chunks, busy seconds, rows/s):" in text
 

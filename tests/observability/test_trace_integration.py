@@ -75,7 +75,7 @@ class TestYieldSweepTracing:
         assert [f.start for f in frames] == sorted(f.start for f in frames)
 
     def test_dispatches_name_registry_kernels(self, traced):
-        from repro.arrays import HOST_BACKEND, select_sweep_kernel
+        from repro.arrays import select_sweep_kernel
         from repro.arrays.sweep import sweep_kernel_names
 
         _, _, rec = traced
@@ -88,8 +88,8 @@ class TestYieldSweepTracing:
             # The (16, 16, 16, 10) test SPNN compiles 16x16 and 10x10 meshes.
             assert entry["n"] in (10, 16)
         # Kernel choice is static: every shape and every call goes to the
-        # same kernel (fused unless numba is installed), never to looped.
-        static = select_sweep_kernel(HOST_BACKEND).name
+        # same kernel (fused), never to looped.
+        static = select_sweep_kernel().name
         assert static != "looped"
         assert {entry["kernel"] for entry in report.kernels} == {static}
 

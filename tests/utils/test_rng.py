@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng, spawn_rngs, standard_normal_rows
 
 
 def test_ensure_rng_from_seed_is_reproducible():
@@ -81,3 +81,38 @@ def test_spawn_rngs_generator_parent_gives_fresh_children_per_call():
 def test_spawn_rngs_rejects_bad_type():
     with pytest.raises(TypeError):
         spawn_rngs("not-a-seed", 2)
+
+
+def test_standard_normal_rows_bit_identical_to_plain_draws():
+    gens = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    rows = standard_normal_rows(gens, 6)
+    expected = np.stack([np.random.default_rng(seed).standard_normal(6) for seed in (1, 2, 3)])
+    np.testing.assert_array_equal(rows, expected)
+
+
+def test_standard_normal_rows_fills_the_out_buffer():
+    out = np.empty((1, 4))
+    result = standard_normal_rows([np.random.default_rng(9)], 4, out=out)
+    assert result is out
+    np.testing.assert_array_equal(out[0], np.random.default_rng(9).standard_normal(4))
+
+
+def test_standard_normal_rows_consume_each_stream_like_a_plain_draw():
+    gens = spawn_rngs(4, 3)
+    standard_normal_rows(gens, 5)
+    for gen, reference in zip(gens, spawn_rngs(4, 3)):
+        reference.standard_normal(5)
+        np.testing.assert_array_equal(gen.standard_normal(3), reference.standard_normal(3))
+
+
+def test_standard_normal_rows_zero_length_leaves_streams_untouched():
+    gens = spawn_rngs(5, 2)
+    rows = standard_normal_rows(gens, 0)
+    assert rows.shape == (2, 0)
+    for gen, reference in zip(gens, spawn_rngs(5, 2)):
+        assert gen.standard_normal() == reference.standard_normal()
+
+
+def test_standard_normal_rows_without_generators_is_empty():
+    rows = standard_normal_rows([], 4)
+    assert rows.shape == (0, 4) and rows.dtype == np.float64
