@@ -1,48 +1,50 @@
-"""Generic Monte Carlo engine used by every experiment in the reproduction.
+"""The Monte Carlo engine: one scheduler for every sweep in the reproduction.
 
 The paper's methodology is uniformly "draw 1000 uncertainty realizations,
-evaluate a scalar metric (accuracy, RVD), report its mean".  This module
-provides that loop once, with reproducible independent per-iteration random
-streams and summary statistics attached to the result.
+evaluate a scalar metric (accuracy, RVD), report its mean" (§III-D), and
+its studies are many such runs side by side: EXP 1's (case, sigma) grid,
+EXP 2's zones, the yield sweep's sigmas, the drift study's timelines.
+:func:`run_sweep` schedules all of them.  A sweep is a list of *parts*,
+each a trial plus the :class:`~repro.utils.rng.StreamSlice` recipe of its
+rows' child streams.  Each part is cut into chunks
+(:func:`plan_chunk_size`), every chunk of every part is numbered in one
+flat row space and submitted through a single ``map`` of the execution
+backend (:mod:`repro.execution`), so a pool never drains between parts,
+and each part's results come back in row order.  :func:`sweep_scope` is
+the one hosting scope around a sweep: it keeps a process pool alive and
+hosts the eval set and the compiled network in shared memory.
 
-Two evaluation entry points share the same stream-spawning discipline:
+:class:`MonteCarloRunner` is the single-trial front end:
+:meth:`~MonteCarloRunner.run` calls a scalar trial once per iteration,
+:meth:`~MonteCarloRunner.run_batched` hands a *batch trial* the
+generators of a whole chunk so it can vectorize over the Monte Carlo axis,
+and :meth:`~MonteCarloRunner.run_many` sweeps several labelled trials in
+one map.
 
-* :meth:`MonteCarloRunner.run` calls a scalar trial once per iteration, and
-* :meth:`MonteCarloRunner.run_batched` hands a *batch trial* all the child
-  generators of a chunk at once so it can vectorize the evaluation over the
-  Monte Carlo axis.
-
-Both entry points delegate the *scheduling* of their chunks to an execution
-backend (:mod:`repro.execution`): the serial backend evaluates them inline,
-the thread backend (the default) on threads of this process, the
-multiprocess backend across worker processes.  Chunks
-are self-contained ``(start, trial, streams)`` payloads, ``streams`` being
-the chunk's :class:`~repro.utils.rng.StreamSlice` recipes; evaluators
-return ``(start, samples)`` pairs that reassemble into the exact serial
-sample order.
-
-**RNG-equivalence guarantee.** Both entry points name the identical child
-streams of the same parent seed (the recipe of ``spawn_rngs(rng,
-iterations)``, :func:`~repro.utils.rng.spawn_slice`) *before* any
-scheduling happens, and each chunk builds exactly its own generators, so
-a batch trial that consumes ``generators[b]`` exactly as the scalar trial
-consumes its per-iteration generator produces bit-identical samples — and
-the samples are independent of ``chunk_size``, of the backend and of the
-worker count.  Batching and sharding are purely wall-clock optimizations.
+**RNG-equivalence guarantee.** Every stream is named *before* any
+scheduling happens (the recipe of ``spawn_rngs(rng, iterations)``,
+:func:`~repro.utils.rng.spawn_slice`), and each chunk builds exactly its
+own generators, so a batch trial that consumes ``generators[b]`` exactly
+as the scalar trial consumes its per-iteration generator produces
+bit-identical samples, and the samples are independent of ``chunk_size``,
+of the other parts of the sweep, of the backend and of the worker count.
+Batching and sharding are purely wall-clock optimizations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import ShapeError
 from ..execution import Backend, BackendLike, pool_scope, resolve_backend
+from ..execution.shared import shared_eval_arrays, shared_network
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
-from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_rngs, spawn_slice
+from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
 from .statistics import SummaryStatistics, summarize
 
 #: A Monte Carlo trial: receives an independent generator, returns a scalar metric.
@@ -52,10 +54,13 @@ Trial = Callable[[np.random.Generator], float]
 #: returns one metric per generator, shape ``(len(generators),)``.
 BatchTrial = Callable[[Sequence[np.random.Generator]], np.ndarray]
 
-#: Worker payload: chunk start index, the trial, and the recipes of the
-#: chunk's child streams in row order (one per parent stream the chunk
-#: touches; the evaluator builds the generators).
+#: Worker payload: the chunk's first row in the sweep, the trial, and the
+#: recipes of the chunk's child streams in row order (the evaluator builds
+#: the generators).
 ChunkTask = Tuple[int, Union[Trial, BatchTrial], Tuple[StreamSlice, ...]]
+
+#: One run of a sweep: its trial and the recipe of its rows' child streams.
+SweepPart = Tuple[Any, StreamSlice]
 
 #: Target working-set bytes of one scheduled chunk.  The network trials'
 #: ``preferred_chunk_size()`` hints divide it by what one realization or
@@ -141,6 +146,108 @@ def plan_chunk_size(
     return min(cap, target) if cap is not None else target
 
 
+def sweep_tasks(
+    backend: Backend, parts: Sequence[SweepPart], chunk_size: Optional[int] = None
+) -> Tuple[List[ChunkTask], List[int]]:
+    """Every part's chunks as one task list, and each part's chunk size.
+
+    Each part is planned on its own (:func:`plan_chunk_size` with the
+    part's row count and trial), and task ``start`` indices run through
+    one flat row space: part ``k``'s rows follow part ``k - 1``'s.  A task
+    carries only its trial and the recipe of its rows, so scheduling even
+    a paper-scale sweep builds no generator.
+    """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    tasks: List[ChunkTask] = []
+    chunks: List[int] = []
+    offset = 0
+    for trial, streams in parts:
+        rows = len(streams)
+        if rows < 1:
+            raise ValueError("every sweep part needs at least one row")
+        chunk = plan_chunk_size(rows, backend, chunk_size, trial)
+        chunks.append(chunk)
+        tasks.extend(
+            (offset + start, trial, (streams[start : start + chunk],))
+            for start in range(0, rows, chunk)
+        )
+        offset += rows
+    return tasks, chunks
+
+
+def _join(blocks: List[Any]) -> Any:
+    """One part's chunk results in row order.
+
+    Samples join on their only axis; the timeline evaluator's
+    ``(accuracy, events)`` blocks of shape ``(P, B, T)`` join on ``B``.
+    """
+    if isinstance(blocks[0], tuple):
+        return tuple(np.concatenate(members, axis=1) for members in zip(*blocks))
+    return np.concatenate(blocks)
+
+
+def run_sweep(
+    backend: Backend,
+    evaluator: Callable[[ChunkTask], Tuple[int, Any]],
+    parts: Sequence[SweepPart],
+    chunk_size: Optional[int] = None,
+    label: str = "",
+) -> List[Any]:
+    """Evaluate every part of a sweep through one ``map``; results per part.
+
+    ``parts`` are ``(trial, streams)`` pairs; ``evaluator`` (for example
+    :func:`evaluate_batch_chunk`) turns one ``(start, trial, streams)``
+    task into ``(start, result)``.  All parts' chunks (:func:`sweep_tasks`)
+    go to the backend in a single ``map``, so workers stay busy across
+    part boundaries.  Returns one result per part, its chunks joined in
+    row order.  ``label`` tags the chunk frames of a traced run; the
+    ``mc/run`` span records the plan (each part's rows and chunk size).
+    """
+    parts = list(parts)
+    if not parts:
+        return []
+    tasks, chunks = sweep_tasks(backend, parts, chunk_size)
+    part_rows = [len(streams) for _, streams in parts]
+    with _active_recorder().span(
+        "mc/run",
+        label=label,
+        parts=len(parts),
+        rows=sum(part_rows),
+        chunks=len(tasks),
+        chunk_size=max(chunks),
+        part_rows=part_rows,
+        part_chunk_sizes=chunks,
+        parallelism=backend.parallelism,
+    ):
+        results = [value for _, value in map_chunks(backend, evaluator, tasks, label=label)]
+    joined, first = [], 0
+    for rows, chunk in zip(part_rows, chunks):
+        last = first - (-rows // chunk)
+        joined.append(_join(results[first:last]))
+        first = last
+    return joined
+
+
+@contextmanager
+def sweep_scope(backend: Backend, features, labels, spnn=None) -> Iterator[tuple]:
+    """Host a sweep's inputs for its workers; yields ``(features, labels, spnn)``.
+
+    Keeps the backend's process pool alive for the block
+    (:func:`~repro.execution.pool_scope`) and hosts the eval set and the
+    compiled network in shared memory when the backend shards across
+    processes (:mod:`repro.execution.shared`), so they cross the process
+    boundary once per worker rather than once per chunk.  Inputs a caller
+    already hosted pass straight through, so scopes nest; ``spnn`` may be
+    ``None`` when only the eval set is shared.
+    """
+    with pool_scope(backend), shared_eval_arrays(backend, features, labels) as (
+        features,
+        labels,
+    ), shared_network(backend, spnn) as network:
+        yield features, labels, network
+
+
 @dataclass
 class MonteCarloResult:
     """Samples and summary of one Monte Carlo run."""
@@ -211,45 +318,21 @@ class MonteCarloRunner:
         # Fail fast on unknown backend names / invalid worker counts.
         resolve_backend(self.backend, self.workers)
 
-    # ------------------------------------------------------------------ #
-    # chunk scheduling
-    # ------------------------------------------------------------------ #
     def _effective_chunk_size(
         self, backend: Backend, trial: Union[Trial, BatchTrial, None] = None
     ) -> int:
         return plan_chunk_size(self.iterations, backend, self.chunk_size, trial)
 
-    def _schedule(
-        self,
-        evaluator: Callable[[ChunkTask], Tuple[int, np.ndarray]],
-        trial: Union[Trial, BatchTrial],
-        rng: RNGLike,
-        label: str,
-    ) -> MonteCarloResult:
-        """Name the child streams, shard them into chunks, reassemble."""
-        streams = spawn_slice(rng, self.iterations)
+    def _sweep(self, evaluator, labelled: List[Tuple[str, Any, StreamSlice]]) -> List[MonteCarloResult]:
+        """One :func:`run_sweep` over ``(label, trial, streams)`` runs."""
         backend = resolve_backend(self.backend, self.workers)
-        chunk = self._effective_chunk_size(backend, trial)
-        tasks: list[ChunkTask] = [
-            (start, trial, (streams[start : start + chunk],))
-            for start in range(0, self.iterations, chunk)
+        parts = [(trial, streams) for _, trial, streams in labelled]
+        samples = run_sweep(backend, evaluator, parts, self.chunk_size, label="mc")
+        return [
+            MonteCarloResult(samples=values, summary=summarize(values, self.confidence), label=label)
+            for (label, _, _), values in zip(labelled, samples)
         ]
-        samples = np.empty(self.iterations, dtype=np.float64)
-        with _active_recorder().span(
-            "mc/run",
-            label=label,
-            iterations=self.iterations,
-            chunks=len(tasks),
-            chunk_size=chunk,
-            parallelism=backend.parallelism,
-        ):
-            for start, values in map_chunks(backend, evaluator, tasks, label="mc"):
-                samples[start : start + len(values)] = values
-        return MonteCarloResult(samples=samples, summary=summarize(samples, self.confidence), label=label)
 
-    # ------------------------------------------------------------------ #
-    # evaluation entry points
-    # ------------------------------------------------------------------ #
     def run(self, trial: Trial, rng: RNGLike = None, label: str = "") -> MonteCarloResult:
         """Evaluate ``trial`` once per iteration and summarize the samples.
 
@@ -257,7 +340,8 @@ class MonteCarloRunner:
         ``rng``, so results are reproducible and independent of evaluation
         order, chunking and worker count.
         """
-        return self._schedule(evaluate_scalar_chunk, trial, rng, label)
+        streams = spawn_slice(rng, self.iterations)
+        return self._sweep(evaluate_scalar_chunk, [(label, trial, streams)])[0]
 
     def run_batched(self, trial: BatchTrial, rng: RNGLike = None, label: str = "") -> MonteCarloResult:
         """Evaluate a vectorized trial over all iterations and summarize.
@@ -268,7 +352,8 @@ class MonteCarloRunner:
         trial that consumes each generator exactly as the scalar trial does
         yields a result bit-identical to :meth:`run`.
         """
-        return self._schedule(evaluate_batch_chunk, trial, rng, label)
+        streams = spawn_slice(rng, self.iterations)
+        return self._sweep(evaluate_batch_chunk, [(label, trial, streams)])[0]
 
     def run_many(
         self,
@@ -279,22 +364,16 @@ class MonteCarloRunner:
         """Run several labelled trials with independent seeds derived from ``rng``.
 
         With ``batched=True`` every value of ``trials`` is treated as a
-        :data:`BatchTrial` and evaluated through :meth:`run_batched`, so
-        EXP-style multi-case runs can use the fast path uniformly; each
-        label still gets its own independent child stream, identical to the
-        scalar route at the same seed.
-
-        The execution backend is resolved once for the whole call and its
-        worker pool (if any) is kept alive across the trials
-        (:func:`repro.execution.pool_scope`), so many small runs pay the
-        pool spin-up once instead of once per label.
+        :data:`BatchTrial`, as in :meth:`run_batched`.  Label ``i`` draws
+        from the children of the ``i``-th stream spawned from ``rng``, the
+        streams a loop of :meth:`run` calls on ``spawn_rngs(rng,
+        len(trials))`` would use, and all labels run in one
+        :func:`run_sweep`.
         """
-        streams = spawn_rngs(rng, len(trials))
-        backend = resolve_backend(self.backend, self.workers)
-        runner = replace(self, backend=backend, workers=None)
-        evaluate = runner.run_batched if batched else runner.run
-        with pool_scope(backend):
-            return {
-                label: evaluate(trial, rng=stream, label=label)
-                for (label, trial), stream in zip(trials.items(), streams)
-            }
+        streams = spawn_slice(rng, len(trials))
+        labelled = [
+            (label, trial, streams.child_slice(index, self.iterations))
+            for index, (label, trial) in enumerate(trials.items())
+        ]
+        evaluator = evaluate_batch_chunk if batched else evaluate_scalar_chunk
+        return {result.label: result for result in self._sweep(evaluator, labelled)}

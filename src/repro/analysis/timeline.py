@@ -10,13 +10,11 @@ objects served from the same trajectories, and report each policy's
 served-accuracy-vs-time curve plus the recalibration events that produced
 it.
 
-Scheduling mirrors :class:`~repro.analysis.monte_carlo.MonteCarloRunner`:
-one child stream per *timeline* is named up front (the
-:class:`~repro.utils.rng.StreamSlice` recipe of
-:func:`~repro.utils.rng.spawn_rngs`), timelines are sharded into
-vectorized chunks through the execution backends
-(:mod:`repro.execution`), and each chunk builds its own generators from
-its slice of the recipe.
+Scheduling is the Monte Carlo engine's: one child stream per *timeline*
+is named up front (the :class:`~repro.utils.rng.StreamSlice` recipe of
+:func:`~repro.utils.rng.spawn_rngs`), and the timelines are one part of a
+:func:`~repro.analysis.monte_carlo.run_sweep`, cut into vectorized chunks
+that build their own generators from their slice of the recipe.
 Each timeline consumes only its own stream, in a fixed per-step stage
 order, so the resulting curves are **bit-identical for every backend,
 worker count and chunk size** — and recalibration consumes no randomness,
@@ -30,27 +28,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from contextlib import nullcontext
-
-from ..execution import BackendLike, pool_scope, resolve_backend
-from ..observability import map_chunks
+from ..execution import BackendLike, resolve_backend
+from ..execution.shared import ArrayLike, resolve_array, resolve_network
 from ..observability.recorder import active as _active_recorder
-from ..execution.shared import (
-    ArrayLike,
-    is_hosted_array,
-    is_hosted_network,
-    resolve_array,
-    resolve_network,
-    shared_eval_arrays,
-    shared_network,
-)
 from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
 from ..variation.process import PerturbationProcess, state_values_per_timeline
 from ..variation.sampler import diagonal_batch_draw_length
-from .monte_carlo import CHUNK_TARGET_BYTES, plan_chunk_size
+from .monte_carlo import CHUNK_TARGET_BYTES, run_sweep, sweep_scope
 from .recalibration import RecalibrationPolicy
 
 __all__ = [
@@ -337,8 +324,6 @@ def timeline_sweep(
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     if timelines < 1:
         raise ValueError(f"timelines must be >= 1, got {timelines}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     policies = tuple(policies)
     if not policies:
         raise ValueError("timeline_sweep needs at least one policy (None is the baseline)")
@@ -348,22 +333,14 @@ def timeline_sweep(
     )
     streams = spawn_slice(rng, timelines)
     resolved = resolve_backend(backend, workers)
-    already_hosted = is_hosted_array(features) or is_hosted_array(labels)
-    hosting = (
-        nullcontext((features, labels))
-        if already_hosted
-        else shared_eval_arrays(resolved, features, labels)
+    sweep_span = _active_recorder().span(
+        "timeline/sweep", timelines=timelines, steps=num_steps, parallelism=resolved.parallelism
     )
-    network_hosting = (
-        nullcontext(spnn) if is_hosted_network(spnn) else shared_network(resolved, spnn)
-    )
-    accuracy = np.empty((len(policies), timelines, num_steps), dtype=np.float64)
-    events = np.zeros(accuracy.shape, dtype=bool)
-    with pool_scope(resolved), hosting as (eval_features, eval_labels), network_hosting as network:
+    with sweep_span, sweep_scope(resolved, features, labels, spnn) as (x, y, network):
         trial = AccuracyTimelineTrial(
             spnn=network,
-            features=eval_features,
-            labels=eval_labels,
+            features=x,
+            labels=y,
             model=model,
             process=process,
             num_steps=num_steps,
@@ -371,25 +348,9 @@ def timeline_sweep(
             forward_chunk_size=forward_chunk_size,
             use_workspace=use_workspace,
         )
-        chunk = plan_chunk_size(timelines, resolved, chunk_size, trial)
-        tasks: List[TimelineChunkTask] = [
-            (start, trial, (streams[start : start + chunk],))
-            for start in range(0, timelines, chunk)
-        ]
-        with _active_recorder().span(
-            "timeline/sweep",
-            timelines=timelines,
-            steps=num_steps,
-            chunks=len(tasks),
-            chunk_size=chunk,
-            parallelism=resolved.parallelism,
-        ):
-            for start, (chunk_accuracy, chunk_events) in map_chunks(
-                resolved, evaluate_timeline_chunk, tasks, label="timeline"
-            ):
-                stop = start + chunk_accuracy.shape[1]
-                accuracy[:, start:stop] = chunk_accuracy
-                events[:, start:stop] = chunk_events
+        [(accuracy, events)] = run_sweep(
+            resolved, evaluate_timeline_chunk, [(trial, streams)], chunk_size, label="timeline"
+        )
     return [
         TimelineSweepResult(
             accuracy=accuracy[index],

@@ -8,34 +8,27 @@ compute the *parametric yield* — the fraction of fabricated networks that
 would still meet an accuracy specification — and sweep it against the
 uncertainty level to find the maximum tolerable sigma for a target yield.
 
-:func:`yield_sweep` drives that sweep end to end through the batched Monte
-Carlo engine (and, with ``workers=N``, through the multiprocess execution
-backend) so the yield curve of a design is one call away.
+:func:`yield_sweep` runs that sweep end to end: one part per non-null
+sigma, all evaluated by the batched trial through a single
+:func:`~repro.analysis.monte_carlo.run_sweep`.  :func:`bisect_max_tolerable_sigma`
+refines the answer, one sweep per probe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from contextlib import nullcontext
-
-from ..execution import BackendLike, pool_scope, resolve_backend
-from ..observability import map_chunks
+from ..execution import BackendLike, resolve_backend
+from ..execution.shared import resolve_array, resolve_network
 from ..observability.recorder import active as _active_recorder
-from ..execution.shared import (
-    is_hosted_array,
-    is_hosted_network,
-    resolve_array,
-    resolve_network,
-    shared_eval_arrays,
-    shared_network,
-)
-from ..utils.rng import RNGLike, StreamSlice, spawn_rngs, spawn_slice
+from ..utils.rng import RNGLike, spawn_slice
+from . import monte_carlo
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
 
@@ -151,87 +144,20 @@ def max_tolerable_sigma(
 # --------------------------------------------------------------------------- #
 
 
-def _folded_tasks(
-    network,
-    eval_features,
-    eval_labels,
-    sigmas: Tuple[float, ...],
-    streams: StreamSlice,
-    case: str,
-    perturb_sigma_stage: bool,
-    iterations: int,
-    chunk_size: Optional[int],
-    resolved,
-    use_workspace: bool,
-) -> Tuple[list, Dict[float, slice], Optional[int]]:
-    """Every sigma's Monte Carlo rows as one task list, the sigma axis folded in.
+def _accuracy_trial(hosted, model: UncertaintyModel, use_workspace: bool):
+    """One sigma's batched accuracy trial on a sweep's hosted inputs.
 
-    A per-sigma loop would run one batched Monte Carlo pass — one
-    scheduling barrier, one ``backend.map`` — per uncertainty level.  This
-    folds the sigma axis into the leading Monte Carlo batch axis instead:
-    all non-null sigmas' ``iterations`` realizations form one task list
-    whose chunks may freely mix sigmas, each row scaled by its own level's
-    physical stds (the ``*_std_rows`` fields of
-    :class:`~repro.onn.inference.NetworkAccuracyBatchTrial`), so worker
-    pools stay saturated across sigma boundaries.  Returns the tasks, each
-    non-null sigma's row range and the chunk size.
-
-    Bit-identity with the per-sigma loop: ``streams`` is the recipe of the
-    sweep's per-sigma streams, and each sigma's rows are exactly the
-    children :class:`~repro.analysis.monte_carlo.MonteCarloRunner` would
-    spawn from that stream (``streams.child_slice``); a chunk carries one
-    :class:`~repro.utils.rng.StreamSlice` per sigma stream it touches.
-    Each row consumes only its own stream, per-row scaling performs the
-    same float multiply as the scalar path, and the vectorized engine's
-    samples are chunk-composition invariant.  Null sigmas get no rows;
-    their streams are never built, which cannot shift another sigma's
-    draws.
+    ``hosted`` is the ``(features, labels, network)`` triple that
+    :func:`~repro.analysis.monte_carlo.sweep_scope` yields.
     """
+    # Imported lazily: the analysis package must stay importable before the
+    # onn package (which itself imports the Monte Carlo engine) is built.
     from ..onn.inference import NetworkAccuracyBatchTrial
-    from .monte_carlo import plan_chunk_size
 
-    row_streams: list = []
-    phase_blocks: list = []
-    splitter_blocks: list = []
-    row_slices: Dict[float, slice] = {}
-    gating_model = None
-    for index, sigma in enumerate(sigmas):
-        model = UncertaintyModel.for_case(case, sigma, perturb_sigma_stage=perturb_sigma_stage)
-        if model.is_null:
-            continue
-        if gating_model is None:
-            gating_model = model
-        row_slices[sigma] = slice(len(row_streams) * iterations, (len(row_streams) + 1) * iterations)
-        row_streams.append(streams.child_slice(index, iterations))
-        phase_blocks.append(np.full(iterations, model.phase_std))
-        splitter_blocks.append(np.full(iterations, model.splitter_std))
-    rows = len(row_streams) * iterations
-    if rows == 0:
-        return [], row_slices, None
-    phase_rows = np.concatenate(phase_blocks)[:, None]
-    splitter_rows = np.concatenate(splitter_blocks)[:, None]
-    base_trial = NetworkAccuracyBatchTrial(
-        spnn=network,
-        features=eval_features,
-        labels=eval_labels,
-        model=gating_model,
-        use_workspace=use_workspace,
+    features, labels, network = hosted
+    return NetworkAccuracyBatchTrial(
+        spnn=network, features=features, labels=labels, model=model, use_workspace=use_workspace
     )
-    chunk = plan_chunk_size(rows, resolved, chunk_size, base_trial)
-    tasks = []
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
-        chunk_trial = replace(
-            base_trial,
-            phase_std_rows=phase_rows[start:stop],
-            splitter_std_rows=splitter_rows[start:stop],
-        )
-        parts = tuple(
-            row_streams[k][max(0, start - k * iterations) : stop - k * iterations]
-            for k in range(start // iterations, (stop - 1) // iterations + 1)
-        )
-        tasks.append((start, chunk_trial, parts))
-    return tasks, row_slices, chunk
 
 
 @dataclass
@@ -329,12 +255,12 @@ def yield_sweep(
     positionally, so reordering or extending the sigma list changes the
     draws a given sigma receives.
 
-    The sigma axis is *folded* into the Monte Carlo batch axis
-    (:func:`_folded_tasks`): the whole sweep is one task list
-    scheduled through a single ``backend.map`` pass, with each realization
-    row scaled by its own sigma's physical stds.  Samples are bit-identical
-    to a per-sigma loop of :func:`~repro.onn.inference.monte_carlo_accuracy`
-    on the same streams, at every worker count.
+    Every non-null sigma is one part of a single
+    :func:`~repro.analysis.monte_carlo.run_sweep`, so the whole sweep is
+    one ``map`` and no pool drains between sigmas.  Samples are
+    bit-identical to a per-sigma loop of
+    :func:`~repro.onn.inference.monte_carlo_accuracy` on the same streams,
+    at every worker count.
 
     Parameters
     ----------
@@ -396,21 +322,11 @@ def yield_sweep(
         raise ValueError(f"accuracy_threshold must be in [0, 1], got {accuracy_threshold}")
 
     streams = spawn_slice(rng, len(sigmas))
-    # One backend for the whole sweep.  The eval arrays *and* the compiled
-    # mesh parameters are hosted in shared memory for the same scope (unless
-    # the caller already hosts them), so they cross the process boundary
-    # once per worker, not once per chunk — the per-chunk payload shrinks to
-    # the perturbation draws.
+    models = [
+        UncertaintyModel.for_case(case, sigma, perturb_sigma_stage=perturb_sigma_stage)
+        for sigma in sigmas
+    ]
     resolved = resolve_backend(backend, workers)
-    already_hosted = is_hosted_array(features) or is_hosted_array(labels)
-    hosting = (
-        nullcontext((features, labels))
-        if already_hosted
-        else shared_eval_arrays(resolved, features, labels)
-    )
-    network_hosting = (
-        nullcontext(spnn) if is_hosted_network(spnn) else shared_network(resolved, spnn)
-    )
     sweep_span = _active_recorder().span(
         "yield/sweep",
         sigmas=len(sigmas),
@@ -418,42 +334,20 @@ def yield_sweep(
         case=case.lower(),
         parallelism=resolved.parallelism,
     )
-    with sweep_span, pool_scope(resolved), hosting as (
-        eval_features,
-        eval_labels,
-    ), network_hosting as network:
-        tasks, row_slices, chunk = _folded_tasks(
-            network,
-            eval_features,
-            eval_labels,
-            sigmas,
-            streams,
-            case,
-            perturb_sigma_stage,
-            iterations,
-            chunk_size,
-            resolved,
-            use_workspace,
-        )
-        folded = np.empty(len(row_slices) * iterations, dtype=np.float64)
-        if tasks:
-            # Looked up at call time, so a wrapper installed on the module
-            # after import still sees every chunk.
-            from .monte_carlo import evaluate_batch_chunk
-
-            with _active_recorder().span(
-                "yield/folded_mc",
-                rows=folded.size,
-                sigmas=len(row_slices),
-                chunks=len(tasks),
-                chunk_size=chunk,
-            ):
-                for start, values in map_chunks(resolved, evaluate_batch_chunk, tasks, label="yield"):
-                    folded[start : start + len(values)] = values
+    with sweep_span, monte_carlo.sweep_scope(resolved, features, labels, spnn) as hosted:
+        parts = [
+            (_accuracy_trial(hosted, model, use_workspace), streams.child_slice(index, iterations))
+            for index, model in enumerate(models)
+            if not model.is_null
+        ]
+        # Looked up at call time, so a wrapper installed on the module
+        # after import still sees every chunk.
+        evaluator = monte_carlo.evaluate_batch_chunk
+        samples = iter(monte_carlo.run_sweep(resolved, evaluator, parts, chunk_size, label="yield"))
     samples_per_sigma = {
-        sigma: np.full(iterations, nominal_accuracy) for sigma in sigmas if sigma not in row_slices
+        sigma: np.full(iterations, nominal_accuracy) if model.is_null else next(samples)
+        for sigma, model in zip(sigmas, models)
     }
-    samples_per_sigma.update((sigma, folded[rows]) for sigma, rows in row_slices.items())
     estimates = yield_vs_sigma(samples_per_sigma, accuracy_threshold)
     return YieldSweepResult(
         sigmas=sigmas,
@@ -558,10 +452,6 @@ def bisect_max_tolerable_sigma(
     reproducible; the worker pool (if any) and the shared-memory eval
     hosting persist across all probes.
     """
-    # Imported lazily: the analysis package must stay importable before the
-    # onn package (which itself imports the Monte Carlo engine) is built.
-    from ..onn.inference import monte_carlo_accuracy
-
     if not 0.0 <= sigma_lo < sigma_hi:
         raise ValueError(f"need 0 <= sigma_lo < sigma_hi, got [{sigma_lo}, {sigma_hi}]")
     if tolerance <= 0:
@@ -582,7 +472,8 @@ def bisect_max_tolerable_sigma(
     # Spawning the streams up front keeps every probe's samples independent
     # of how the bracket evolves; unconsumed streams are free.
     max_probes = 4 + max(1, int(np.ceil(np.log2(max(2.0, (sigma_hi - sigma_lo) / tolerance)))))
-    streams = iter(spawn_rngs(rng, max_probes))
+    streams = spawn_slice(rng, max_probes)
+    drawn = itertools.count()
 
     probes: Dict[float, YieldEstimate] = {}
     nominal_accuracy = resolve_network(spnn).accuracy(
@@ -590,41 +481,25 @@ def bisect_max_tolerable_sigma(
     )
 
     resolved = resolve_backend(backend, workers)
-    already_hosted = is_hosted_array(features) or is_hosted_array(labels)
-    hosting = (
-        nullcontext((features, labels))
-        if already_hosted
-        else shared_eval_arrays(resolved, features, labels)
-    )
-    network_hosting = (
-        nullcontext(spnn) if is_hosted_network(spnn) else shared_network(resolved, spnn)
-    )
     bisect_span = _active_recorder().span(
         "yield/bisect",
         iterations=iterations,
         case=case.lower(),
         parallelism=resolved.parallelism,
     )
-    with bisect_span, pool_scope(resolved), hosting as (
-        eval_features,
-        eval_labels,
-    ), network_hosting as network:
+    with bisect_span, monte_carlo.sweep_scope(resolved, features, labels, spnn) as hosted:
 
         def probe(sigma: float) -> bool:
             model = UncertaintyModel.for_case(case, sigma, perturb_sigma_stage=perturb_sigma_stage)
             if model.is_null:
                 samples = np.full(iterations, nominal_accuracy)
             else:
-                samples = monte_carlo_accuracy(
-                    network,
-                    eval_features,
-                    eval_labels,
-                    model,
-                    iterations=iterations,
-                    rng=next(streams),
-                    chunk_size=chunk_size,
-                    backend=resolved,
-                    use_workspace=use_workspace,
+                part = (
+                    _accuracy_trial(hosted, model, use_workspace),
+                    streams.child_slice(next(drawn), iterations),
+                )
+                [samples] = monte_carlo.run_sweep(
+                    resolved, monte_carlo.evaluate_batch_chunk, [part], chunk_size, label="bisect"
                 )
             estimate = estimate_yield(samples, accuracy_threshold)
             probes[float(sigma)] = estimate

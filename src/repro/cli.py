@@ -39,6 +39,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .exceptions import ExperimentError
 from .experiments.registry import build_registry, get_experiment, list_experiments
 from .observability import PrintProgressSink, Stopwatch, observe, use_progress_sink
 from .onn.builder import SPNNTrainingConfig, build_trained_spnn
@@ -269,7 +270,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             save_json(summary, args.output)
         return 0
 
-    spec = get_experiment(identifier)
+    try:
+        spec = get_experiment(identifier)
+    except ExperimentError as error:
+        parser.error(str(error))
     config = spec.smoke_config if args.smoke else spec.default_config
     if args.iterations is not None and hasattr(config, "iterations"):
         config = dataclasses.replace(config, iterations=args.iterations)

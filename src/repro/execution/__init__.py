@@ -22,8 +22,6 @@ from .backends import (
 from .shared import (
     SharedArray,
     SharedNetwork,
-    is_hosted_array,
-    is_hosted_network,
     resolve_array,
     resolve_network,
     shared_eval_arrays,
@@ -44,8 +42,6 @@ __all__ = [
     "resolve_backend",
     "SharedArray",
     "SharedNetwork",
-    "is_hosted_array",
-    "is_hosted_network",
     "resolve_array",
     "resolve_network",
     "shared_eval_arrays",

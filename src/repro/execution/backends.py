@@ -212,9 +212,9 @@ class MultiprocessBackend:
 
     **Pool lifetime.**  By default every :meth:`map` call forks a fresh pool
     and tears it down again — safe, but the spin-up plus copy-on-write
-    faulting costs ~0.15 s per run, which dominates sweeps made of many
-    small Monte Carlo runs (EXP 2's 54 zones, the per-sigma evaluations of
-    the robustness experiment).  Entering the backend as a context manager
+    faulting costs ~0.15 s per map, which dominates work made of many
+    maps in a row (bisection probes, the per-model sweeps of the
+    robustness experiment).  Entering the backend as a context manager
     keeps one pool alive for every ``map`` inside the block::
 
         with MultiprocessBackend(workers=4) as backend:

@@ -203,15 +203,6 @@ def resolve_array(value: ArrayLike) -> np.ndarray:
     return np.asarray(value)
 
 
-def is_hosted_array(value) -> bool:
-    """Whether ``value`` is already a shared-memory handle.
-
-    Sweep layers use this to skip re-hosting data a caller already hosted
-    for an outer scope.
-    """
-    return isinstance(value, SharedArray)
-
-
 # --------------------------------------------------------------------------- #
 # shared-memory hosting of compiled networks (mesh parameter arrays)
 # --------------------------------------------------------------------------- #
@@ -364,24 +355,21 @@ def resolve_network(value):
     return value
 
 
-def is_hosted_network(value) -> bool:
-    """Whether ``value`` is already a shared-memory network handle."""
-    return isinstance(value, SharedNetwork)
-
-
 @contextmanager
 def shared_network(backend, spnn) -> Iterator[object]:
     """Host a compiled network's parameters in shared memory for a sweep.
 
     Yields a :class:`SharedNetwork` handle when ``backend`` shards tasks
     across processes (and the platform supports shared memory), the
-    original network unchanged otherwise.  Wrap this around a sweep inside
-    its ``pool_scope`` — like :func:`shared_eval_arrays` — so the per-chunk
+    original network unchanged otherwise, and an already hosted handle
+    (or ``None``) as it is.  Wrap this around a sweep inside its
+    ``pool_scope`` — like :func:`shared_eval_arrays` — so the per-chunk
     task payload shrinks to the perturbation draws instead of a re-pickled
     compiled SPNN.  Results are bit-identical either way (the rebuilt
     workers' networks reproduce the hosted matrices exactly).
     """
-    if not shared_memory_available() or not _backend_shards(backend):
+    hosted = spnn is None or isinstance(spnn, SharedNetwork)
+    if hosted or not shared_memory_available() or not _backend_shards(backend):
         yield spnn
         return
     with _active_recorder().span("shared/host_network") as span:
@@ -415,22 +403,25 @@ def shared_eval_arrays(backend, *arrays: np.ndarray) -> Iterator[Tuple[ArrayLike
 
     Yields one value per input: :class:`SharedArray` handles when
     ``backend`` shards tasks across processes (and the platform supports
-    shared memory), the original arrays unchanged otherwise.  Wrap this
-    around a sweep *inside* its ``pool_scope`` so the hosting happens once
-    per pool, not once per Monte Carlo run; segments are closed and
-    unlinked on exit (Linux keeps them alive for workers that are still
-    attached).  Results are bit-identical either way — the segments hold
-    byte-exact copies.
+    shared memory), the original arrays unchanged otherwise.  Handles a
+    caller already hosted pass through as they are.  Wrap this around a
+    sweep *inside* its ``pool_scope`` so the hosting happens once per
+    pool, not once per Monte Carlo run; segments are closed and unlinked
+    on exit (Linux keeps them alive for workers that are still attached).
+    Results are bit-identical either way — the segments hold byte-exact
+    copies.
     """
-    if not shared_memory_available() or not _backend_shards(backend):
-        yield tuple(np.asarray(array) for array in arrays)
+    arrays = tuple(array if isinstance(array, SharedArray) else np.asarray(array) for array in arrays)
+    fresh = [index for index, array in enumerate(arrays) if not isinstance(array, SharedArray)]
+    if not fresh or not shared_memory_available() or not _backend_shards(backend):
+        yield arrays
         return
-    with _active_recorder().span("shared/host_arrays", segments=len(arrays)) as span:
-        handles = [SharedArray.create(np.asarray(array)) for array in arrays]
-        span.set("bytes", sum(handle.nbytes for handle in handles))
+    with _active_recorder().span("shared/host_arrays", segments=len(fresh)) as span:
+        handles = {index: SharedArray.create(arrays[index]) for index in fresh}
+        span.set("bytes", sum(handle.nbytes for handle in handles.values()))
     try:
-        yield tuple(handles)
+        yield tuple(handles.get(index, array) for index, array in enumerate(arrays))
     finally:
-        for handle in handles:
+        for handle in handles.values():
             handle.close()
             handle.unlink()

@@ -24,19 +24,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.monte_carlo import MonteCarloResult, MonteCarloRunner
+from ..analysis import monte_carlo
+from ..analysis.monte_carlo import MonteCarloResult
 from ..analysis.statistics import summarize
-from ..execution import (
-    BackendLike,
-    pool_scope,
-    resolve_backend,
-    shared_eval_arrays,
-    shared_network,
-)
+from ..execution import BackendLike, resolve_backend
 from ..onn.builder import SPNNTask, SPNNTrainingConfig, build_trained_spnn
 from ..onn.inference import NetworkAccuracyBatchTrial
 from ..onn.spnn import SPNN
-from ..utils.rng import RNGLike, ensure_rng
+from ..utils.rng import RNGLike, ensure_rng, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
 
@@ -153,39 +148,28 @@ def run_exp1(
     gen = ensure_rng(rng if rng is not None else config.seed)
     spnn: SPNN = task.spnn
     features, labels = task.test_features, task.test_labels
-    # One backend for the whole sweep; its worker pool (if any) stays alive
-    # across the (case, sigma) grid instead of re-forking per point.
     backend = resolve_backend(config.backend, config.workers)
-    runner = MonteCarloRunner(
-        iterations=config.iterations,
-        chunk_size=config.chunk_size,
-        backend=backend,
-    )
-
     nominal_accuracy = spnn.accuracy(features, labels, use_hardware=True)
+    grid = [
+        (case, sigma, uncertainty_model_for_case(case, sigma, config.perturb_sigma_stage))
+        for case in config.cases
+        for sigma in config.sigmas
+    ]
+    # One stream per non-null (case, sigma) in grid order, and the whole
+    # grid as one sweep, so a pool never drains between points.
+    swept = [model for _, _, model in grid if not model.is_null]
+    streams = [spawn_slice(gen, config.iterations) for _ in swept]
+    with monte_carlo.sweep_scope(backend, features, labels, spnn) as (x, y, network):
+        parts = [
+            (NetworkAccuracyBatchTrial(spnn=network, features=x, labels=y, model=model), stream)
+            for model, stream in zip(swept, streams)
+        ]
+        evaluator = monte_carlo.evaluate_batch_chunk
+        samples = iter(monte_carlo.run_sweep(backend, evaluator, parts, config.chunk_size, label="mc"))
     results: Dict[str, List[MonteCarloResult]] = {case: [] for case in config.cases}
-    # Sharding backends get the eval set and the compiled mesh parameters
-    # hosted in shared memory once per sweep, so per-chunk payloads shrink
-    # to the child streams (bit-identical results).
-    with pool_scope(backend), shared_eval_arrays(backend, features, labels) as (
-        eval_features,
-        eval_labels,
-    ), shared_network(backend, spnn) as network:
-        for case in config.cases:
-            for sigma in config.sigmas:
-                model = uncertainty_model_for_case(case, sigma, config.perturb_sigma_stage)
-
-                if model.is_null:
-                    samples = np.full(config.iterations, nominal_accuracy)
-                    results[case].append(
-                        MonteCarloResult(samples=samples, summary=summarize(samples), label=f"{case}@{sigma}")
-                    )
-                    continue
-
-                # A module-level picklable trial, so the chunks can be
-                # shipped to worker processes.
-                batch_trial = NetworkAccuracyBatchTrial(
-                    spnn=network, features=eval_features, labels=eval_labels, model=model
-                )
-                results[case].append(runner.run_batched(batch_trial, rng=gen, label=f"{case}@{sigma}"))
+    for case, sigma, model in grid:
+        values = np.full(config.iterations, nominal_accuracy) if model.is_null else next(samples)
+        results[case].append(
+            MonteCarloResult(samples=values, summary=summarize(values), label=f"{case}@{sigma}")
+        )
     return Exp1Result(config=config, nominal_accuracy=nominal_accuracy, results=results)

@@ -21,26 +21,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.monte_carlo import MonteCarloRunner
-from ..execution import (
-    BackendLike,
-    pool_scope,
-    resolve_array,
-    resolve_backend,
-    resolve_network,
-    shared_eval_arrays,
-    shared_network,
-)
-from ..mesh.mesh import MZIMesh
+from ..analysis import monte_carlo
+from ..execution import BackendLike, resolve_array, resolve_backend, resolve_network
 from ..mesh.svd_layer import LayerPerturbationBatch
 from ..onn.builder import SPNNTask, SPNNTrainingConfig, build_trained_spnn
 from ..onn.inference import network_chunk_size
 from ..onn.spnn import SPNN, NetworkPerturbationBatch
-from ..utils.rng import RNGLike, ensure_rng
+from ..utils.rng import RNGLike, ensure_rng, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
 from ..variation.sampler import sample_mesh_perturbation_batch
-from ..variation.zones import Zone, ZoneGrid
+from ..variation.zones import ZoneGrid
 
 
 @dataclass(frozen=True)
@@ -209,65 +200,58 @@ def run_exp2(
     gen = ensure_rng(rng if rng is not None else config.seed)
     spnn = task.spnn
     features, labels = task.test_features, task.test_labels
-    # One backend for the whole zone sweep (54 small Monte Carlo runs on the
-    # paper architecture); its worker pool survives across zones.
     backend = resolve_backend(config.backend, config.workers)
-    runner = MonteCarloRunner(
-        iterations=config.iterations,
-        chunk_size=config.chunk_size,
-        backend=backend,
-    )
     background = UncertaintyModel.both(config.background_sigma, perturb_sigma_stage=False)
 
     nominal_accuracy = spnn.accuracy(features, labels, use_hardware=True)
 
-    # Hosted once per sweep for sharding backends: the eval set and the
-    # compiled mesh parameters cross the process boundary per worker, not
-    # per chunk (bit-identical results; see repro.execution.shared).
-    network_hosting = shared_network(backend, spnn)
-    eval_hosting = shared_eval_arrays(backend, features, labels)
-
-    def _run_zonal(target_mesh_name: str, sigma_map: np.ndarray, label: str):
-        """One batched Monte Carlo run of the zonal sampler."""
-        batch_trial = ZonalAccuracyBatchTrial(
-            spnn=hosted_network, features=hosted_features, labels=hosted_labels,
-            target_mesh_name=target_mesh_name, sigma_map=sigma_map, background=background,
-        )
-        return runner.run_batched(batch_trial, rng=gen, label=label)
-
-    with pool_scope(backend), eval_hosting as (hosted_features, hosted_labels), network_hosting as hosted_network:
-        # Reference: global uncertainty at the background sigma (Sigma error-free),
-        # the number the paper compares every zone against (69.98% loss).
-        global_result = _run_zonal("", np.zeros(0), label="global-background")
-        global_loss = nominal_accuracy - global_result.mean
-
-        named_meshes = dict(spnn.unitary_meshes())
-        if mesh_names is None:
-            mesh_names = list(named_meshes.keys())
-
-        heatmaps: Dict[str, ZonalHeatmap] = {}
-        for mesh_name in mesh_names:
-            if mesh_name not in named_meshes:
-                raise KeyError(f"unknown unitary mesh {mesh_name!r}; available: {sorted(named_meshes)}")
-            mesh: MZIMesh = named_meshes[mesh_name]
-            grid = ZoneGrid(mesh, zone_rows=config.zone_rows, zone_cols=config.zone_cols)
-            losses = np.full(grid.shape, np.nan)
-            counts = grid.occupancy_matrix()
-            for zone in grid.zones():
-                sigma_map = grid.sigma_map(zone, config.zone_sigma, config.background_sigma)
-                result = _run_zonal(
-                    mesh_name, sigma_map, label=f"{mesh_name}[{zone.row_index},{zone.col_index}]"
-                )
-                losses[zone.row_index, zone.col_index] = nominal_accuracy - result.mean
-            heatmaps[mesh_name] = ZonalHeatmap(
-                mesh_name=mesh_name,
-                zone_shape=grid.shape,
-                accuracy_loss=losses,
-                zone_counts=counts,
+    named_meshes = dict(spnn.unitary_meshes())
+    if mesh_names is None:
+        mesh_names = list(named_meshes.keys())
+    for mesh_name in mesh_names:
+        if mesh_name not in named_meshes:
+            raise KeyError(f"unknown unitary mesh {mesh_name!r}; available: {sorted(named_meshes)}")
+    grids = {
+        name: ZoneGrid(named_meshes[name], zone_rows=config.zone_rows, zone_cols=config.zone_cols)
+        for name in mesh_names
+    }
+    # The runs in order: the reference, global uncertainty at the
+    # background sigma (Sigma error-free), the number the paper compares
+    # every zone against (69.98% loss); then every zone of every mesh.
+    runs = [("", np.zeros(0), None)] + [
+        (mesh_name, grids[mesh_name].sigma_map(zone, config.zone_sigma, config.background_sigma), zone)
+        for mesh_name in mesh_names
+        for zone in grids[mesh_name].zones()
+    ]
+    streams = [spawn_slice(gen, config.iterations) for _ in runs]
+    with monte_carlo.sweep_scope(backend, features, labels, spnn) as (x, y, network):
+        parts = [
+            (
+                ZonalAccuracyBatchTrial(
+                    spnn=network, features=x, labels=y,
+                    target_mesh_name=mesh_name, sigma_map=sigma_map, background=background,
+                ),
+                stream,
             )
+            for (mesh_name, sigma_map, _), stream in zip(runs, streams)
+        ]
+        evaluator = monte_carlo.evaluate_batch_chunk
+        samples = monte_carlo.run_sweep(backend, evaluator, parts, config.chunk_size, label="mc")
+    heatmaps = {
+        name: ZonalHeatmap(
+            mesh_name=name,
+            zone_shape=grid.shape,
+            accuracy_loss=np.full(grid.shape, np.nan),
+            zone_counts=grid.occupancy_matrix(),
+        )
+        for name, grid in grids.items()
+    }
+    for (mesh_name, _, zone), values in zip(runs[1:], samples[1:]):
+        loss = nominal_accuracy - float(values.mean())
+        heatmaps[mesh_name].accuracy_loss[zone.row_index, zone.col_index] = loss
     return Exp2Result(
         config=config,
         nominal_accuracy=nominal_accuracy,
-        global_loss=float(global_loss),
+        global_loss=float(nominal_accuracy - samples[0].mean()),
         heatmaps=heatmaps,
     )

@@ -35,7 +35,8 @@ from ..analysis.yield_analysis import (
     bisect_max_tolerable_sigma,
     yield_sweep,
 )
-from ..execution import BackendLike, pool_scope, resolve_backend, shared_eval_arrays
+from ..analysis.monte_carlo import sweep_scope
+from ..execution import BackendLike, resolve_backend
 from ..nn.optim import Adam
 from ..nn.trainer import TrainerConfig
 from ..onn.builder import (
@@ -368,10 +369,7 @@ def run_exp3(config: Exp3Config = Exp3Config(), rng: RNGLike = None) -> Exp3Resu
     # One pool and one shared-memory hosting of the eval set serve every
     # model's sweep (and bisection): the ~hundreds-of-KB eval arrays cross
     # the process boundary once per worker for the whole experiment.
-    with pool_scope(backend), shared_eval_arrays(backend, test_x, test_y) as (
-        eval_x,
-        eval_y,
-    ):
+    with sweep_scope(backend, test_x, test_y) as (eval_x, eval_y, _):
         for index, (key, spnn) in enumerate(spnns.items()):
             # yield_sweep spawns one child stream per sigma from its stream
             # and runs the vectorized engine on the shared backend — one

@@ -129,23 +129,12 @@ class NetworkAccuracyBatchTrial:
     #: Each worker process lazily creates its own arena, so buffer reuse is
     #: aliasing-safe under every backend; samples are bit-identical.
     use_workspace: bool = False
-    #: Per-row *physical* phase / splitter standard deviations, shape
-    #: ``(B, 1)`` aligned with the chunk's generators; ``None`` means the
-    #: model's stds.  The sigma-folded sweeps (:func:`repro.analysis.
-    #: yield_analysis.yield_sweep`) stack several uncertainty levels along
-    #: the batch axis this way, with ``model`` supplying the (uniform)
-    #: family gating.  Scaling a row's normalized draws by its actual stds
-    #: is the exact float multiply the per-sigma trial performs, so the
-    #: folded samples are bit-identical to running each sigma separately.
-    phase_std_rows: Optional[np.ndarray] = None
-    splitter_std_rows: Optional[np.ndarray] = None
 
     def preferred_chunk_size(self) -> int:
         """Realizations per chunk: :func:`network_chunk_size` of the network.
 
-        Consulted by :class:`~repro.analysis.monte_carlo.MonteCarloRunner`
-        and the folded yield sweep when no explicit ``chunk_size`` is
-        given.  It does not depend on the evaluation-set size, since the
+        Consulted by :func:`~repro.analysis.monte_carlo.run_sweep` when no
+        explicit ``chunk_size`` is given.  It does not depend on the evaluation-set size, since the
         forward runs in its own sub-chunks.  Chunking never changes the
         samples.
         """
@@ -158,12 +147,7 @@ class NetworkAccuracyBatchTrial:
         # Looked up on the module at call time, so a wrapper installed on
         # ``repro.variation.sampler`` after import still sees every draw.
         batch = sampler.sample_network_perturbation_batch(
-            spnn.photonic_layers,
-            self.model,
-            generators,
-            workspace=workspace,
-            phase_std_rows=self.phase_std_rows,
-            splitter_std_rows=self.splitter_std_rows,
+            spnn.photonic_layers, self.model, generators, workspace=workspace
         )
         return spnn.accuracy_batch(
             resolve_array(self.features),

@@ -235,8 +235,6 @@ def mesh_perturbation_batch_from_draws(
     sigma_bes_per_mzi: Optional[np.ndarray] = None,
     workspace=None,
     workspace_key=None,
-    phase_std_rows: Optional[np.ndarray] = None,
-    splitter_std_rows: Optional[np.ndarray] = None,
 ) -> MeshPerturbationBatch:
     """Map a ``(B, mesh_batch_draw_length)`` standard-normal matrix to fields.
 
@@ -249,28 +247,10 @@ def mesh_perturbation_batch_from_draws(
     represents under ``model``.  When ``model`` does not perturb splitters,
     ``delta_r_in``/``delta_r_out`` are ``None`` (the mesh then evaluates
     the nominal reflectances, bit-identical to all-zero fields).
-
-    ``phase_std_rows``/``splitter_std_rows`` optionally carry *per-row
-    physical* standard deviations of shape ``(B, 1)`` — the sigma-folded
-    sweeps stack realizations of several uncertainty levels along the batch
-    axis and scale each row by its own level's actual stds (scaling a
-    normalized draw by the physical std is the one float multiply the
-    scalar path performs, so per-row values are bit-identical to running
-    each level separately).  ``model`` still supplies the family gating,
-    which must be uniform across the folded rows (same case, all
-    non-null); the per-MZI zonal overrides are mutually exclusive with the
-    per-row columns.
     """
     count = mesh.num_mzis
-    if phase_std_rows is not None or splitter_std_rows is not None:
-        if sigma_phs_per_mzi is not None or sigma_bes_per_mzi is not None:
-            raise ValueError("per-row std columns and per-MZI sigma overrides are mutually exclusive")
     phase_sigma = _phase_sigmas(model, count, sigma_phs_per_mzi)
     splitter_sigma = _splitter_sigmas(model, count, sigma_bes_per_mzi)
-    if phase_std_rows is not None and model.perturb_phases:
-        phase_sigma = phase_std_rows
-    if splitter_std_rows is not None and model.perturb_splitters:
-        splitter_sigma = splitter_std_rows
     extra = mesh.n if model.perturb_output_phases else 0
     # Unperturbed splitters get no fields: ``draws * 0.0`` is all (signed)
     # zeros, which leave ``r`` exactly nominal, so the mesh evaluates them
@@ -297,7 +277,7 @@ def mesh_perturbation_batch_from_draws(
         else None,
         delta_output_phase=_scaled_field(
             draws[:, 4 * count :],
-            phase_std_rows if phase_std_rows is not None else model.phase_std,
+            model.phase_std,
             workspace,
             (workspace_key, "delta_output_phase"),
         )
@@ -314,8 +294,6 @@ def sample_mesh_perturbation_batch(
     sigma_bes_per_mzi: Optional[np.ndarray] = None,
     workspace=None,
     workspace_key=None,
-    phase_std_rows: Optional[np.ndarray] = None,
-    splitter_std_rows: Optional[np.ndarray] = None,
 ) -> MeshPerturbationBatch:
     """Draw ``B = len(generators)`` mesh realizations as ``(B, num_mzis)`` arrays.
 
@@ -327,9 +305,6 @@ def sample_mesh_perturbation_batch(
     unique to this mesh within the evaluation) back the draw buffer and
     every perturbation field with reusable arena buffers; the batch is
     then valid until the next workspace-backed draw under the same key.
-    ``phase_std_rows``/``splitter_std_rows`` optionally scale each row by
-    its own physical stds (sigma-folded sweeps; see
-    :func:`mesh_perturbation_batch_from_draws`).
     """
     generators = list(generators)
     if not generators:
@@ -343,8 +318,6 @@ def sample_mesh_perturbation_batch(
         sigma_bes_per_mzi=sigma_bes_per_mzi,
         workspace=workspace,
         workspace_key=workspace_key,
-        phase_std_rows=phase_std_rows,
-        splitter_std_rows=splitter_std_rows,
     )
 
 
@@ -368,8 +341,6 @@ def diagonal_perturbation_batch_from_draws(
     draws,
     workspace=None,
     workspace_key=None,
-    phase_std_rows: Optional[np.ndarray] = None,
-    splitter_std_rows: Optional[np.ndarray] = None,
 ) -> DiagonalPerturbationBatch:
     """Map a ``(B, diagonal_batch_draw_length)`` draw matrix to Sigma fields.
 
@@ -377,27 +348,17 @@ def diagonal_perturbation_batch_from_draws(
     (:func:`diagonal_batch_draw_length` returning ``None`` means no draws
     and no perturbation); given the draws this applies the same
     slice-and-scale mapping as :func:`sample_diagonal_perturbation_batch`.
-    ``phase_std_rows``/``splitter_std_rows`` optionally scale each row by
-    its own physical stds while ``model``'s scalar stds keep supplying the
-    family gating (sigma-folded sweeps; see
-    :func:`mesh_perturbation_batch_from_draws`).
     """
     phase_sigma = model.phase_std
     splitter_sigma = model.splitter_std
     num_phase = 2 * num_mzis if phase_sigma else 0
-    phase_scale = phase_std_rows if phase_std_rows is not None and phase_sigma else phase_sigma
-    splitter_scale = (
-        splitter_std_rows
-        if splitter_std_rows is not None and splitter_sigma
-        else splitter_sigma
-    )
     batch = draws.shape[0]
     if phase_sigma:
         delta_theta = _scaled_field(
-            draws[:, 0:num_mzis], phase_scale, workspace, (workspace_key, "delta_theta")
+            draws[:, 0:num_mzis], phase_sigma, workspace, (workspace_key, "delta_theta")
         )
         delta_phi = _scaled_field(
-            draws[:, num_mzis : 2 * num_mzis], phase_scale, workspace, (workspace_key, "delta_phi")
+            draws[:, num_mzis : 2 * num_mzis], phase_sigma, workspace, (workspace_key, "delta_phi")
         )
     else:
         delta_theta = _zero_field((batch, num_mzis), workspace, (workspace_key, "delta_theta"))
@@ -405,13 +366,13 @@ def diagonal_perturbation_batch_from_draws(
     if splitter_sigma:
         delta_r_in = _scaled_field(
             draws[:, num_phase : num_phase + num_mzis],
-            splitter_scale,
+            splitter_sigma,
             workspace,
             (workspace_key, "delta_r_in"),
         )
         delta_r_out = _scaled_field(
             draws[:, num_phase + num_mzis :],
-            splitter_scale,
+            splitter_sigma,
             workspace,
             (workspace_key, "delta_r_out"),
         )
@@ -432,8 +393,6 @@ def sample_diagonal_perturbation_batch(
     generators: Sequence[np.random.Generator],
     workspace=None,
     workspace_key=None,
-    phase_std_rows: Optional[np.ndarray] = None,
-    splitter_std_rows: Optional[np.ndarray] = None,
 ) -> Optional[DiagonalPerturbationBatch]:
     """Draw ``B`` Sigma-bank realizations as ``(B, num_mzis)`` arrays."""
     length = diagonal_batch_draw_length(num_mzis, model)
@@ -449,8 +408,6 @@ def sample_diagonal_perturbation_batch(
         draws,
         workspace=workspace,
         workspace_key=workspace_key,
-        phase_std_rows=phase_std_rows,
-        splitter_std_rows=splitter_std_rows,
     )
 
 
@@ -460,8 +417,6 @@ def sample_layer_perturbation_batch(
     generators: Sequence[np.random.Generator],
     workspace=None,
     workspace_key=None,
-    phase_std_rows: Optional[np.ndarray] = None,
-    splitter_std_rows: Optional[np.ndarray] = None,
 ) -> LayerPerturbationBatch:
     """Draw ``B`` realizations for a full photonic linear layer.
 
@@ -476,17 +431,14 @@ def sample_layer_perturbation_batch(
         u=sample_mesh_perturbation_batch(
             layer.mesh_u, model, generators,
             workspace=workspace, workspace_key=(workspace_key, "u"),
-            phase_std_rows=phase_std_rows, splitter_std_rows=splitter_std_rows,
         ),
         v=sample_mesh_perturbation_batch(
             layer.mesh_v, model, generators,
             workspace=workspace, workspace_key=(workspace_key, "v"),
-            phase_std_rows=phase_std_rows, splitter_std_rows=splitter_std_rows,
         ),
         sigma=sample_diagonal_perturbation_batch(
             layer.diagonal.num_mzis, model, generators,
             workspace=workspace, workspace_key=(workspace_key, "sigma"),
-            phase_std_rows=phase_std_rows, splitter_std_rows=splitter_std_rows,
         ),
     )
 
@@ -496,8 +448,6 @@ def sample_network_perturbation_batch(
     model: UncertaintyModel,
     generators: Sequence[np.random.Generator],
     workspace=None,
-    phase_std_rows: Optional[np.ndarray] = None,
-    splitter_std_rows: Optional[np.ndarray] = None,
 ) -> List[Optional[LayerPerturbationBatch]]:
     """Draw ``B`` realizations for every layer of an SPNN, stacked per layer.
 
@@ -508,18 +458,12 @@ def sample_network_perturbation_batch(
     buffers are recycled across calls (keyed per layer and stage),
     eliminating the per-chunk sampling allocations of the batched Monte
     Carlo engine; values are bit-identical either way.
-
-    ``phase_std_rows``/``splitter_std_rows`` (shape ``(B, 1)``) optionally
-    scale each row by its own physical stds — the sigma-folded sweeps
-    stack realizations of several uncertainty levels along the batch axis;
-    ``model`` must then carry the (uniform) family gating of the fold.
     """
     generators = list(generators)
     return [
         sample_layer_perturbation_batch(
             layer, model, generators,
             workspace=workspace, workspace_key=("network-sample", index),
-            phase_std_rows=phase_std_rows, splitter_std_rows=splitter_std_rows,
         )
         for index, layer in enumerate(layers)
     ]

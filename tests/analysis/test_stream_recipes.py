@@ -1,28 +1,36 @@
 """Chunk schedulers built on stream recipes against a materialized oracle.
 
-The Monte Carlo runner, the folded yield sweep and the timeline sweep
-never spawn generators up front: each chunk carries the
-:class:`~repro.utils.rng.StreamSlice` recipes of its rows and builds its
+Every sweep goes through :func:`~repro.analysis.monte_carlo.run_sweep`,
+which never spawns generators up front: each chunk carries the
+:class:`~repro.utils.rng.StreamSlice` recipe of its rows and builds its
 own generators.  The properties here check, on the serial, thread and
 process backends and for int, ``SeedSequence`` and ``Generator`` parents,
 that the samples equal those of the generators ``spawn_rngs`` would have
-spawned, whatever the chunk size (1, sizes that straddle sigma boundaries,
-sizes above the run), and that a stateful parent is left exactly where
-``spawn_rngs`` leaves it.
+spawned, whatever the parts and the chunk size (1, sizes that straddle
+part boundaries, sizes above the sweep), that a stateful parent is left
+exactly where ``spawn_rngs`` leaves it, and that the runner, yield and
+timeline front ends wire their streams the same way.
 """
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.monte_carlo import MonteCarloRunner
+from repro.analysis.monte_carlo import (
+    MonteCarloRunner,
+    evaluate_batch_chunk,
+    run_sweep,
+    sweep_tasks,
+)
 from repro.analysis.timeline import AccuracyTimelineTrial, timeline_sweep
-from repro.analysis.yield_analysis import _folded_tasks, yield_sweep
+from repro.analysis.yield_analysis import yield_sweep
 from repro.execution import MultiprocessBackend, SerialBackend, ThreadBackend
 from repro.experiments.exp1_global import DEFAULT_SIGMAS
+from repro.observability import observe
 from repro.onn import SPNNArchitecture
 from repro.onn.inference import NetworkAccuracyBatchTrial
 from repro.onn.spnn import SPNN
@@ -47,6 +55,16 @@ def normal_trial(generator):
 
 def normal_batch_trial(generators):
     return np.array([generator.standard_normal() for generator in generators])
+
+
+@dataclass(frozen=True)
+class ScaledNormalTrial:
+    """Picklable batch trial: one scaled standard normal per generator."""
+
+    scale: float
+
+    def __call__(self, generators):
+        return self.scale * np.array([generator.standard_normal() for generator in generators])
 
 
 def _next_children(parent):
@@ -83,6 +101,67 @@ def test_runner_matches_spawned_generators(backends, kind, seed, iterations, chu
     # The scalar route names the same streams.
     scalar = runner.run(normal_trial, rng=PARENTS[kind](seed)).samples
     assert scalar.tobytes() == expected.tobytes()
+    # run_many gives label i the children of the i-th stream spawned from rng.
+    trials = {"a": normal_batch_trial, "b": normal_batch_trial}
+    many = runner.run_many(trials, rng=PARENTS[kind](seed), batched=True)
+    for result, stream in zip(many.values(), spawn_rngs(PARENTS[kind](seed), 2)):
+        assert result.samples.tobytes() == normal_batch_trial(spawn_rngs(stream, iterations)).tobytes()
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(sorted(PARENTS)),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    layout=st.sampled_from(["children", "consecutive"]),
+    chunk=st.sampled_from(["none", "one", "straddle", "beyond"]),
+    backend=st.sampled_from(["serial", "thread", "process"]),
+)
+def test_sweep_matches_spawned_generators(backends, kind, seed, sizes, layout, chunk, backend):
+    """Any parts, any chunking, any backend: the materialized oracle's samples.
+
+    ``children`` names part ``k``'s rows as the children of the ``k``-th
+    stream spawned from the parent (the runner's ``run_many``, the yield
+    sweep, bisection); ``consecutive`` spawns each part's rows straight
+    from the parent in part order (EXP 1, EXP 2).
+    """
+    rows = sum(sizes)
+    chunk_size = {"none": None, "one": 1, "straddle": sizes[0] + 1, "beyond": rows + 5}[chunk]
+    oracle_parent, parent = PARENTS[kind](seed), PARENTS[kind](seed)
+    trials = [ScaledNormalTrial(float(index + 1)) for index in range(len(sizes))]
+    if layout == "children":
+        streams = spawn_slice(parent, len(sizes))
+        slices = [streams.child_slice(index, size) for index, size in enumerate(sizes)]
+        oracle_streams = spawn_rngs(oracle_parent, len(sizes))
+        oracle = [spawn_rngs(stream, size) for stream, size in zip(oracle_streams, sizes)]
+    else:
+        slices = [spawn_slice(parent, size) for size in sizes]
+        oracle = [spawn_rngs(oracle_parent, size) for size in sizes]
+    with observe() as rec:
+        results = run_sweep(
+            backends[backend], evaluate_batch_chunk, list(zip(trials, slices)), chunk_size, label="prop"
+        )
+    assert len(results) == len(sizes)
+    for trial, generators, samples in zip(trials, oracle, results):
+        assert samples.tobytes() == trial(generators).tobytes()
+    assert _next_children(parent) == _next_children(oracle_parent)
+    # The frames are exactly a contiguous cover of the flat row space, and
+    # the span's plan rebuilds them.
+    frames = [(frame.start, frame.count) for frame in rec.frames]
+    position = 0
+    for start, count in frames:
+        assert start == position and count >= 1
+        position += count
+    assert position == rows
+    (plan,) = [span.attrs for span in rec.spans if span.name == "mc/run"]
+    expected, offset = [], 0
+    for part_rows, part_chunk in zip(plan["part_rows"], plan["part_chunk_sizes"]):
+        expected += [
+            (offset + start, min(part_chunk, part_rows - start)) for start in range(0, part_rows, part_chunk)
+        ]
+        offset += part_rows
+    assert frames == expected
+    assert plan["part_rows"] == sizes and plan["chunks"] == len(frames)
 
 
 @SETTINGS
@@ -93,7 +172,7 @@ def test_runner_matches_spawned_generators(backends, kind, seed, iterations, chu
     chunk=st.sampled_from(["none", "one", "under", "over", "straddle", "all", "beyond"]),
     backend=st.sampled_from(["serial", "thread", "process"]),
 )
-def test_folded_yield_sweep_matches_spawned_generators(
+def test_yield_sweep_matches_spawned_generators(
     backends, eval_task, kind, seed, iterations, chunk, backend
 ):
     spnn, features, labels = eval_task
@@ -156,7 +235,7 @@ def test_timeline_sweeps_match_spawned_generators(
 
 
 def test_scheduling_a_paper_yield_sweep_stays_small():
-    """The 7,000-row folded task list costs no generators up front."""
+    """The 7,000-row task list of a paper yield sweep costs no generators up front."""
     generator = np.random.default_rng(1)
     architecture = SPNNArchitecture(layer_dims=(16, 16, 16, 10))
     weights = [
@@ -166,14 +245,23 @@ def test_scheduling_a_paper_yield_sweep_stays_small():
     spnn = SPNN(weights, architecture).compile()
     features = generator.standard_normal((1000, 16)) + 1j * generator.standard_normal((1000, 16))
     labels = generator.integers(0, 10, 1000)
-    args = (spnn, features, labels, DEFAULT_SIGMAS)
-    tail = ("both", True, 1000, None, MultiprocessBackend(workers=2), False)
+    streams = spawn_slice(13, len(DEFAULT_SIGMAS))
     tracemalloc.start()
     try:
-        tasks, row_slices, _ = _folded_tasks(*args, spawn_slice(13, len(DEFAULT_SIGMAS)), *tail)
+        parts = [
+            (
+                NetworkAccuracyBatchTrial(
+                    spnn=spnn, features=features, labels=labels, model=UncertaintyModel.both(sigma)
+                ),
+                streams.child_slice(index, 1000),
+            )
+            for index, sigma in enumerate(DEFAULT_SIGMAS)
+            if sigma > 0.0
+        ]
+        tasks, _ = sweep_tasks(MultiprocessBackend(workers=2), parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(row_slices) * 1000 == 7000
+    assert len(parts) * 1000 == 7000
     assert sum(sum(len(part) for part in task[2]) for task in tasks) == 7000
     assert peak <= 1_000_000, peak

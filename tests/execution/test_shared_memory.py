@@ -5,11 +5,13 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis.monte_carlo import evaluate_batch_chunk, run_sweep, sweep_scope
 from repro.execution import (
     MultiprocessBackend,
     SerialBackend,
@@ -22,6 +24,7 @@ from repro.execution import (
 from repro.onn import SPNNArchitecture
 from repro.onn.inference import monte_carlo_accuracy
 from repro.onn.spnn import SPNN
+from repro.utils.rng import spawn_rngs, spawn_slice
 from repro.variation.models import UncertaintyModel
 
 pytestmark = pytest.mark.skipif(
@@ -243,3 +246,58 @@ def test_sharded_runs_exit_cleanly():
     # from resource_tracker.py, or "resource_tracker: ... leaked" warnings.
     assert "resource_tracker" not in done.stderr, done.stderr
     assert _shm_segments() - before == set()
+
+
+@dataclass(frozen=True)
+class HostedNormalTrial:
+    """Picklable batch trial reading a hosted array; ``fail`` raises instead."""
+
+    features: object
+    fail: bool = False
+
+    def __call__(self, generators):
+        if self.fail:
+            raise RuntimeError("chunk failed")
+        offset = float(resolve_array(self.features).sum())
+        return np.array([offset + generator.standard_normal() for generator in generators])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory under /dev/shm")
+def test_failing_sweep_leaves_nothing_behind():
+    """A chunk error reaches the caller, unlinks the hosting, keeps the pool."""
+    features = np.arange(40.0).reshape(5, 8)
+    labels = np.arange(5)
+    before = _shm_segments()
+    with MultiprocessBackend(workers=2) as backend:
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            with sweep_scope(backend, features, labels) as (hosted, _, _):
+                assert isinstance(hosted, SharedArray)
+                assert _shm_segments() - before
+                parts = [
+                    (HostedNormalTrial(hosted), spawn_slice(1, 8)),
+                    (HostedNormalTrial(hosted, fail=True), spawn_slice(2, 8)),
+                ]
+                run_sweep(backend, evaluate_batch_chunk, parts, chunk_size=2)
+        assert _shm_segments() - before == set()
+        assert backend.pool_is_open
+        # The same pool runs a clean sweep afterwards.
+        with sweep_scope(backend, features, labels) as (hosted, _, _):
+            [samples] = run_sweep(
+                backend, evaluate_batch_chunk, [(HostedNormalTrial(hosted), spawn_slice(3, 6))], chunk_size=2
+            )
+    expected = HostedNormalTrial(features)(spawn_rngs(3, 6))
+    assert samples.tobytes() == expected.tobytes()
+    assert _shm_segments() - before == set()
+
+
+def test_hosted_inputs_pass_through():
+    """A scope inside a scope hosts nothing twice: handles come back as they are."""
+    spnn, features, labels = _small_spnn()
+    with MultiprocessBackend(workers=2) as backend:
+        with sweep_scope(backend, features, labels, spnn) as (outer_x, outer_y, outer_net):
+            assert outer_net is not spnn
+            with sweep_scope(backend, outer_x, labels, outer_net) as (inner_x, inner_y, inner_net):
+                assert inner_x is outer_x and inner_net is outer_net
+                assert isinstance(inner_y, SharedArray) and inner_y is not outer_y
+            with sweep_scope(backend, outer_x, outer_y) as (_, _, network):
+                assert network is None

@@ -39,11 +39,14 @@ def test_fig3_iterations_override(capsys):
     assert "Fig. 3" in out
 
 
-def test_unknown_experiment_raises():
-    from repro.exceptions import ExperimentError
-
-    with pytest.raises(ExperimentError):
+def test_unknown_experiment_raises(capsys):
+    """An unknown name is a usage error that lists the experiments."""
+    with pytest.raises(SystemExit) as excinfo:
         main(["fig99"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'fig99'" in err
+    assert "exp1" in err and "yield" in err
 
 
 def test_parser_flags():

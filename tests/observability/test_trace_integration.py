@@ -45,7 +45,7 @@ class TestYieldSweepTracing:
     def test_folded_mc_span_nests_under_the_sweep(self, traced):
         _, _, rec = traced
         sweep_span = next(s for s in rec.spans if s.name == "yield/sweep")
-        folded = [s for s in rec.spans if s.name == "yield/folded_mc"]
+        folded = [s for s in rec.spans if s.name == "mc/run"]
         assert folded, "the folded device pass must be spanned"
         assert all(s.parent_id == sweep_span.span_id for s in folded)
 
@@ -116,7 +116,7 @@ class TestYieldSweepTracing:
         ]
         assert schedule == expected
         # And the observed chunk size is the planner's, not an accident.
-        folded_span = next(s for s in rec.spans if s.name == "yield/folded_mc")
+        folded_span = next(s for s in rec.spans if s.name == "mc/run")
         assert folded_span.attrs["chunk_size"] == chunk
         assert folded_span.attrs["chunks"] == len(schedule)
 
