@@ -25,8 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.execution import available_workers
-from repro.execution.shared import SharedNetwork, shared_memory_available
+from repro.execution import MultiprocessBackend, available_workers, hosted_inputs
 from repro.observability import Stopwatch, active, active_collector, observe
 from repro.onn import monte_carlo_accuracy
 from repro.onn.inference import NetworkAccuracyBatchTrial
@@ -66,13 +65,14 @@ def test_multiprocess_smoke_bit_identical(spnn_task):
 
 
 def measure_shared_network_payload(spnn_task) -> dict:
-    """Per-chunk task payload bytes: compiled SPNN vs shared-memory handle.
+    """Per-chunk task payload bytes: compiled SPNN vs its hosted token.
 
     The multiprocess backend pickles the trial into the workers for every
-    chunk; hosting the compiled mesh parameters in shared memory
-    (:class:`repro.execution.shared.SharedNetwork`) shrinks that payload to
-    segment names plus the perturbation-draw generators.  Returns the two
-    sizes and their ratio (also recorded in ``BENCH_pr5.json``).
+    chunk; hosting the compiled network for the forked workers
+    (:func:`repro.execution.hosting.hosted_inputs`) shrinks its share of
+    that payload to a :class:`~repro.execution.hosting.Hosted` token.
+    Returns the two sizes and their ratio (recorded as
+    ``shared_network_payload`` since ``BENCH_pr5.json``).
     """
     scenario = _engine_dominated_scenario(spnn_task)
     spnn = scenario["spnn"]
@@ -82,15 +82,11 @@ def measure_shared_network_payload(spnn_task) -> dict:
         spnn=spnn, features=features, labels=labels, model=model
     )
     full_bytes = len(pickle.dumps(full_trial))
-    handle = SharedNetwork.create(spnn)
-    try:
+    with hosted_inputs(MultiprocessBackend(workers=2), spnn) as (handle,):
         shared_trial = NetworkAccuracyBatchTrial(
             spnn=handle, features=features, labels=labels, model=model
         )
         shared_bytes = len(pickle.dumps(shared_trial))
-    finally:
-        handle.close()
-        handle.unlink()
     return {
         "full_trial_bytes": full_bytes,
         "shared_trial_bytes": shared_bytes,
@@ -98,15 +94,14 @@ def measure_shared_network_payload(spnn_task) -> dict:
     }
 
 
-@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory here")
 def test_shared_network_payload_reduction(spnn_task):
-    """Hosting the mesh parameters must shrink the per-chunk payload a lot.
+    """Hosting the network must shrink the per-chunk payload a lot.
 
     On the paper architecture the pickled compiled SPNN is dominated by the
-    six tuned meshes (687 MZIs of structural bookkeeping); the shared
-    handle carries segment names instead.  A 5x floor leaves generous slack
+    six tuned meshes (687 MZIs of structural bookkeeping); the hosted
+    token carries an integer instead.  A 5x floor leaves generous slack
     under the >20x a paper-size network measures — shrinking below it means
-    the handle started dragging compiled state along again.
+    the token started dragging compiled state along again.
     """
     payload = measure_shared_network_payload(spnn_task)
     print(

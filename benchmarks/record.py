@@ -4,8 +4,8 @@ The benchmark suite asserts floors; this script *records* the measured
 numbers so the repo carries its own perf history.  It times the load-bearing
 scenarios of the current optimization work — the noise-aware training step
 (original vs. optimized), the warm vs. exact layer recompile, the batched
-vs. looped Monte Carlo engine, the per-chunk payload of the shared-memory
-network hosting and of the compact stream recipes, the drift timeline sweep
+vs. looped Monte Carlo engine, the per-chunk payload of the hosted
+network token and of the compact stream recipes, the drift timeline sweep
 with its warm re-null price, the fused mesh column-sweep megakernel against
 the looped reference — the two set-up phases every paper-scale CLI run pays
 (``import repro.cli`` in a fresh interpreter and the synthetic-MNIST
@@ -246,7 +246,7 @@ def record_plain_training(config, train_x, train_y) -> dict:
 
 
 def record_shared_network_payload(config) -> dict:
-    """Per-chunk task payload: compiled SPNN vs the shared-memory handle."""
+    """Per-chunk task payload: compiled SPNN vs its hosted token."""
     from bench_parallel_scaling import measure_shared_network_payload
 
     task = build_trained_spnn(config.training)

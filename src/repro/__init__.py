@@ -41,6 +41,7 @@ from .exceptions import (
     ConfigurationError,
     DecompositionError,
     ExperimentError,
+    HostingError,
     NotUnitaryError,
     ReproError,
     ShapeError,
@@ -105,6 +106,7 @@ __all__ = [
     "TrainingError",
     "VariationModelError",
     "ExperimentError",
+    "HostingError",
     # frequently used API
     "PhaseShifter",
     "BeamSplitter",

@@ -12,7 +12,7 @@ flat row space and submitted through a single ``map`` of the execution
 backend (:mod:`repro.execution`), so a pool never drains between parts,
 and each part's results come back in row order.  :func:`sweep_scope` is
 the one hosting scope around a sweep: it keeps a process pool alive and
-hosts the eval set and the compiled network in shared memory.
+hosts the eval set and the compiled network for its forked workers.
 
 :class:`MonteCarloRunner` is the single-trial front end:
 :meth:`~MonteCarloRunner.run` calls a scalar trial once per iteration,
@@ -40,8 +40,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..execution import Backend, BackendLike, pool_scope, resolve_backend
-from ..execution.shared import shared_eval_arrays, shared_network
+from ..execution import Backend, BackendLike, Hosted, hosted_inputs, pool_scope, resolve_backend
 from ..observability import map_chunks
 from ..observability.recorder import active as _active_recorder
 from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
@@ -234,18 +233,16 @@ def sweep_scope(backend: Backend, features, labels, spnn=None) -> Iterator[tuple
     """Host a sweep's inputs for its workers; yields ``(features, labels, spnn)``.
 
     Keeps the backend's process pool alive for the block
-    (:func:`~repro.execution.pool_scope`) and hosts the eval set and the
-    compiled network in shared memory when the backend shards across
-    processes (:mod:`repro.execution.shared`), so they cross the process
-    boundary once per worker rather than once per chunk.  Inputs a caller
-    already hosted pass straight through, so scopes nest; ``spnn`` may be
-    ``None`` when only the eval set is shared.
+    (:func:`~repro.execution.pool_scope`) and, when the backend shards
+    across processes, registers the eval set and the compiled network as
+    tokens its forked workers resolve from inherited memory
+    (:mod:`repro.execution.hosting`), so they never travel with a chunk.
+    Inputs a caller already hosted pass straight through, so scopes nest;
+    ``spnn`` may be ``None`` when only the eval set is hosted.
     """
-    with pool_scope(backend), shared_eval_arrays(backend, features, labels) as (
-        features,
-        labels,
-    ), shared_network(backend, spnn) as network:
-        yield features, labels, network
+    features, labels = (value if isinstance(value, Hosted) else np.asarray(value) for value in (features, labels))
+    with pool_scope(backend), hosted_inputs(backend, features, labels, spnn) as hosted:
+        yield hosted
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..execution import BackendLike, resolve_backend
-from ..execution.shared import ArrayLike, resolve_array, resolve_network
+from ..execution.hosting import ArrayLike, resolve_array, resolve_network
 from ..observability.recorder import active as _active_recorder
 from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
@@ -62,7 +62,7 @@ class AccuracyTimelineTrial:
     measure.  A chunk whose timelines all realize the same bytes (a full
     re-null that clears every field) evaluates one timeline and serves it
     to all: a sample never depends on its chunk.  ``spnn``/``features``/
-    ``labels`` accept shared-memory handles exactly like the Monte Carlo
+    ``labels`` accept hosted tokens exactly like the Monte Carlo
     trials.
     """
 
@@ -278,12 +278,12 @@ def timeline_sweep(
     Parameters
     ----------
     spnn:
-        Compiled network under test (or a shared-memory
-        :class:`~repro.execution.shared.SharedNetwork` handle).
+        Compiled network under test (or a
+        :class:`~repro.execution.hosting.Hosted` token).
     features, labels:
         Evaluation set served at every step (plain arrays or
-        :class:`~repro.execution.shared.SharedArray` handles; plain arrays
-        are hosted in shared memory automatically on process backends, as
+        :class:`~repro.execution.hosting.Hosted` tokens; plain arrays
+        are hosted for the forked workers on process backends, as
         in :func:`~repro.analysis.yield_analysis.yield_sweep`).
     model:
         Component uncertainty model scaling the normalized drift state.

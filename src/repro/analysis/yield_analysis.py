@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..execution import BackendLike, resolve_backend
-from ..execution.shared import resolve_array, resolve_network
+from ..execution.hosting import resolve_array, resolve_network
 from ..observability.recorder import active as _active_recorder
 from ..utils.rng import RNGLike, spawn_slice
 from . import monte_carlo
@@ -268,12 +268,11 @@ def yield_sweep(
         Compiled :class:`~repro.onn.spnn.SPNN` under test.
     features, labels:
         Evaluation set — plain arrays, or
-        :class:`~repro.execution.shared.SharedArray` handles hosted by a
+        :class:`~repro.execution.hosting.Hosted` tokens hosted by a
         caller that sweeps several designs over one worker pool (EXP 3).
-        Plain arrays are hosted in shared memory automatically for the
-        duration of the sweep when the backend shards across processes, so
-        the eval set is pickled into each worker once instead of once per
-        chunk.
+        Plain arrays are hosted for the duration of the sweep when the
+        backend shards across processes, so the forked workers read the
+        eval set from inherited memory instead of a pickle per chunk.
     sigmas:
         Normalized uncertainty levels to sweep (``0.0`` short-circuits to
         the nominal accuracy without Monte Carlo work).
@@ -449,7 +448,7 @@ def bisect_max_tolerable_sigma(
 
     Every probe draws its Monte Carlo samples from an independent child
     stream spawned from ``rng`` up front, so the probed values are
-    reproducible; the worker pool (if any) and the shared-memory eval
+    reproducible; the worker pool (if any) and the eval-set
     hosting persist across all probes.
     """
     if not 0.0 <= sigma_lo < sigma_hi:

@@ -42,3 +42,7 @@ class VariationModelError(ReproError, ValueError):
 
 class ExperimentError(ReproError, RuntimeError):
     """An experiment runner failed or was asked for an unknown experiment."""
+
+
+class HostingError(ReproError, LookupError):
+    """A worker was handed a hosted-input token its process cannot resolve."""

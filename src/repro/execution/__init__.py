@@ -3,7 +3,7 @@
 See :mod:`repro.execution.backends` for the serial, thread and
 multiprocess backends and the determinism / picklability contracts they
 share, :mod:`repro.execution.blas` for the BLAS thread pinning they apply,
-and :mod:`repro.execution.shared` for shared-memory hosting of the
+and :mod:`repro.execution.hosting` for the fork-inherited hosting of the
 evaluation arrays and compiled networks that process workers read.
 """
 
@@ -19,15 +19,7 @@ from .backends import (
     pool_scope,
     resolve_backend,
 )
-from .shared import (
-    SharedArray,
-    SharedNetwork,
-    resolve_array,
-    resolve_network,
-    shared_eval_arrays,
-    shared_memory_available,
-    shared_network,
-)
+from .hosting import Hosted, hosted_inputs, resolve_array, resolve_network
 
 __all__ = [
     "Backend",
@@ -40,11 +32,8 @@ __all__ = [
     "gather_with_heartbeat",
     "pool_scope",
     "resolve_backend",
-    "SharedArray",
-    "SharedNetwork",
+    "Hosted",
+    "hosted_inputs",
     "resolve_array",
     "resolve_network",
-    "shared_eval_arrays",
-    "shared_memory_available",
-    "shared_network",
 ]

@@ -42,20 +42,25 @@ function and each task payload into the workers, so both must be picklable:
 module-level functions, dataclass instances, stream recipes, NumPy arrays
 and bound methods of picklable objects all qualify; locally defined
 closures do not (the experiment layers therefore expose their trials as
-module-level callable dataclasses).
+module-level callable dataclasses).  The eval set and the compiled network
+need not travel at all: the workers are forked, and a sweep hosts them as
+tokens the workers resolve from the memory they inherited
+(:mod:`repro.execution.hosting`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker
 from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
+from ..exceptions import ConfigurationError
 from ..observability.progress import emit_progress, progress_sink
 from ..observability.recorder import Stopwatch
 from .blas import available_workers, blas_thread_control, blas_threads, pinned_blas_threads, set_blas_threads
+from .hosting import hosting_generation
 
 
 def _map_with_heartbeat(label: str, results: Iterator[Any], total: int) -> List[Any]:
@@ -208,7 +213,10 @@ class MultiprocessBackend:
     Results are gathered in submission order, so ``map`` preserves task
     order no matter which worker finishes first.  Each worker pins BLAS
     to ``max(1, budget // workers)`` threads as it starts.  A failed task
-    cancels the tasks of the same ``map`` that have not started.
+    cancels the tasks of the same ``map`` that have not started.  Workers
+    are forked (the ``fork`` start method is pinned; where it does not
+    exist the backend raises :class:`~repro.exceptions.ConfigurationError`),
+    so they inherit the inputs a sweep hosted before they started.
 
     **Pool lifetime.**  By default every :meth:`map` call forks a fresh pool
     and tears it down again — safe, but the spin-up plus copy-on-write
@@ -224,7 +232,10 @@ class MultiprocessBackend:
     Pool reuse never changes results (the backend still schedules
     self-contained payloads in task order); it only removes the per-run
     fork overhead.  The context is reentrant: nested ``with`` blocks reuse
-    the outermost pool and only the outermost exit shuts it down.
+    the outermost pool and only the outermost exit shuts it down.  A
+    persistent pool whose workers were forked before a newer hosting
+    (:func:`~repro.execution.hosting.hosting_generation`) is replaced
+    before its next ``map``, so every task's tokens resolve.
     """
 
     workers: Optional[int] = None
@@ -233,6 +244,9 @@ class MultiprocessBackend:
         default=None, init=False, repr=False, compare=False
     )
     _entries: int = field(default=0, init=False, repr=False, compare=False)
+    #: Hosting generation the live executor's workers forked at (``None``
+    #: until its first submit, which forks every worker).
+    _forked_at: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -261,6 +275,7 @@ class MultiprocessBackend:
         if self._entries <= 0 and self._executor is not None:
             self._executor.shutdown(wait=True)
             object.__setattr__(self, "_executor", None)
+            object.__setattr__(self, "_forked_at", None)
 
     def __getstate__(self) -> dict:
         # The live executor must never travel into a worker (pools are not
@@ -271,6 +286,18 @@ class MultiprocessBackend:
         object.__setattr__(self, "workers", state["workers"])
         object.__setattr__(self, "_executor", None)
         object.__setattr__(self, "_entries", 0)
+        object.__setattr__(self, "_forked_at", None)
+
+    def _forked_pool(self) -> ProcessPoolExecutor:
+        """The persistent pool, its workers forked after every live hosting."""
+        generation = hosting_generation()
+        if self._forked_at is None:
+            object.__setattr__(self, "_forked_at", generation)
+        elif self._forked_at < generation:
+            self._executor.shutdown(wait=True)
+            object.__setattr__(self, "_executor", _process_pool(self.parallelism))
+            object.__setattr__(self, "_forked_at", generation)
+        return self._executor
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         tasks = list(tasks)
@@ -280,24 +307,37 @@ class MultiprocessBackend:
                 "multiprocess", (fn(task) for task in tasks), len(tasks)
             )
         if self._executor is not None:
-            futures = [self._executor.submit(fn, task) for task in tasks]
+            executor = self._forked_pool()
+            futures = [executor.submit(fn, task) for task in tasks]
             return _gather_futures("multiprocess", futures)
         with _process_pool(max_workers) as executor:
             futures = [executor.submit(fn, task) for task in tasks]
             return _gather_futures("multiprocess", futures)
 
 
+def _fork_context():
+    """The ``fork`` start method: hosted inputs reach workers by inheritance."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError as error:
+        raise ConfigurationError(
+            "the multiprocess backend needs the 'fork' start method, which this "
+            "platform lacks; use workers=1 or the default thread backend"
+        ) from error
+
+
 def _process_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool whose workers each pin BLAS to their share of the budget."""
+    """A forked pool whose workers each pin BLAS to their share of the budget.
+
+    With ``fork`` every worker starts at the first submit.
+    """
+    context = _fork_context()
     # Look the BLAS entry points up here, so forked workers inherit the
     # result (and a missing symbol warns once, in this process).
     blas_thread_control()
-    # Start the resource tracker first, so the workers share it: their
-    # shared-memory attaches then cannot leave entries in a tracker of
-    # their own (see ``repro.execution.shared._attach``).
-    resource_tracker.ensure_running()
     return ProcessPoolExecutor(
         max_workers=workers,
+        mp_context=context,
         initializer=set_blas_threads,
         initargs=(pinned_blas_threads(workers),),
     )

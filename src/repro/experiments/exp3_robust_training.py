@@ -366,9 +366,9 @@ def run_exp3(config: Exp3Config = Exp3Config(), rng: RNGLike = None) -> Exp3Resu
     accuracy_samples: Dict[str, Dict[float, np.ndarray]] = {}
     yields: Dict[str, YieldSweepResult] = {}
     bisections: Dict[str, SigmaBisectionResult] = {}
-    # One pool and one shared-memory hosting of the eval set serve every
-    # model's sweep (and bisection): the ~hundreds-of-KB eval arrays cross
-    # the process boundary once per worker for the whole experiment.
+    # One hosting of the eval set serves every model's sweep (and
+    # bisection).  Each model's sweep hosts its network on top, so a
+    # sharded pool is re-forked once per model to inherit it.
     with sweep_scope(backend, test_x, test_y) as (eval_x, eval_y, _):
         for index, (key, spnn) in enumerate(spnns.items()):
             # yield_sweep spawns one child stream per sigma from its stream

@@ -20,33 +20,9 @@ from ..exceptions import ConfigurationError, DecompositionError, ShapeError
 from ..observability.recorder import active as _active_recorder
 from ..utils.linalg import svd_decompose
 from ..utils.validation import as_complex_array
-from .clements import clements_decompose, clements_phases
+from .clements import clements_phases
 from .diagonal import DiagonalPerturbation, DiagonalPerturbationBatch, DiagonalStage
 from .mesh import MeshPerturbation, MeshPerturbationBatch, MZIMesh
-from .reck import reck_decompose
-
-#: Per-process cache of structural (identity-compiled) mesh decompositions,
-#: keyed by ``(n, scheme)``.  The physical layout of a Clements/Reck mesh
-#: depends only on its size, so one skeleton per size serves every mesh
-#: reconstructed from shared-memory parameters (see
-#: :meth:`PhotonicLinearLayer.from_tuned_parameters`).
-_SKELETON_CACHE: dict = {}
-
-
-def _skeleton_mesh(n: int, scheme: str) -> MZIMesh:
-    """A freshly tunable mesh with the canonical ``(n, scheme)`` structure."""
-    key = (int(n), scheme)
-    decomposition = _SKELETON_CACHE.get(key)
-    if decomposition is None:
-        identity = np.eye(n, dtype=np.complex128)
-        if scheme == "clements":
-            decomposition = clements_decompose(identity)
-        elif scheme == "reck":
-            decomposition = reck_decompose(identity)
-        else:
-            raise ConfigurationError(f"unknown mesh scheme {scheme!r}")
-        _SKELETON_CACHE[key] = decomposition
-    return MZIMesh(decomposition)
 
 
 @dataclass
@@ -175,70 +151,6 @@ class PhotonicLinearLayer:
         # Cached factors of the last compile: the warm-start basis for
         # incremental recompiles (see retune_from_weight).
         self._svd = (u, s, vh)
-
-    # ------------------------------------------------------------------ #
-    # parameter-level (de)serialization — shared-memory hosting
-    # ------------------------------------------------------------------ #
-    def tuned_parameters(self) -> Dict[str, np.ndarray]:
-        """Every tuned parameter array of the compiled layer, as host arrays.
-
-        Together with the weight matrix, the scheme and the gain, these
-        arrays fully determine the layer: the mesh *structure* is a pure
-        function of the size, so a worker process can rebuild the layer
-        from a cached skeleton plus these parameters
-        (:meth:`from_tuned_parameters`) — which is what lets the
-        multiprocess backend host them in shared memory instead of
-        re-pickling whole compiled layers per chunk.
-        """
-        return {
-            "u_thetas": self.mesh_u.thetas(),
-            "u_phis": self.mesh_u.phis(),
-            "u_output_phases": self.mesh_u.output_phases.copy(),
-            "v_thetas": self.mesh_v.thetas(),
-            "v_phis": self.mesh_v.phis(),
-            "v_output_phases": self.mesh_v.output_phases.copy(),
-            "singular_values": self.diagonal.singular_values.copy(),
-        }
-
-    @classmethod
-    def from_tuned_parameters(
-        cls,
-        weight: np.ndarray,
-        scheme: str,
-        gain: float,
-        parameters: Dict[str, np.ndarray],
-    ) -> "PhotonicLinearLayer":
-        """Rebuild a compiled layer from :meth:`tuned_parameters` output.
-
-        The meshes are materialized from the per-process structural skeleton
-        for their size and retuned to the stored phases; the attenuator bank
-        is rebuilt with the stored gain.  Because retuning and the original
-        compilation run the same set-point arithmetic on the same values,
-        the rebuilt layer's matrices are **bit-identical** to the source
-        layer's.  The warm-start SVD cache is not transported, so
-        :meth:`retune_from_weight` on a rebuilt layer reports ``False``
-        (callers fall back to an exact recompile) — workers only evaluate.
-        """
-        weight = as_complex_array(weight, "weight")
-        layer = cls.__new__(cls)
-        layer.weight = weight.copy()
-        layer.out_features, layer.in_features = weight.shape
-        layer.scheme = scheme
-        layer.mesh_u = _skeleton_mesh(layer.out_features, scheme)
-        layer.mesh_u.retune(
-            parameters["u_thetas"], parameters["u_phis"], parameters["u_output_phases"]
-        )
-        layer.mesh_v = _skeleton_mesh(layer.in_features, scheme)
-        layer.mesh_v.retune(
-            parameters["v_thetas"], parameters["v_phis"], parameters["v_output_phases"]
-        )
-        layer.diagonal = DiagonalStage(
-            np.asarray(parameters["singular_values"], dtype=np.float64),
-            shape=(layer.out_features, layer.in_features),
-            gain=float(gain),
-        )
-        layer._svd = None
-        return layer
 
     # ------------------------------------------------------------------ #
     # structure

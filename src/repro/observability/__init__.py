@@ -1,6 +1,6 @@
 """Zero-overhead observability: span tracing, worker telemetry, metrics.
 
-The engine spans thread and process pools, shared-memory hosting and a
+The engine spans thread and process pools, input hosting and a
 sweep-kernel registry; this package makes all of it visible
 without making any of it slower:
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..analysis.monte_carlo import CHUNK_TARGET_BYTES, MonteCarloRunner
 from ..execution import BackendLike
-from ..execution.shared import ArrayLike, resolve_array, resolve_network
+from ..execution.hosting import ArrayLike, resolve_array, resolve_network
 from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike
 from ..variation import sampler
@@ -51,7 +51,7 @@ def network_chunk_size(spnn) -> int:
     mesh is evaluated at a time), and the per-layer matrices.  Forward
     activations are not counted: :meth:`SPNN.accuracy_batch` runs the
     forward in its own sub-chunks (:data:`repro.onn.spnn.FORWARD_CHUNK_BYTES`)
-    whatever the chunk size.  ``spnn`` may be a shared-memory handle.
+    whatever the chunk size.  ``spnn`` may be a hosted token.
     """
     spnn = resolve_network(spnn)
     per_realization = sum(out * inp for out, inp in spnn.architecture.weight_shapes()) * 16
@@ -84,7 +84,7 @@ class NetworkAccuracyTrial:
     batched trial consumes its row, so the two agree bit for bit.
 
     ``spnn`` may be a plain :class:`SPNN` or a
-    :class:`~repro.execution.shared.SharedNetwork` handle.
+    :class:`~repro.execution.hosting.Hosted` token.
     """
 
     spnn: object
@@ -112,9 +112,8 @@ class NetworkAccuracyBatchTrial:
     buffers and evaluates them with :meth:`SPNN.accuracy_batch`.  Consumes
     each generator exactly as :class:`NetworkAccuracyTrial` does, so the
     samples are bit-identical to the looped oracle.  ``spnn`` may be a
-    plain :class:`SPNN` or a :class:`~repro.execution.shared.SharedNetwork`
-    handle (shared-memory hosted mesh parameters, rebuilt once per worker
-    process).
+    plain :class:`SPNN` or a :class:`~repro.execution.hosting.Hosted`
+    token (resolved from the memory a forked worker inherited).
     """
 
     spnn: object
@@ -179,9 +178,9 @@ def monte_carlo_accuracy(
         Compiled network under test.
     features, labels:
         Evaluation set (the paper uses the full MNIST test set).  Plain
-        arrays or :class:`~repro.execution.shared.SharedArray` handles —
-        sweeps over process backends host the eval set in shared memory
-        once (:func:`~repro.execution.shared.shared_eval_arrays`) so it is
+        arrays or :class:`~repro.execution.hosting.Hosted` tokens —
+        sweeps over process backends host the eval set for their forked
+        workers (:func:`~repro.execution.hosting.hosted_inputs`) so it is
         not re-pickled into the workers for every chunk.
     model:
         Component uncertainty model of the i.i.d. Gaussian draws.

@@ -64,3 +64,20 @@ def test_no_module_opens_sockets_or_unpickles_bytes():
             ):
                 offenders.append(f"{path.name}:{node.lineno}: pickle.loads")
     assert offenders == []
+
+
+def test_no_module_hosts_inputs_in_shared_memory():
+    """Sharded sweeps hand inputs to forked workers: no segment, no tracker."""
+    banned = {"multiprocessing.shared_memory", "multiprocessing.resource_tracker"}
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            offenders.extend(f"{path.name}:{node.lineno}: {name}" for name in sorted(names & banned))
+    assert offenders == []

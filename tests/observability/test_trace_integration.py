@@ -49,21 +49,17 @@ class TestYieldSweepTracing:
         assert folded, "the folded device pass must be spanned"
         assert all(s.parent_id == sweep_span.span_id for s in folded)
 
-    def test_hosting_spans_account_shared_bytes(self, small_task):
-        """Shared-memory hosting (parallel backends only) is spanned."""
+    def test_hosting_span_accounts_registered_bytes(self, small_task):
+        """Hosting the sweep's inputs (parallel backends only) is spanned."""
         features = small_task.test_features[:40]
         labels = small_task.test_labels[:40]
         with observe() as rec:
             yield_sweep(
                 small_task.spnn, features, labels, workers=2, **_yield_kwargs()
             )
-        names = {s.name for s in rec.spans}
-        assert "shared/host_network" in names
-        assert "shared/host_arrays" in names
-        host = next(s for s in rec.spans if s.name == "shared/host_network")
-        assert host.attrs["bytes"] > 0
-        arrays = next(s for s in rec.spans if s.name == "shared/host_arrays")
-        assert arrays.attrs["segments"] >= 1
+        (host,) = [s for s in rec.spans if s.name == "hosting"]
+        assert host.attrs["objects"] == 3  # features, labels, network
+        assert host.attrs["bytes"] > features.nbytes + labels.nbytes
 
     def test_frames_cover_the_folded_batch(self, traced):
         _, _, rec = traced
