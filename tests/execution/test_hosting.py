@@ -30,7 +30,7 @@ from repro.execution import (
 from repro.execution.backends import _process_pool
 from repro.execution.hosting import hosting_generation
 from repro.onn import SPNNArchitecture
-from repro.onn.inference import monte_carlo_accuracy
+from repro.onn.inference import NetworkAccuracyBatchTrial, monte_carlo_accuracy
 from repro.onn.spnn import SPNN
 from repro.utils.rng import spawn_rngs, spawn_slice
 from repro.variation.models import UncertaintyModel
@@ -112,6 +112,27 @@ class TestHostedInputs:
         plain = np.arange(4)
         assert resolve_array(plain) is plain
 
+    def test_worker_resolves_complex_and_integer_arrays_byte_equal(self):
+        arrays = (
+            np.arange(12, dtype=np.int64).reshape(3, 4),
+            (np.arange(6) + 1j * np.arange(6)).reshape(2, 3),
+        )
+        with MultiprocessBackend(workers=2) as backend:
+            with hosted_inputs(backend, *arrays) as handles:
+                resolved = backend.map(resolve_array, list(handles))
+        for array, copy in zip(arrays, resolved):
+            assert copy.dtype == array.dtype and copy.shape == array.shape
+            assert copy.tobytes() == array.tobytes()
+
+    def test_hosted_trial_payload_shrinks(self):
+        """A trial over tokens pickles to a fraction of one over the inputs."""
+        spnn, features, labels = _small_spnn()
+        model = UncertaintyModel.both(0.02)
+        full = len(pickle.dumps(NetworkAccuracyBatchTrial(spnn=spnn, features=features, labels=labels, model=model)))
+        with hosted_inputs(MultiprocessBackend(workers=2), features, labels, spnn) as (x, y, network):
+            hosted = len(pickle.dumps(NetworkAccuracyBatchTrial(spnn=network, features=x, labels=y, model=model)))
+        assert hosted < full / 10
+
 
 class TestForkContext:
     def test_pool_context_is_fork(self, monkeypatch):
@@ -163,6 +184,20 @@ class TestBitIdentity:
                 )
             assert first.tobytes() == reference.tobytes(), f"workers={workers}"
             assert second.tobytes() == reference.tobytes(), f"workers={workers}"
+
+
+    def test_pickled_network_token_bit_identical_across_workers(self):
+        """A token that crossed a pickle boundary serves ``workers=`` sweeps."""
+        spnn, features, labels = _small_spnn()
+        model = UncertaintyModel.both(0.02)
+        reference = monte_carlo_accuracy(spnn, features, labels, model, iterations=10, rng=5)
+        with hosted_inputs(MultiprocessBackend(workers=2), spnn) as (handle,):
+            for workers in (1, 2):
+                samples = monte_carlo_accuracy(
+                    pickle.loads(pickle.dumps(handle)), features, labels, model,
+                    iterations=10, rng=5, workers=workers, chunk_size=3,
+                )
+                assert samples.tobytes() == reference.tobytes(), f"workers={workers}"
 
 
 class TestPoolGenerations:

@@ -61,6 +61,11 @@ class TestYieldSweepTracing:
         assert host.attrs["objects"] == 3  # features, labels, network
         assert host.attrs["bytes"] > features.nbytes + labels.nbytes
 
+    def test_in_process_sweep_hosts_nothing(self, traced):
+        """Thread and serial sweeps read the plain inputs: no hosting span."""
+        _, _, rec = traced
+        assert not [s for s in rec.spans if s.name == "hosting"]
+
     def test_frames_cover_the_folded_batch(self, traced):
         _, _, rec = traced
         frames = [f for f in rec.frames if f.label == "yield"]
