@@ -9,7 +9,7 @@ asserts the subsystem's load-bearing properties:
   ``REPRO_ROBUST_RECOVERY_FLOOR`` (default 5 percentage points), without
   giving up nominal accuracy;
 * **speed** — the optimized noise-aware step (incremental recompilation +
-  window-amortized draws + shared workspace) is at least
+  window-amortized draws) is at least
   ``REPRO_NOISE_STEP_SPEEDUP_FLOOR`` times (default 3x) faster than the
   original per-step-draw, from-scratch-recompile path at the same smoke
   configuration;
@@ -39,7 +39,6 @@ from repro.training import (
     NoiseAwareTrainer,
     NoiseInjector,
     PerturbationSchedule,
-    VectorizedWorkspace,
 )
 from repro.utils.rng import ensure_rng
 from repro.variation.models import UncertaintyModel
@@ -122,7 +121,6 @@ def _timed_noise_aware_fit(config, train_x, train_y, epochs, optimized):
         schedule=PerturbationSchedule.constant(1.0),
         config=TrainerConfig(epochs=epochs, batch_size=training.batch_size),
         rng=gen,
-        workspace=VectorizedWorkspace() if optimized else None,
     )
     start = time.perf_counter()
     trainer.fit(train_x, train_y)
@@ -136,8 +134,8 @@ def test_noise_aware_step_speedup():
 
     The optimized path flips the injector's ``incremental`` (warm-started
     SVD + in-place Clements retune with exact fallback) and ``reuse_draws``
-    (one K-draw batch per recompile window) knobs and shares a workspace
-    arena — exactly what EXP 3 runs with.  Both paths compute the same
+    (one K-draw batch per recompile window) knobs — exactly what EXP 3
+    runs with.  Both paths compute the same
     expected-loss estimator; only the wall clock differs.
     """
     config = get_experiment("robust").smoke_config

@@ -31,7 +31,6 @@ import numpy as np
 from ..execution import BackendLike, resolve_backend
 from ..execution.hosting import ArrayLike, resolve_array, resolve_network
 from ..observability.recorder import active as _active_recorder
-from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike, StreamSlice, materialize_streams, spawn_slice
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
@@ -75,12 +74,6 @@ class AccuracyTimelineTrial:
     #: Recalibration policies served from the one trajectory; ``None`` (or
     #: a null policy) is the no-maintenance baseline.
     policies: Tuple[Optional[RecalibrationPolicy], ...] = (None,)
-    #: Samples per forward-pass chunk inside ``accuracy_batch``; automatic
-    #: when ``None``.  Never changes the curves.
-    forward_chunk_size: Optional[int] = None
-    #: Recycle forward-pass scratch through the process-local workspace
-    #: arena (bit-identical; allocation reuse only).
-    use_workspace: bool = False
 
     def preferred_chunk_size(self) -> int:
         """Timelines per chunk keeping one chunk's working set near target.
@@ -129,7 +122,6 @@ class AccuracyTimelineTrial:
         spnn = resolve_network(self.spnn)
         features = resolve_array(self.features)
         labels = resolve_array(self.labels)
-        workspace = process_workspace() if self.use_workspace else None
         policies = [
             policy if policy is not None else RecalibrationPolicy() for policy in self.policies
         ]
@@ -157,13 +149,13 @@ class AccuracyTimelineTrial:
                     view.renull(rows=mask)
                 events[index, :, step] = mask
                 shared = renulled and view.renull_clears_every_field
-                served = self._serve(spnn, features, labels, view, shared, workspace)
+                served = self._serve(spnn, features, labels, view, shared)
                 accuracy[index, :, step] = served
                 if policy.accuracy_threshold is not None:
                     pending[index] = accuracy[index, :, step] < policy.accuracy_threshold
         return accuracy, events
 
-    def _serve(self, spnn, features, labels, view, shared: bool, workspace):
+    def _serve(self, spnn, features, labels, view, shared: bool):
         """Served accuracy of the view's timelines; only timeline 0's when
         ``shared`` (every timeline realizes the same bytes)."""
         perturbations = view.realize()
@@ -174,8 +166,6 @@ class AccuracyTimelineTrial:
             labels,
             perturbations,
             batch_size=1 if shared else view.batch_size,
-            chunk_size=self.forward_chunk_size,
-            workspace=workspace,
         )
 
 
@@ -270,8 +260,6 @@ def timeline_sweep(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    forward_chunk_size: Optional[int] = None,
-    use_workspace: bool = False,
 ) -> List[TimelineSweepResult]:
     """Advance ``timelines`` independent devices ``num_steps`` steps and serve.
 
@@ -309,9 +297,6 @@ def timeline_sweep(
         Scheduling knobs, exactly as in the Monte Carlo engine: timelines
         are sharded into vectorized chunks across the selected execution
         backend.
-    forward_chunk_size, use_workspace:
-        Forwarded to the per-step forward pass (memory knobs; never change
-        the curves).
 
     Returns
     -------
@@ -345,8 +330,6 @@ def timeline_sweep(
             process=process,
             num_steps=num_steps,
             policies=policies,
-            forward_chunk_size=forward_chunk_size,
-            use_workspace=use_workspace,
         )
         [(accuracy, events)] = run_sweep(
             resolved, evaluate_timeline_chunk, [(trial, streams)], chunk_size, label="timeline"

@@ -144,7 +144,7 @@ def max_tolerable_sigma(
 # --------------------------------------------------------------------------- #
 
 
-def _accuracy_trial(hosted, model: UncertaintyModel, use_workspace: bool):
+def _accuracy_trial(hosted, model: UncertaintyModel):
     """One sigma's batched accuracy trial on a sweep's hosted inputs.
 
     ``hosted`` is the ``(features, labels, network)`` triple that
@@ -155,9 +155,7 @@ def _accuracy_trial(hosted, model: UncertaintyModel, use_workspace: bool):
     from ..onn.inference import NetworkAccuracyBatchTrial
 
     features, labels, network = hosted
-    return NetworkAccuracyBatchTrial(
-        spnn=network, features=features, labels=labels, model=model, use_workspace=use_workspace
-    )
+    return NetworkAccuracyBatchTrial(spnn=network, features=features, labels=labels, model=model)
 
 
 @dataclass
@@ -242,7 +240,6 @@ def yield_sweep(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    use_workspace: bool = False,
 ) -> YieldSweepResult:
     """Sweep the uncertainty level and estimate the parametric yield at each.
 
@@ -292,9 +289,6 @@ def yield_sweep(
     chunk_size, backend, workers:
         Forwarded to the Monte Carlo engine (see
         :func:`repro.onn.inference.monte_carlo_accuracy`).
-    use_workspace:
-        Recycle the vectorized engine's scratch buffers through each
-        process's workspace arena (bit-identical; allocation reuse only).
     """
     sigmas = tuple(float(sigma) for sigma in sigmas)
     if not sigmas:
@@ -335,7 +329,7 @@ def yield_sweep(
     )
     with sweep_span, monte_carlo.sweep_scope(resolved, features, labels, spnn) as hosted:
         parts = [
-            (_accuracy_trial(hosted, model, use_workspace), streams.child_slice(index, iterations))
+            (_accuracy_trial(hosted, model), streams.child_slice(index, iterations))
             for index, model in enumerate(models)
             if not model.is_null
         ]
@@ -429,7 +423,6 @@ def bisect_max_tolerable_sigma(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    use_workspace: bool = False,
 ) -> SigmaBisectionResult:
     """Refine the maximum tolerable sigma by bisection on the yield curve.
 
@@ -494,7 +487,7 @@ def bisect_max_tolerable_sigma(
                 samples = np.full(iterations, nominal_accuracy)
             else:
                 part = (
-                    _accuracy_trial(hosted, model, use_workspace),
+                    _accuracy_trial(hosted, model),
                     streams.child_slice(next(drawn), iterations),
                 )
                 [samples] = monte_carlo.run_sweep(

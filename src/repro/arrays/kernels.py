@@ -4,9 +4,8 @@ These are the exact NumPy ufunc sequences the forward pass, the MZI model
 and the column sweep rely on for bit-identity across batched and looped
 evaluation.
 
-The ``out=`` parameters follow the library-wide workspace contract: an out
-buffer only changes *where* the result lives, never its values, and callers
-fully overwrite any buffer they receive.
+An ``out=`` buffer only changes *where* the result lives, never its
+values, and callers fully overwrite any buffer they receive.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ class FusedSweepKernel(SweepKernel):
     element and one add — is exactly the reference's (broadcast multiply
     is elementwise; no reductions anywhere), so results are bit-identical
     (ufunc-with-``out`` equals ufunc-then-copy).  Scratch lives per
-    ``(thread, role, dtype)``, capacity-tracked like the workspace arena;
+    ``(thread, role, dtype)`` and grows only when a request outgrows it;
     threads and processes never share buffers, and the sweep never reads
     a scratch cell it did not just write.
     """

@@ -236,7 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``spnn-repro`` console script."""
+    """Entry point for the ``spnn-repro`` console script.
+
+    Ctrl-C ends the run with one line on stderr and exit status 130 (the
+    shell's code for a SIGINT death) instead of a traceback.
+    """
+    try:
+        return _run(argv)
+    except KeyboardInterrupt:
+        print("spnn-repro: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -34,7 +34,7 @@ of ``SeedSequence.spawn()`` fixed in the parent before any scheduling
 happens, the samples are bit-identical for every backend and every worker
 count.
 Threads share the process, so every piece of scratch the chunk path
-reuses (sweep-kernel buffers, the workspace arena, the dispatch collector)
+reuses (sweep-kernel buffers, the dispatch collector)
 is kept per thread.
 
 **Picklability contract.**  Process-based backends pickle the mapped

@@ -50,7 +50,6 @@ from ..onn.spnn import SPNN
 from ..training.injector import NoiseInjector
 from ..training.noise_aware import NoiseAwareTrainer
 from ..training.schedule import PerturbationSchedule
-from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike, ensure_rng, spawn_rngs
 from ..utils.serialization import format_table
 from ..variation.models import UncertaintyModel
@@ -104,9 +103,6 @@ class Exp3Config:
     #: Recompile the injector's hardware snapshot incrementally (warm-started
     #: SVD + in-place mesh retune, exact fallback on drift).
     incremental_recompile: bool = True
-    #: Share one process-local scratch arena between the trainer and the
-    #: Monte Carlo evaluation (bit-identical; allocation reuse only).
-    use_workspace: bool = True
     #: Refine each model's max tolerable sigma by bisection after the coarse
     #: sweep (O(log) extra Monte Carlo runs instead of a finer grid).
     bisect: bool = False
@@ -308,7 +304,6 @@ def train_noise_aware_model(
         schedule=config.schedule,
         config=TrainerConfig(epochs=training.epochs, batch_size=training.batch_size),
         rng=gen,
-        workspace=process_workspace() if config.use_workspace else None,
     )
     history = trainer.fit(features, labels)
     return model, history
@@ -387,7 +382,6 @@ def run_exp3(config: Exp3Config = Exp3Config(), rng: RNGLike = None) -> Exp3Resu
                 rng=model_streams[2 * index],
                 chunk_size=config.chunk_size,
                 backend=backend,
-                use_workspace=config.use_workspace,
             )
             accuracy_samples[key] = sweep.accuracy_samples
             yields[key] = sweep
@@ -411,7 +405,6 @@ def run_exp3(config: Exp3Config = Exp3Config(), rng: RNGLike = None) -> Exp3Resu
                         rng=model_streams[2 * index + 1],
                         chunk_size=config.chunk_size,
                         backend=backend,
-                        use_workspace=config.use_workspace,
                     )
 
     return Exp3Result(

@@ -12,7 +12,7 @@ on.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,29 +29,18 @@ def ensure_batch_field(value, expected_shape, name: str):
     return value
 
 
-def stack_rows(
-    values: Sequence[Optional[np.ndarray]], out: Optional[np.ndarray] = None
-) -> Optional[np.ndarray]:
+def stack_rows(values: Sequence[Optional[np.ndarray]]) -> Optional[np.ndarray]:
     """Stack optional 1-D rows into a ``(B, length)`` array.
 
     A field that is ``None`` in every realization stays ``None``; a field
     set in only some realizations is zero-filled in the others (the length
-    is taken from the first present row).  ``out`` optionally supplies a
-    preallocated ``(B, length)`` destination (e.g. a workspace buffer) that
-    is filled row by row instead of allocating — values are bit-identical
-    either way.
+    is taken from the first present row).
     """
     present = [v for v in values if v is not None]
     if not present:
         return None
     length = np.asarray(present[0]).shape[0]
-    if out is None:
-        out = np.empty((len(values), length), dtype=np.float64)
-    elif out.shape != (len(values), length) or out.dtype != np.float64:
-        raise ShapeError(
-            f"out must be a float64 array of shape ({len(values)}, {length}), "
-            f"got {out.dtype} {out.shape}"
-        )
+    out = np.empty((len(values), length), dtype=np.float64)
     for row, value in zip(out, values):
         if value is None:
             row[:] = 0.0
@@ -81,31 +70,14 @@ class PerturbationBatchFields:
         raise ShapeError(f"empty {type(self).__name__} has no batch size")
 
     @classmethod
-    def stack(cls, perturbations: Sequence[object], workspace=None, workspace_key: Hashable = None):
-        """Stack per-iteration single-realization draws into a batch.
-
-        ``workspace`` (a
-        :class:`~repro.training.workspace.VectorizedWorkspace`) optionally
-        supplies the per-field row buffers, keyed by ``(workspace_key,
-        field name)`` — callers stacking several batches per evaluation
-        must pass distinct keys so concurrently live stacks never alias.
-        """
+    def stack(cls, perturbations: Sequence[object]):
+        """Stack per-iteration single-realization draws into a batch."""
         perturbations = list(perturbations)
         if not perturbations:
             raise ValueError("cannot stack an empty sequence of perturbations")
-        fields = {}
-        for name in cls._FIELDS:
-            values = [getattr(p, name) for p in perturbations]
-            out = None
-            if workspace is not None:
-                present = [v for v in values if v is not None]
-                if present:
-                    length = int(np.asarray(present[0]).shape[0])
-                    out = workspace.buffer(
-                        (workspace_key, name), (len(values), length), np.float64
-                    )
-            fields[name] = stack_rows(values, out=out)
-        return cls(**fields)
+        return cls(
+            **{name: stack_rows([getattr(p, name) for p in perturbations]) for name in cls._FIELDS}
+        )
 
     def scale_in_place(self, factor: float) -> None:
         """Multiply every present field by ``factor`` in place.

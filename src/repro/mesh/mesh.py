@@ -454,8 +454,6 @@ class MZIMesh:
         self,
         perturbation: Optional[MeshPerturbationBatch] = None,
         batch_size: Optional[int] = None,
-        workspace=None,
-        workspace_key: Optional[object] = None,
     ) -> np.ndarray:
         """Transfer matrices of ``B`` perturbation realizations at once.
 
@@ -467,14 +465,6 @@ class MZIMesh:
         batch_size:
             Required when ``perturbation`` is ``None``; otherwise it must
             match the perturbation's batch size when given.
-        workspace, workspace_key:
-            Optional :class:`~repro.training.workspace.VectorizedWorkspace`
-            (plus a key unique to this mesh within the evaluation) backing
-            the ``(B, n, n)`` result with a reusable arena buffer and fusing
-            the output phase screen into it in place — no intermediate
-            allocation between the column sweep and the returned matrices.
-            Values are bit-identical with and without it; the result is
-            then valid until the next workspace-backed call under the key.
 
         Returns
         -------
@@ -488,11 +478,7 @@ class MZIMesh:
             if batch_size < 1:
                 raise ValueError(f"batch_size must be >= 1, got {batch_size}")
             nominal = self.matrix(None)
-            if workspace is None:
-                return np.broadcast_to(nominal, (batch_size,) + nominal.shape).copy()
-            matrices = self._batch_buffer(workspace, workspace_key, batch_size)
-            matrices[...] = nominal
-            return matrices
+            return np.broadcast_to(nominal, (batch_size,) + nominal.shape).copy()
 
         perturbation.validate(self.num_mzis, self.n)
         batch = perturbation.batch_size
@@ -504,7 +490,7 @@ class MZIMesh:
         stacks, output_phases = self._column_stacks_and_phases(perturbation)
         if stacks[0].ndim == 2:  # only the output phase screen was perturbed
             stacks = tuple(np.broadcast_to(s, (batch,) + s.shape) for s in stacks)
-        matrices = self._batch_buffer(workspace, workspace_key, batch)
+        matrices = np.empty((batch, self.n, self.n), np.complex128)
         matrices[...] = np.eye(self.n, dtype=np.complex128)
         # A kernel that blocks internally (the fused megakernel) takes the
         # whole batch in one call; otherwise chunk the batch axis here so
@@ -527,17 +513,7 @@ class MZIMesh:
         phases = np.exp(1j * output_phases)
         if phases.ndim == 1:
             phases = phases[None]
-        if workspace is None:
-            return phases[:, :, None] * matrices
-        np.multiply(phases[:, :, None], matrices, out=matrices)
-        return matrices
-
-    def _batch_buffer(self, workspace, workspace_key, batch: int):
-        """The ``(B, n, n)`` destination of the batched sweep (arena or fresh)."""
-        shape = (batch, self.n, self.n)
-        if workspace is not None:
-            return workspace.buffer((workspace_key, "mesh/matrices"), shape, np.complex128)
-        return np.empty(shape, np.complex128)
+        return phases[:, :, None] * matrices
 
     # ------------------------------------------------------------------ #
     # summaries

@@ -57,18 +57,12 @@ class LayerPerturbationBatch:
     def stack(
         cls,
         perturbations: Sequence[LayerPerturbation],
-        workspace=None,
-        workspace_key=None,
     ) -> "LayerPerturbationBatch":
         """Stack per-iteration :class:`LayerPerturbation` draws into a batch.
 
         A stage that is ``None`` in every realization stays ``None``;
         stages present in only some realizations get all-``None`` placeholder
         rows, which the stage-level ``stack`` zero-fills field by field.
-        ``workspace``/``workspace_key`` optionally back the stacked arrays
-        with reusable buffers (see
-        :meth:`~repro.mesh._batch.PerturbationBatchFields.stack`); the
-        stage name is appended to the key so the three stages never alias.
         """
         perturbations = list(perturbations)
         if not perturbations:
@@ -80,23 +74,17 @@ class LayerPerturbationBatch:
             u=None
             if all(s is None for s in u_stages)
             else MeshPerturbationBatch.stack(
-                [s if s is not None else MeshPerturbation() for s in u_stages],
-                workspace=workspace,
-                workspace_key=(workspace_key, "u"),
+                [s if s is not None else MeshPerturbation() for s in u_stages]
             ),
             v=None
             if all(s is None for s in v_stages)
             else MeshPerturbationBatch.stack(
-                [s if s is not None else MeshPerturbation() for s in v_stages],
-                workspace=workspace,
-                workspace_key=(workspace_key, "v"),
+                [s if s is not None else MeshPerturbation() for s in v_stages]
             ),
             sigma=None
             if all(s is None for s in sigma_stages)
             else DiagonalPerturbationBatch.stack(
-                [s if s is not None else DiagonalPerturbation() for s in sigma_stages],
-                workspace=workspace,
-                workspace_key=(workspace_key, "sigma"),
+                [s if s is not None else DiagonalPerturbation() for s in sigma_stages]
             ),
         )
 
@@ -255,23 +243,18 @@ class PhotonicLinearLayer:
         amplitudes = self.diagonal.gain * self.diagonal.attenuations(perturbation.sigma)
         return self._scale_columns(u, amplitudes) @ v
 
-    def _scale_columns(self, u: np.ndarray, amplitudes: np.ndarray, out=None) -> np.ndarray:
+    def _scale_columns(self, u: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
         """``u @ Sigma`` evaluated as column scaling.
 
         ``Sigma`` is (rectangular) diagonal, so the product scales the first
         ``k`` columns of ``u`` and zeroes the rest — bit-identical to the
         dense matmul (the skipped terms are exact zeros) at a fraction of
-        the cost.  ``u`` may carry a leading batch axis.  ``out`` optionally
-        supplies the destination buffer (fully overwritten).
+        the cost.  ``u`` may carry a leading batch axis.
         """
         k = self.diagonal.num_mzis
         rows, cols = self.diagonal.shape
         amplitudes = np.asarray(amplitudes)
-        if out is None:
-            scaled = np.zeros(u.shape[:-2] + (rows, cols), dtype=np.complex128)
-        else:
-            scaled = out
-            scaled[...] = 0.0
+        scaled = np.zeros(u.shape[:-2] + (rows, cols), dtype=np.complex128)
         scaled[..., :, :k] = u[..., :, :k] * amplitudes[..., None, :]
         return scaled
 
@@ -279,20 +262,12 @@ class PhotonicLinearLayer:
         self,
         perturbation: Optional[LayerPerturbationBatch] = None,
         batch_size: Optional[int] = None,
-        workspace=None,
-        workspace_key: Optional[object] = None,
     ) -> np.ndarray:
         """Hardware matrices of ``B`` perturbation realizations, ``(B, out, in)``.
 
         Bit-identical to stacking ``B`` calls of :meth:`matrix` on the
         individual realizations (the stacked matmuls evaluate each batch
-        slice with the same kernel as the 2-D products).  With a
-        ``workspace`` (plus a key unique to this layer within the
-        evaluation) every stage — the two unitary sweeps, the column
-        scaling and the final stacked matmul — writes into reusable arena
-        buffers end to end, eliminating the per-call intermediates; values
-        are bit-identical either way and the result stays valid until the
-        next workspace-backed call under the same key.
+        slice with the same kernel as the 2-D products).
         """
         if perturbation is None:
             if batch_size is None:
@@ -307,28 +282,13 @@ class PhotonicLinearLayer:
         u_pert = perturbation.u if perturbation is not None else None
         v_pert = perturbation.v if perturbation is not None else None
         sigma_pert = perturbation.sigma if perturbation is not None else None
-        u = self.mesh_u.matrix_batch(
-            u_pert, batch_size=batch, workspace=workspace, workspace_key=(workspace_key, "u")
-        )
-        v = self.mesh_v.matrix_batch(
-            v_pert, batch_size=batch, workspace=workspace, workspace_key=(workspace_key, "v")
-        )
+        u = self.mesh_u.matrix_batch(u_pert, batch_size=batch)
+        v = self.mesh_v.matrix_batch(v_pert, batch_size=batch)
         if sigma_pert is None:
             amplitudes = self.diagonal.gain * self.diagonal.attenuations(None)
         else:
             amplitudes = self.diagonal.gain * self.diagonal.attenuations_batch(sigma_pert)
-        if workspace is None:
-            return self._scale_columns(u, amplitudes) @ v
-        rows, cols = self.diagonal.shape
-        scaled = self._scale_columns(
-            u,
-            amplitudes,
-            out=workspace.buffer((workspace_key, "svd/scaled"), (batch, rows, cols), np.complex128),
-        )
-        out = workspace.buffer(
-            (workspace_key, "svd/matrix"), (batch, rows, int(v.shape[-1])), np.complex128
-        )
-        return np.matmul(scaled, v, out=out)
+        return self._scale_columns(u, amplitudes) @ v
 
     def ideal_matrix(self) -> np.ndarray:
         """Nominal hardware matrix (equals ``weight`` to numerical precision)."""

@@ -33,7 +33,6 @@ import numpy as np
 from ..analysis.monte_carlo import CHUNK_TARGET_BYTES, MonteCarloRunner
 from ..execution import BackendLike
 from ..execution.hosting import ArrayLike, resolve_array, resolve_network
-from ..training.workspace import process_workspace
 from ..utils.rng import RNGLike
 from ..variation import sampler
 from ..variation.models import UncertaintyModel
@@ -120,14 +119,6 @@ class NetworkAccuracyBatchTrial:
     features: ArrayLike
     labels: ArrayLike
     model: UncertaintyModel
-    #: Realizations per forward-pass chunk inside ``accuracy_batch`` (memory
-    #: bound); automatic when ``None``.  Does not change the samples.
-    forward_chunk_size: Optional[int] = None
-    #: Recycle the per-chunk scratch buffers through the process-local
-    #: workspace arena (:func:`repro.training.workspace.process_workspace`).
-    #: Each worker process lazily creates its own arena, so buffer reuse is
-    #: aliasing-safe under every backend; samples are bit-identical.
-    use_workspace: bool = False
 
     def preferred_chunk_size(self) -> int:
         """Realizations per chunk: :func:`network_chunk_size` of the network.
@@ -142,19 +133,16 @@ class NetworkAccuracyBatchTrial:
     def __call__(self, generators: Sequence[np.random.Generator]) -> np.ndarray:
         generators = list(generators)
         spnn = resolve_network(self.spnn)
-        workspace = process_workspace() if self.use_workspace else None
         # Looked up on the module at call time, so a wrapper installed on
         # ``repro.variation.sampler`` after import still sees every draw.
         batch = sampler.sample_network_perturbation_batch(
-            spnn.photonic_layers, self.model, generators, workspace=workspace
+            spnn.photonic_layers, self.model, generators
         )
         return spnn.accuracy_batch(
             resolve_array(self.features),
             resolve_array(self.labels),
             batch,
             batch_size=len(generators),
-            chunk_size=self.forward_chunk_size,
-            workspace=workspace,
         )
 
 
@@ -168,7 +156,6 @@ def monte_carlo_accuracy(
     chunk_size: Optional[int] = None,
     backend: BackendLike = None,
     workers: Optional[int] = None,
-    use_workspace: bool = False,
 ) -> np.ndarray:
     """Accuracy samples over ``iterations`` uncertainty realizations.
 
@@ -200,10 +187,6 @@ def monte_carlo_accuracy(
         by default the realization chunks run on one thread per available
         CPU, ``workers=1`` runs them inline and ``workers=N`` shards them
         across ``N`` worker processes, all bit-identical at the same seed.
-    use_workspace:
-        Recycle the scratch buffers through the workspace arena (one per
-        thread and per worker process).  Purely an allocation
-        optimization; samples are bit-identical.
 
     Returns
     -------
@@ -215,9 +198,7 @@ def monte_carlo_accuracy(
     runner = MonteCarloRunner(
         iterations=iterations, chunk_size=chunk_size, backend=backend, workers=workers
     )
-    trial = NetworkAccuracyBatchTrial(
-        spnn=spnn, features=features, labels=labels, model=model, use_workspace=use_workspace
-    )
+    trial = NetworkAccuracyBatchTrial(spnn=spnn, features=features, labels=labels, model=model)
     return runner.run_batched(trial, rng=rng).samples
 
 

@@ -46,17 +46,12 @@ FORWARD_CHUNK_BYTES = 512 * 1024
 
 def stack_network_perturbations(
     realizations: Sequence[NetworkPerturbation],
-    workspace=None,
 ) -> NetworkPerturbationBatch:
     """Stack per-iteration network perturbations into a leading batch axis.
 
     ``realizations[b][l]`` is realization ``b`` of layer ``l``; the result
     has one :class:`LayerPerturbationBatch` per layer (or ``None`` when the
-    layer is unperturbed in every realization).  With a ``workspace`` the
-    stacked arrays live in reusable arena buffers keyed per layer and
-    stage, eliminating the per-call stack allocations of custom-sampler
-    Monte Carlo chunks; the batch is then valid until the next
-    workspace-backed stack.
+    layer is unperturbed in every realization).
     """
     realizations = list(realizations)
     if not realizations:
@@ -72,9 +67,7 @@ def stack_network_perturbations(
         else:
             batch.append(
                 LayerPerturbationBatch.stack(
-                    [stage if stage is not None else LayerPerturbation.none() for stage in stages],
-                    workspace=workspace,
-                    workspace_key=("network-stack", layer_index),
+                    [stage if stage is not None else LayerPerturbation.none() for stage in stages]
                 )
             )
     return batch
@@ -265,15 +258,8 @@ class SPNN:
         self,
         perturbations: Optional[NetworkPerturbationBatch] = None,
         batch_size: Optional[int] = None,
-        workspace=None,
     ) -> List[np.ndarray]:
-        """Per-layer hardware matrices for ``B`` realizations, each ``(B, out, in)``.
-
-        With a ``workspace`` every layer's mesh sweep, column scaling and
-        final stacked matmul write into reusable arena buffers keyed per
-        layer (bit-identical values); the matrices are then valid until the
-        next workspace-backed call.
-        """
+        """Per-layer hardware matrices for ``B`` realizations, each ``(B, out, in)``."""
         self._require_compiled()
         if perturbations is None:
             perturbations = [None] * self.num_linear_layers
@@ -289,15 +275,8 @@ class SPNN:
             else:
                 raise ValueError("batch_size is required when every layer perturbation is None")
         return [
-            layer.matrix_batch(
-                perturbation,
-                batch_size=batch_size,
-                workspace=workspace,
-                workspace_key=("spnn/layer", index),
-            )
-            for index, (layer, perturbation) in enumerate(
-                zip(self.photonic_layers, perturbations)
-            )
+            layer.matrix_batch(perturbation, batch_size=batch_size)
+            for layer, perturbation in zip(self.photonic_layers, perturbations)
         ]
 
     def forward_hardware_batch(
@@ -305,7 +284,6 @@ class SPNN:
         features: np.ndarray,
         perturbations: Optional[NetworkPerturbationBatch] = None,
         batch_size: Optional[int] = None,
-        workspace=None,
     ) -> np.ndarray:
         """Log-probabilities for ``B`` uncertainty realizations at once.
 
@@ -320,10 +298,6 @@ class SPNN:
             ``*_batch`` samplers.
         batch_size:
             Required when ``perturbations`` is ``None`` or all-``None``.
-        workspace:
-            Optional :class:`~repro.training.workspace.VectorizedWorkspace`
-            backing the stacked hardware matrices with reusable
-            allocations.  Values are bit-identical with and without it.
 
         Returns
         -------
@@ -332,9 +306,7 @@ class SPNN:
             bit-identical to stacking ``B`` :meth:`forward_hardware` calls
             on the individual realizations.
         """
-        matrices = self.hardware_matrices_batch(
-            perturbations, batch_size=batch_size, workspace=workspace
-        )
+        matrices = self.hardware_matrices_batch(perturbations, batch_size=batch_size)
         return self._forward_batch_with_matrices(self._validated_features(features), matrices)
 
     def _validated_features(self, features: np.ndarray) -> np.ndarray:
@@ -382,7 +354,6 @@ class SPNN:
         perturbations: Optional[NetworkPerturbationBatch] = None,
         batch_size: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        workspace=None,
     ) -> np.ndarray:
         """Classification accuracy per realization, shape ``(B,)``.
 
@@ -391,10 +362,7 @@ class SPNN:
         set runs in sub-chunks of ``chunk_size`` realizations so the
         activations stay cache-resident; the size is picked from
         :data:`FORWARD_CHUNK_BYTES` when omitted.  Chunking does not change
-        the results.  A :class:`~repro.training.workspace.VectorizedWorkspace`
-        passed as ``workspace`` backs the hardware matrices; the forward's
-        activation buffers are always fresh.  Results are bit-identical
-        either way.
+        the results.
         """
         if chunk_size is not None and (
             isinstance(chunk_size, bool) or not isinstance(chunk_size, Integral) or chunk_size < 1
@@ -410,9 +378,7 @@ class SPNN:
             raise ShapeError(
                 f"features batch {features.shape[0]} does not match labels {labels.shape}"
             )
-        matrices = self.hardware_matrices_batch(
-            perturbations, batch_size=batch_size, workspace=workspace
-        )
+        matrices = self.hardware_matrices_batch(perturbations, batch_size=batch_size)
         batch = int(matrices[0].shape[0])
         if chunk_size is None:
             chunk_size = self._forward_chunk_size(features.shape[0])

@@ -12,10 +12,7 @@ the software training loop:
   scaling of the injected sigma over the epochs,
 * :class:`NoiseAwareTrainer` — a :class:`repro.nn.Trainer` subclass whose
   training step averages the loss over ``K`` noise draws (vectorized along
-  a leading batch axis),
-* :class:`VectorizedWorkspace` — the shared scratch-buffer arena behind
-  the stacked ``(K·B, ...)`` hot paths (also used by the batched Monte
-  Carlo engine).
+  a leading batch axis).
 
 The injector's opt-in performance modes (``incremental`` warm-started
 recompilation, ``reuse_draws`` window-amortized draws) are what make
@@ -35,7 +32,6 @@ from .noise_aware import (
     make_noise_aware_trainer,
 )
 from .schedule import SCHEDULE_KINDS, PerturbationSchedule
-from .workspace import VectorizedWorkspace, process_workspace, reset_process_workspace
 
 __all__ = [
     "NoiseInjector",
@@ -45,7 +41,4 @@ __all__ = [
     "make_noise_aware_trainer",
     "forward_with_weight_offsets",
     "complex_linear_modules",
-    "VectorizedWorkspace",
-    "process_workspace",
-    "reset_process_workspace",
 ]

@@ -38,7 +38,6 @@ from ..mesh.svd_layer import LayerPerturbationBatch, PhotonicLinearLayer
 from ..utils.rng import RNGLike, ensure_rng, spawn_rngs
 from ..variation.models import UncertaintyModel
 from ..variation.sampler import sample_network_perturbation_batch
-from .workspace import VectorizedWorkspace
 
 
 class NoiseInjector:
@@ -96,11 +95,6 @@ class NoiseInjector:
         sigmas).  Off by default (fresh draws every step).  In this mode the returned
         offset arrays are owned by the injector and valid until the next
         ``weight_offsets`` call.
-    workspace:
-        Optional :class:`~repro.training.workspace.VectorizedWorkspace`
-        supplying reusable offset buffers on the non-amortized path
-        (amortized draws already recycle their own cache).  Purely an
-        allocation optimization; values are bit-identical.
     """
 
     def __init__(
@@ -113,7 +107,6 @@ class NoiseInjector:
         incremental: bool = False,
         drift_threshold: float = 1.0,
         reuse_draws: bool = False,
-        workspace: Optional[VectorizedWorkspace] = None,
     ):
         if draws < 1:
             raise ConfigurationError(f"draws must be >= 1, got {draws}")
@@ -129,7 +122,6 @@ class NoiseInjector:
         self.incremental = bool(incremental)
         self.drift_threshold = float(drift_threshold)
         self.reuse_draws = bool(reuse_draws)
-        self.workspace = workspace
         self._layers: List[PhotonicLinearLayer] = []
         self._nominal: List[np.ndarray] = []
         self._steps_since_compile: Optional[int] = None  # None = no snapshot yet
@@ -259,7 +251,7 @@ class NoiseInjector:
     def _resolve_offsets(self, scaled: UncertaintyModel, sigma_scale: float) -> List[np.ndarray]:
         """The per-step offsets: fresh, cached or rescaled draws."""
         if not self.reuse_draws:
-            return self._draw_offsets(scaled, use_workspace=True)
+            return self._offsets_from_batches(self._sample_batches(scaled))
         if self._cached_offsets is not None and sigma_scale == self._cached_scale:
             # Same window, same schedule level: the draws only depend on the
             # snapshot and the sigma, both unchanged — reuse them verbatim.
@@ -275,7 +267,7 @@ class NoiseInjector:
         # recompile.
         batches = self._sample_batches(scaled)
         self._cached_batches = batches
-        self._cached_offsets = self._offsets_from_batches(batches, use_workspace=False)
+        self._cached_offsets = self._offsets_from_batches(batches)
         self._cached_scale = float(sigma_scale)
         return self._cached_offsets
 
@@ -287,30 +279,15 @@ class NoiseInjector:
         return sample_network_perturbation_batch(self._layers, scaled, generators)
 
     def _offsets_from_batches(
-        self,
-        batches: Sequence[Optional[LayerPerturbationBatch]],
-        use_workspace: bool,
+        self, batches: Sequence[Optional[LayerPerturbationBatch]]
     ) -> List[np.ndarray]:
         offsets: List[np.ndarray] = []
-        workspace = self.workspace if use_workspace else None
-        for index, (layer, nominal, batch) in enumerate(zip(self._layers, self._nominal, batches)):
-            if workspace is not None:
-                out = workspace.buffer(
-                    ("injector/offsets", index), (self.draws,) + nominal.shape, np.complex128
-                )
-                if batch is None:
-                    out[...] = 0.0
-                else:
-                    np.subtract(layer.matrix_batch(batch, batch_size=self.draws), nominal, out=out)
-                offsets.append(out)
-            elif batch is None:
+        for layer, nominal, batch in zip(self._layers, self._nominal, batches):
+            if batch is None:
                 offsets.append(np.zeros((self.draws,) + nominal.shape, dtype=np.complex128))
             else:
                 offsets.append(layer.matrix_batch(batch, batch_size=self.draws) - nominal)
         return offsets
-
-    def _draw_offsets(self, scaled: UncertaintyModel, use_workspace: bool) -> List[np.ndarray]:
-        return self._offsets_from_batches(self._sample_batches(scaled), use_workspace)
 
     def _rescale_draw_cache(self, ratio: float) -> None:
         """Scale the cached perturbation batches in place and re-evaluate."""

@@ -44,7 +44,6 @@ from ..observability.recorder import active as _active_recorder
 from ..utils.rng import RNGLike
 from .injector import NoiseInjector
 from .schedule import PerturbationSchedule
-from .workspace import VectorizedWorkspace
 
 
 def complex_linear_modules(model: Sequential) -> List[ComplexLinear]:
@@ -137,25 +136,10 @@ class NoiseAwareTrainer(Trainer):
         Per-epoch sigma scaling; defaults to constant full-sigma injection.
     loss_fn, config, rng:
         As in :class:`~repro.nn.trainer.Trainer`.
-    reuse_draws, incremental_recompile:
-        Opt-in performance modes forwarded onto the injector (``None``
-        leaves the injector as configured): amortize the ``K`` perturbation
-        draws over each recompile window, and recompile snapshots
-        incrementally (warm-started SVD + in-place mesh retune with an
-        exact fallback).  Both change only *which* equally valid noise the
-        estimator sees, never the estimator itself; the default (both off)
-        is bit-identical to the original per-step-draw, exact-recompile
-        trainer.  See :class:`~repro.training.injector.NoiseInjector`.
-        Note these knobs **reconfigure the passed injector in place**: an
-        injector belongs to exactly one trainer anyway (it carries the
-        noise RNG stream and the snapshot/draw caches, which sharing would
-        interleave), so construct a fresh injector per trainer.
-    workspace:
-        Optional shared :class:`~repro.training.workspace.VectorizedWorkspace`
-        backing the per-step scratch buffers (injected offsets, tiled
-        targets) with reusable allocations.  Bit-identical; pass
-        :func:`~repro.training.workspace.process_workspace` to share one
-        arena with the batched Monte Carlo engine of the same process.
+
+    The injector's ``reuse_draws``/``incremental`` modes choose which
+    equally valid noise the estimator sees.  An injector belongs to one
+    trainer: it carries the noise RNG stream and the snapshot/draw caches.
     """
 
     def __init__(
@@ -167,21 +151,11 @@ class NoiseAwareTrainer(Trainer):
         loss_fn=None,
         config: Optional[TrainerConfig] = None,
         rng: RNGLike = None,
-        reuse_draws: Optional[bool] = None,
-        incremental_recompile: Optional[bool] = None,
-        workspace: Optional[VectorizedWorkspace] = None,
     ):
         super().__init__(model, optimizer, loss_fn=loss_fn, config=config, rng=rng)
         self._linears = complex_linear_modules(model)  # validates the model shape
         self.injector = injector
         self.schedule = schedule if schedule is not None else PerturbationSchedule.constant()
-        if reuse_draws is not None:
-            injector.reuse_draws = bool(reuse_draws)
-        if incremental_recompile is not None:
-            injector.incremental = bool(incremental_recompile)
-        self.workspace = workspace
-        if workspace is not None and injector.workspace is None:
-            injector.workspace = workspace
         if not isinstance(self.loss_fn, Module) and not callable(self.loss_fn):  # pragma: no cover
             raise ConfigurationError("loss_fn must be callable")
 
@@ -216,11 +190,7 @@ class NoiseAwareTrainer(Trainer):
             draws, batch = outputs.shape[0], outputs.shape[1]
             span.set("draws", int(draws))
             flat = outputs.reshape(draws * batch, outputs.shape[-1])
-            if self.workspace is not None:
-                tiled_targets = self.workspace.buffer("noise-aware/targets", (draws * batch,), np.int64)
-                tiled_targets.reshape(draws, batch)[:] = np.asarray(batch_y, dtype=np.int64)
-            else:
-                tiled_targets = np.tile(np.asarray(batch_y, dtype=np.int64), draws)
+            tiled_targets = np.tile(np.asarray(batch_y, dtype=np.int64), draws)
             loss = self.loss_fn(flat, tiled_targets)
             return loss, flat, tiled_targets
 

@@ -188,18 +188,14 @@ def materialize_streams(parts: Sequence[StreamSlice]) -> List[np.random.Generato
     return [generator for part in parts for generator in part.generators()]
 
 
-def standard_normal_rows(
-    generators: Sequence[np.random.Generator], length: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def standard_normal_rows(generators: Sequence[np.random.Generator], length: int) -> np.ndarray:
     """A ``(B, length)`` standard-normal matrix, row ``b`` drawn from stream ``b``.
 
     ``standard_normal(out=row)`` consumes each stream exactly like a plain
     ``standard_normal(length)`` call, so the rows are bit-identical to
-    per-stream draws.  ``out`` optionally supplies the destination buffer.
+    per-stream draws while avoiding per-row allocations.
     """
-    draws = out
-    if draws is None:
-        draws = np.empty((len(generators), length), dtype=np.float64)
+    draws = np.empty((len(generators), length), dtype=np.float64)
     if length:
         for row, gen in zip(draws, generators):
             gen.standard_normal(out=row)

@@ -60,9 +60,9 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..mesh.svd_layer import LayerPerturbationBatch, PhotonicLinearLayer
+from ..utils.rng import standard_normal_rows
 from .models import UncertaintyModel
 from .sampler import (
-    _draw_rows,
     diagonal_batch_draw_length,
     diagonal_perturbation_batch_from_draws,
     mesh_batch_draw_length,
@@ -268,9 +268,9 @@ class DriftState:
             if spec is None:
                 continue
             if self.step == 0:
-                self.z[index] = _draw_rows(self.generators, spec.length)
+                self.z[index] = standard_normal_rows(self.generators, spec.length)
             else:
-                eps = _draw_rows(self.generators, spec.length) if uses_noise else None
+                eps = standard_normal_rows(self.generators, spec.length) if uses_noise else None
                 self.process._update(self.z[index], eps)
 
     # ------------------------------------------------------------------ #

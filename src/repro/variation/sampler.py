@@ -176,44 +176,6 @@ def sample_network_perturbation(
 # --------------------------------------------------------------------------- #
 
 
-def _draw_rows(
-    generators: Sequence[np.random.Generator], length: int, workspace=None, key=None
-) -> np.ndarray:
-    """A ``(B, length)`` standard-normal matrix, row ``b`` drawn from stream ``b``.
-
-    ``standard_normal(out=row)`` consumes each stream exactly like a plain
-    ``standard_normal(length)`` call, so the rows are bit-identical to the
-    per-iteration draws of the looped samplers while avoiding per-field
-    array allocations and Python overhead.  A ``workspace`` additionally
-    recycles the draw buffer itself across calls.
-    """
-    shape = (len(generators), length)
-    out = workspace.buffer((key, "draws"), shape, np.float64) if workspace is not None else None
-    return standard_normal_rows(generators, length, out=out)
-
-
-def _scaled_field(draws, sigma, workspace, key):
-    """``draws * sigma`` written into a reusable buffer when a workspace is given.
-
-    ``sigma`` may be a scalar or a per-device array; the multiply is the
-    same ufunc either way, so the values are bit-identical to the plain
-    product.
-    """
-    if workspace is None:
-        return draws * sigma
-    out = workspace.buffer(key, draws.shape, np.float64)
-    np.multiply(draws, sigma, out=out)
-    return out
-
-
-def _zero_field(shape, workspace, key):
-    if workspace is None:
-        return np.zeros(shape)
-    out = workspace.buffer(key, shape, np.float64)
-    out[...] = 0.0
-    return out
-
-
 def mesh_batch_draw_length(mesh: MZIMesh, model: UncertaintyModel) -> int:
     """Standard-normal draws one mesh realization consumes from its stream.
 
@@ -233,15 +195,14 @@ def mesh_perturbation_batch_from_draws(
     draws,
     sigma_phs_per_mzi: Optional[np.ndarray] = None,
     sigma_bes_per_mzi: Optional[np.ndarray] = None,
-    workspace=None,
-    workspace_key=None,
 ) -> MeshPerturbationBatch:
     """Map a ``(B, mesh_batch_draw_length)`` standard-normal matrix to fields.
 
     This is the single draws→physical-fields mapping shared by the i.i.d.
     batch sampler and the temporal perturbation processes: slice the
     concatenated draw matrix into the device families and scale each by its
-    sigma.  Applying it to draws produced by :func:`_draw_rows` reproduces
+    sigma.  Applying it to draws produced by
+    :func:`~repro.utils.rng.standard_normal_rows` reproduces
     :func:`sample_mesh_perturbation_batch` bit for bit; applying it to a
     temporally evolved state matrix yields the perturbation that state
     represents under ``model``.  When ``model`` does not perturb splitters,
@@ -259,30 +220,11 @@ def mesh_perturbation_batch_from_draws(
     # 0.0`` turns a nominal ``-0.0`` into ``+0.0``.
     splitters = model.perturb_splitters
     return MeshPerturbationBatch(
-        delta_theta=_scaled_field(
-            draws[:, 0:count], phase_sigma, workspace, (workspace_key, "delta_theta")
-        ),
-        delta_phi=_scaled_field(
-            draws[:, count : 2 * count], phase_sigma, workspace, (workspace_key, "delta_phi")
-        ),
-        delta_r_in=_scaled_field(
-            draws[:, 2 * count : 3 * count], splitter_sigma, workspace, (workspace_key, "delta_r_in")
-        )
-        if splitters
-        else None,
-        delta_r_out=_scaled_field(
-            draws[:, 3 * count : 4 * count], splitter_sigma, workspace, (workspace_key, "delta_r_out")
-        )
-        if splitters
-        else None,
-        delta_output_phase=_scaled_field(
-            draws[:, 4 * count :],
-            model.phase_std,
-            workspace,
-            (workspace_key, "delta_output_phase"),
-        )
-        if extra
-        else None,
+        delta_theta=draws[:, 0:count] * phase_sigma,
+        delta_phi=draws[:, count : 2 * count] * phase_sigma,
+        delta_r_in=draws[:, 2 * count : 3 * count] * splitter_sigma if splitters else None,
+        delta_r_out=draws[:, 3 * count : 4 * count] * splitter_sigma if splitters else None,
+        delta_output_phase=draws[:, 4 * count :] * model.phase_std if extra else None,
     )
 
 
@@ -292,32 +234,24 @@ def sample_mesh_perturbation_batch(
     generators: Sequence[np.random.Generator],
     sigma_phs_per_mzi: Optional[np.ndarray] = None,
     sigma_bes_per_mzi: Optional[np.ndarray] = None,
-    workspace=None,
-    workspace_key=None,
 ) -> MeshPerturbationBatch:
     """Draw ``B = len(generators)`` mesh realizations as ``(B, num_mzis)`` arrays.
 
     Row ``b`` consumes ``generators[b]`` exactly as
     :func:`sample_mesh_perturbation` would, so the stacked result is
     bit-identical to sampling the realizations one at a time from the same
-    streams.  ``workspace``/``workspace_key`` (a
-    :class:`~repro.training.workspace.VectorizedWorkspace` plus a key
-    unique to this mesh within the evaluation) back the draw buffer and
-    every perturbation field with reusable arena buffers; the batch is
-    then valid until the next workspace-backed draw under the same key.
+    streams.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("sample_mesh_perturbation_batch requires at least one generator")
-    draws = _draw_rows(generators, mesh_batch_draw_length(mesh, model), workspace, workspace_key)
+    draws = standard_normal_rows(generators, mesh_batch_draw_length(mesh, model))
     return mesh_perturbation_batch_from_draws(
         mesh,
         model,
         draws,
         sigma_phs_per_mzi=sigma_phs_per_mzi,
         sigma_bes_per_mzi=sigma_bes_per_mzi,
-        workspace=workspace,
-        workspace_key=workspace_key,
     )
 
 
@@ -339,8 +273,6 @@ def diagonal_perturbation_batch_from_draws(
     num_mzis: int,
     model: UncertaintyModel,
     draws,
-    workspace=None,
-    workspace_key=None,
 ) -> DiagonalPerturbationBatch:
     """Map a ``(B, diagonal_batch_draw_length)`` draw matrix to Sigma fields.
 
@@ -354,31 +286,17 @@ def diagonal_perturbation_batch_from_draws(
     num_phase = 2 * num_mzis if phase_sigma else 0
     batch = draws.shape[0]
     if phase_sigma:
-        delta_theta = _scaled_field(
-            draws[:, 0:num_mzis], phase_sigma, workspace, (workspace_key, "delta_theta")
-        )
-        delta_phi = _scaled_field(
-            draws[:, num_mzis : 2 * num_mzis], phase_sigma, workspace, (workspace_key, "delta_phi")
-        )
+        delta_theta = draws[:, 0:num_mzis] * phase_sigma
+        delta_phi = draws[:, num_mzis : 2 * num_mzis] * phase_sigma
     else:
-        delta_theta = _zero_field((batch, num_mzis), workspace, (workspace_key, "delta_theta"))
-        delta_phi = _zero_field((batch, num_mzis), workspace, (workspace_key, "delta_phi"))
+        delta_theta = np.zeros((batch, num_mzis))
+        delta_phi = np.zeros((batch, num_mzis))
     if splitter_sigma:
-        delta_r_in = _scaled_field(
-            draws[:, num_phase : num_phase + num_mzis],
-            splitter_sigma,
-            workspace,
-            (workspace_key, "delta_r_in"),
-        )
-        delta_r_out = _scaled_field(
-            draws[:, num_phase + num_mzis :],
-            splitter_sigma,
-            workspace,
-            (workspace_key, "delta_r_out"),
-        )
+        delta_r_in = draws[:, num_phase : num_phase + num_mzis] * splitter_sigma
+        delta_r_out = draws[:, num_phase + num_mzis :] * splitter_sigma
     else:
-        delta_r_in = _zero_field((batch, num_mzis), workspace, (workspace_key, "delta_r_in"))
-        delta_r_out = _zero_field((batch, num_mzis), workspace, (workspace_key, "delta_r_out"))
+        delta_r_in = np.zeros((batch, num_mzis))
+        delta_r_out = np.zeros((batch, num_mzis))
     return DiagonalPerturbationBatch(
         delta_theta=delta_theta,
         delta_phi=delta_phi,
@@ -391,8 +309,6 @@ def sample_diagonal_perturbation_batch(
     num_mzis: int,
     model: UncertaintyModel,
     generators: Sequence[np.random.Generator],
-    workspace=None,
-    workspace_key=None,
 ) -> Optional[DiagonalPerturbationBatch]:
     """Draw ``B`` Sigma-bank realizations as ``(B, num_mzis)`` arrays."""
     length = diagonal_batch_draw_length(num_mzis, model)
@@ -401,45 +317,27 @@ def sample_diagonal_perturbation_batch(
     generators = list(generators)
     if not generators:
         raise ValueError("sample_diagonal_perturbation_batch requires at least one generator")
-    draws = _draw_rows(generators, length, workspace, workspace_key)
-    return diagonal_perturbation_batch_from_draws(
-        num_mzis,
-        model,
-        draws,
-        workspace=workspace,
-        workspace_key=workspace_key,
-    )
+    draws = standard_normal_rows(generators, length)
+    return diagonal_perturbation_batch_from_draws(num_mzis, model, draws)
 
 
 def sample_layer_perturbation_batch(
     layer: PhotonicLinearLayer,
     model: UncertaintyModel,
     generators: Sequence[np.random.Generator],
-    workspace=None,
-    workspace_key=None,
 ) -> LayerPerturbationBatch:
     """Draw ``B`` realizations for a full photonic linear layer.
 
     Each generator is consumed in the same stage order (U mesh, V mesh,
     Sigma bank) as :func:`sample_layer_perturbation`; only the iteration
     over generators is hoisted inside each stage, which does not change any
-    stream's own draw sequence.  The optional workspace key is extended per
-    stage so the three stages' buffers never alias.
+    stream's own draw sequence.
     """
     generators = list(generators)
     return LayerPerturbationBatch(
-        u=sample_mesh_perturbation_batch(
-            layer.mesh_u, model, generators,
-            workspace=workspace, workspace_key=(workspace_key, "u"),
-        ),
-        v=sample_mesh_perturbation_batch(
-            layer.mesh_v, model, generators,
-            workspace=workspace, workspace_key=(workspace_key, "v"),
-        ),
-        sigma=sample_diagonal_perturbation_batch(
-            layer.diagonal.num_mzis, model, generators,
-            workspace=workspace, workspace_key=(workspace_key, "sigma"),
-        ),
+        u=sample_mesh_perturbation_batch(layer.mesh_u, model, generators),
+        v=sample_mesh_perturbation_batch(layer.mesh_v, model, generators),
+        sigma=sample_diagonal_perturbation_batch(layer.diagonal.num_mzis, model, generators),
     )
 
 
@@ -447,23 +345,13 @@ def sample_network_perturbation_batch(
     layers: Sequence[PhotonicLinearLayer],
     model: UncertaintyModel,
     generators: Sequence[np.random.Generator],
-    workspace=None,
 ) -> List[Optional[LayerPerturbationBatch]]:
     """Draw ``B`` realizations for every layer of an SPNN, stacked per layer.
 
     Equivalent to stacking ``[sample_network_perturbation(layers, model, g)
     for g in generators]`` — generator ``b`` is consumed exactly as in the
     looped path (layer by layer, stage by stage), so the batch reproduces
-    the loop sample for sample.  With a ``workspace`` the draw and field
-    buffers are recycled across calls (keyed per layer and stage),
-    eliminating the per-chunk sampling allocations of the batched Monte
-    Carlo engine; values are bit-identical either way.
+    the loop sample for sample.
     """
     generators = list(generators)
-    return [
-        sample_layer_perturbation_batch(
-            layer, model, generators,
-            workspace=workspace, workspace_key=("network-sample", index),
-        )
-        for index, layer in enumerate(layers)
-    ]
+    return [sample_layer_perturbation_batch(layer, model, generators) for layer in layers]

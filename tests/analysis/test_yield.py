@@ -219,27 +219,6 @@ class TestYieldSweep:
                 serial.accuracy_samples[sigma], sharded.accuracy_samples[sigma]
             )
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_workspace_aliasing_safe_under_workers(self, small_task, workers):
-        """Shared per-process workspace buffers never leak between chunks.
-
-        With ``use_workspace=True`` every chunk of every sigma reuses the
-        same process-level scratch allocations — in the parent when serial,
-        inside each pool worker when sharded.  Any aliasing bug (a chunk
-        reading another chunk's leftovers) would break bit-identity with
-        the workspace-free run.
-        """
-        kwargs = dict(sigmas=(0.0, 0.02, 0.05), iterations=6, rng=13)
-        features, labels = small_task.test_features[:40], small_task.test_labels[:40]
-        plain = yield_sweep(small_task.spnn, features, labels, workers=workers, **kwargs)
-        recycled = yield_sweep(
-            small_task.spnn, features, labels, workers=workers, use_workspace=True, **kwargs
-        )
-        for sigma in kwargs["sigmas"]:
-            assert np.array_equal(
-                plain.accuracy_samples[sigma], recycled.accuracy_samples[sigma]
-            )
-
     def test_folded_chunks_crossing_sigma_boundaries(self, small_task):
         """A chunk size coprime to the per-sigma block changes nothing."""
         kwargs = dict(sigmas=(0.02, 0.05), iterations=6, rng=17, case="phs")

@@ -19,7 +19,6 @@ from repro.mesh import MeshPerturbationBatch, MZIMesh
 from repro.onn import stack_network_perturbations
 from repro.onn.inference import NetworkAccuracyBatchTrial, NetworkAccuracyTrial, monte_carlo_accuracy
 from repro.onn.spnn import SPNN, SPNNArchitecture
-from repro.training.workspace import VectorizedWorkspace, reset_process_workspace
 from repro.utils import random_unitary
 from repro.utils.rng import spawn_rngs
 from repro.variation.models import UncertaintyModel
@@ -141,21 +140,6 @@ class TestNetworkConformance:
         looped = np.array([spnn.accuracy(features, labels, perturbations=r) for r in realizations])
         np.testing.assert_array_equal(batched, looped)
 
-    def test_accuracy_batch_with_workspace(self, spnn, eval_set, case):
-        features, labels = eval_set
-        model = CASES[case]
-        plain = spnn.accuracy_batch(
-            features,
-            labels,
-            sample_network_perturbation_batch(spnn.photonic_layers, model, spawn_rngs(13, 4)),
-        )
-        workspace = VectorizedWorkspace()
-        batch = sample_network_perturbation_batch(
-            spnn.photonic_layers, model, spawn_rngs(13, 4), workspace=workspace
-        )
-        fused = spnn.accuracy_batch(features, labels, batch, workspace=workspace)
-        np.testing.assert_array_equal(fused, plain)
-
 
 class TestEngineConformance:
     @pytest.mark.parametrize("backend", [ThreadBackend(2), MultiprocessBackend(2)], ids=repr)
@@ -168,24 +152,13 @@ class TestEngineConformance:
         np.testing.assert_array_equal(sharded, serial)
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 12])
-    def test_engine_with_workspace_and_chunking(self, spnn, eval_set, chunk_size):
+    def test_engine_chunking_equals_serial(self, spnn, eval_set, chunk_size):
         features, labels = eval_set
-        reset_process_workspace()
-        try:
-            serial = monte_carlo_accuracy(spnn, features, labels, MODEL, iterations=12, rng=3)
-            chunked = monte_carlo_accuracy(
-                spnn,
-                features,
-                labels,
-                MODEL,
-                iterations=12,
-                rng=3,
-                chunk_size=chunk_size,
-                use_workspace=True,
-            )
-            np.testing.assert_array_equal(chunked, serial)
-        finally:
-            reset_process_workspace()
+        serial = monte_carlo_accuracy(spnn, features, labels, MODEL, iterations=12, rng=3)
+        chunked = monte_carlo_accuracy(
+            spnn, features, labels, MODEL, iterations=12, rng=3, chunk_size=chunk_size
+        )
+        np.testing.assert_array_equal(chunked, serial)
 
     def test_scalar_looped_trial_equals_batched_trial(self, spnn, eval_set):
         features, labels = eval_set
@@ -205,47 +178,3 @@ class TestEngineConformance:
         assert isinstance(result, np.ndarray)
         assert result.shape == (3,) and result.dtype == np.float64
 
-
-class TestWorkspaceFusion:
-    """The fused matrix_batch path: same values, arena-backed buffers."""
-
-    def test_fused_matrices_bit_identical(self, spnn):
-        layer = spnn.photonic_layers[0]
-        batch = sample_layer_perturbation_batch(layer, MODEL, spawn_rngs(31, 4))
-        plain = layer.matrix_batch(batch)
-        workspace = VectorizedWorkspace()
-        fused = layer.matrix_batch(batch, workspace=workspace, workspace_key="t")
-        np.testing.assert_array_equal(plain, fused)
-        assert workspace.num_buffers > 0
-
-    def test_fused_buffers_reused_across_calls(self, spnn):
-        layer = spnn.photonic_layers[0]
-        workspace = VectorizedWorkspace()
-        batch = sample_layer_perturbation_batch(layer, MODEL, spawn_rngs(32, 4))
-        first = layer.matrix_batch(batch, workspace=workspace, workspace_key="t")
-        buffers_after_first = workspace.num_buffers
-        second = layer.matrix_batch(batch, workspace=workspace, workspace_key="t")
-        assert workspace.num_buffers == buffers_after_first
-        assert np.shares_memory(first, second)  # same arena backing handed back
-
-    def test_fused_partial_batch_reuses_capacity(self, spnn):
-        layer = spnn.photonic_layers[0]
-        workspace = VectorizedWorkspace()
-        full = sample_layer_perturbation_batch(layer, MODEL, spawn_rngs(33, 4))
-        layer.matrix_batch(full, workspace=workspace, workspace_key="t")
-        nbytes_full = workspace.nbytes
-        tail = sample_layer_perturbation_batch(layer, MODEL, spawn_rngs(34, 2))
-        plain = layer.matrix_batch(tail)
-        fused = layer.matrix_batch(tail, workspace=workspace, workspace_key="t")
-        np.testing.assert_array_equal(plain, fused)
-        assert workspace.nbytes == nbytes_full  # no reallocation for the tail
-
-    def test_network_level_fusion_bit_identical(self, spnn, eval_set):
-        features, labels = eval_set
-        batch = sample_network_perturbation_batch(
-            spnn.photonic_layers, MODEL, spawn_rngs(35, 3)
-        )
-        plain = spnn.accuracy_batch(features, labels, batch)
-        workspace = VectorizedWorkspace()
-        fused = spnn.accuracy_batch(features, labels, batch, workspace=workspace)
-        np.testing.assert_array_equal(plain, fused)

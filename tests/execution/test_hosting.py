@@ -166,25 +166,6 @@ class TestBitIdentity:
                 samples = monte_carlo_accuracy(network, x, y, model, iterations=24, rng=11, backend=backend)
             assert samples.tobytes() == reference.tobytes(), f"workers={workers}"
 
-    def test_workspace_and_hosting_compose_bit_identically(self):
-        """Workspace arenas are per-process: reuse is aliasing-safe under sharding."""
-        spnn, features, labels = _small_spnn()
-        model = UncertaintyModel.both(0.02)
-        reference = monte_carlo_accuracy(spnn, features, labels, model, iterations=16, rng=5)
-        for workers in (1, 2):
-            backend = MultiprocessBackend(workers=workers)
-            with sweep_scope(backend, features, labels) as (x, y, _):
-                # Two consecutive runs through the same per-process arenas:
-                # buffer recycling must not leak state between runs.
-                first = monte_carlo_accuracy(
-                    spnn, x, y, model, iterations=16, rng=5, backend=backend, use_workspace=True,
-                )
-                second = monte_carlo_accuracy(
-                    spnn, x, y, model, iterations=16, rng=5, backend=backend, use_workspace=True,
-                )
-            assert first.tobytes() == reference.tobytes(), f"workers={workers}"
-            assert second.tobytes() == reference.tobytes(), f"workers={workers}"
-
 
     def test_pickled_network_token_bit_identical_across_workers(self):
         """A token that crossed a pickle boundary serves ``workers=`` sweeps."""

@@ -29,7 +29,6 @@ from repro.execution import Backend, MultiprocessBackend, SerialBackend, ThreadB
 from repro.execution import blas
 from repro.mesh.mesh import MZIMesh
 from repro.observability import active_collector, observe
-from repro.training.workspace import process_workspace
 from repro.utils import random_unitary
 from repro.utils.rng import spawn_rngs
 from repro.variation.models import UncertaintyModel
@@ -195,15 +194,6 @@ class TestSweepKernelUnderThreads:
 
 
 class TestPerThreadState:
-    def test_each_thread_gets_its_own_workspace(self):
-        mine = process_workspace()
-        assert process_workspace() is mine
-        other = []
-        thread = threading.Thread(target=lambda: other.append(process_workspace()))
-        thread.start()
-        thread.join()
-        assert other[0] is not mine
-
     def test_worker_threads_start_without_the_callers_collector(self):
         with observe() as recorder:
             assert active_collector() is recorder.dispatches
@@ -228,10 +218,9 @@ _SETTINGS = settings(
     timelines=st.integers(min_value=1, max_value=7),
     num_steps=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
-    use_workspace=st.booleans(),
 )
 def test_timeline_sweep_threaded_equals_serial(
-    small_task, workers, chunk_size, timelines, num_steps, seed, use_workspace
+    small_task, workers, chunk_size, timelines, num_steps, seed
 ):
     kwargs = dict(
         model=UncertaintyModel.phase_only(0.08),
@@ -240,7 +229,6 @@ def test_timeline_sweep_threaded_equals_serial(
         timelines=timelines,
         rng=seed,
         chunk_size=chunk_size,
-        use_workspace=use_workspace,
     )
     args = (small_task.spnn, small_task.test_features, small_task.test_labels)
     [serial] = timeline_sweep(*args, backend=SerialBackend(), **kwargs)
@@ -255,15 +243,13 @@ def test_timeline_sweep_threaded_equals_serial(
     chunk_size=st.sampled_from([None, 1, 3]),
     iterations=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=2**16),
-    use_workspace=st.booleans(),
 )
-def test_yield_sweep_threaded_equals_serial(small_task, workers, chunk_size, iterations, seed, use_workspace):
+def test_yield_sweep_threaded_equals_serial(small_task, workers, chunk_size, iterations, seed):
     kwargs = dict(
         sigmas=(0.0, 0.03, 0.08),
         iterations=iterations,
         rng=seed,
         chunk_size=chunk_size,
-        use_workspace=use_workspace,
     )
     args = (small_task.spnn, small_task.test_features, small_task.test_labels)
     serial = yield_sweep(*args, backend=SerialBackend(), **kwargs)
@@ -273,7 +259,7 @@ def test_yield_sweep_threaded_equals_serial(small_task, workers, chunk_size, ite
 
 
 def test_robust_smoke_threaded_equals_serial(tmp_path, capsys):
-    """EXP 3 runs its evaluation sweeps with the workspace arena on."""
+    """EXP 3's training and evaluation sweeps give the same JSON threaded and serial."""
     outputs = {}
     for label, flags in (("threaded", []), ("serial", ["--workers", "1"])):
         path = tmp_path / f"{label}.json"

@@ -1,10 +1,21 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments import registry
 
 
 def test_list_command(capsys):
@@ -225,3 +236,75 @@ def test_trace_does_not_change_results(tmp_path, capsys):
     )
     capsys.readouterr()
     assert json.loads(plain.read_text()) == json.loads(traced.read_text())
+
+
+def test_keyboard_interrupt_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    spec = dataclasses.replace(registry.get_experiment("yield"), runner=interrupted)
+    monkeypatch.setattr(cli, "get_experiment", lambda identifier: spec)
+    assert main(["yield", "--smoke"]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "spnn-repro: interrupted\n"
+
+
+def _group_members(pgid: int) -> set:
+    """Live (non-zombie) pids of process group ``pgid``, read from ``/proc``."""
+    members = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.add(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+@pytest.mark.parametrize("flags", [[], ["--workers", "2"]], ids=["threads", "processes"])
+def test_ctrl_c_exits_130_without_a_traceback(flags):
+    """SIGINT to the CLI's process group after the first chunk, as a terminal's Ctrl-C."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [
+        sys.executable, "-u", "-m", "repro.cli", "yield", "--smoke",
+        "--iterations", "20000", "--progress", *flags,
+    ]
+    proc = subprocess.Popen(
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    # Bounds the blocking reads below: a run that hangs is killed, and the
+    # test then fails on its exit code.
+    watchdog = threading.Timer(120, os.killpg, (proc.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        for line in proc.stdout:
+            if "chunk 1/" in line:
+                break
+        else:
+            pytest.fail(f"no chunk frame before exit: {proc.stderr.read()}")
+        members = _group_members(proc.pid)
+        os.killpg(proc.pid, signal.SIGINT)
+        stderr = proc.stderr.read()
+        returncode = proc.wait()
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert returncode == 130, stderr
+    assert "Traceback" not in stderr
+    assert stderr.strip().splitlines() == ["spnn-repro: interrupted"]
+    assert len(members) >= (3 if flags else 1)
+    deadline = time.monotonic() + 5
+    while _group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _group_members(proc.pid) == set()

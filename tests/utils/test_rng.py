@@ -90,13 +90,6 @@ def test_standard_normal_rows_bit_identical_to_plain_draws():
     np.testing.assert_array_equal(rows, expected)
 
 
-def test_standard_normal_rows_fills_the_out_buffer():
-    out = np.empty((1, 4))
-    result = standard_normal_rows([np.random.default_rng(9)], 4, out=out)
-    assert result is out
-    np.testing.assert_array_equal(out[0], np.random.default_rng(9).standard_normal(4))
-
-
 def test_standard_normal_rows_consume_each_stream_like_a_plain_draw():
     gens = spawn_rngs(4, 3)
     standard_normal_rows(gens, 5)
