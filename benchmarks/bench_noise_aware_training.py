@@ -65,6 +65,9 @@ NOISE_STEP_SPEEDUP_FLOOR = float(os.environ.get("REPRO_NOISE_STEP_SPEEDUP_FLOOR"
 #: does not dominate the optimized path's per-step average.
 SPEEDUP_TIMING_EPOCHS = 8
 
+#: Timed fits per path in the speed scenario, alternating the two paths.
+SPEEDUP_SAMPLES = 3
+
 
 def test_noise_aware_training_recovers_accuracy(bench_workers):
     """EXP 3 smoke: recovery floor at the trained sigma, any worker count."""
@@ -136,24 +139,35 @@ def test_noise_aware_step_speedup():
     SVD + in-place Clements retune with exact fallback) and ``reuse_draws``
     (one K-draw batch per recompile window) knobs — exactly what EXP 3
     runs with.  Both paths compute the same
-    expected-loss estimator; only the wall clock differs.
+    expected-loss estimator; only the wall clock differs.  Each path is
+    timed ``SPEEDUP_SAMPLES`` times and the gate takes the ratio of the two
+    fastest steps.
     """
     config = get_experiment("robust").smoke_config
     train_x, train_y, _, _ = prepare_feature_sets(config.training)
 
     # Interleaved warmup (JIT-free Python, but caches/allocator state still
-    # matter on shared runners), then one timed fit per path.
+    # matter on shared runners), then alternating timed fits per path.  Host
+    # load only ever inflates a sample, while a real regression slows every
+    # sample of its path, so the gate compares each path's fastest step.
     _timed_noise_aware_fit(config, train_x, train_y, 1, optimized=True)
     _timed_noise_aware_fit(config, train_x, train_y, 1, optimized=False)
-    baseline_step = _timed_noise_aware_fit(
-        config, train_x, train_y, SPEEDUP_TIMING_EPOCHS, optimized=False
-    )
-    optimized_step = _timed_noise_aware_fit(
-        config, train_x, train_y, SPEEDUP_TIMING_EPOCHS, optimized=True
-    )
+    samples = {False: [], True: []}
+    for _ in range(SPEEDUP_SAMPLES):
+        for optimized in (False, True):
+            samples[optimized].append(
+                _timed_noise_aware_fit(config, train_x, train_y, SPEEDUP_TIMING_EPOCHS, optimized=optimized)
+            )
+    baseline_step = min(samples[False])
+    optimized_step = min(samples[True])
     speedup = baseline_step / optimized_step
     print(
-        f"\nnoise-aware step: original {1e3 * baseline_step:.2f}ms, "
+        f"\nnoise-aware step samples: original "
+        f"{', '.join(f'{1e3 * step:.2f}' for step in samples[False])}ms, optimized "
+        f"{', '.join(f'{1e3 * step:.2f}' for step in samples[True])}ms"
+    )
+    print(
+        f"noise-aware step (fastest): original {1e3 * baseline_step:.2f}ms, "
         f"optimized {1e3 * optimized_step:.2f}ms ({speedup:.2f}x, "
         f"K={config.draws} draws, recompile every {config.recompile_every} steps)"
     )

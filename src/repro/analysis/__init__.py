@@ -18,7 +18,7 @@ from .recalibration import (
     measure_renull_cost,
     renull_network,
 )
-from .rvd import mean_rvd, normalized_rvd, rvd, rvd_batch, rvd_matrix
+from .rvd import mean_rvd, normalized_rvd, rvd, rvd_batch
 from .sensitivity import (
     ELEMENT_LABELS,
     SensitivityMap,
@@ -51,7 +51,6 @@ from .yield_analysis import (
 __all__ = [
     "rvd",
     "rvd_batch",
-    "rvd_matrix",
     "mean_rvd",
     "normalized_rvd",
     "SensitivityMap",

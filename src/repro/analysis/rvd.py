@@ -53,22 +53,6 @@ def rvd(actual: np.ndarray, reference: np.ndarray, eps: float = 0.0) -> float:
     return float(np.sum(np.abs(actual - reference) / (magnitude + eps)))
 
 
-def rvd_matrix(actual: np.ndarray, reference: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Element-wise RVD contributions ``|U_mn - U_ref_mn| / |U_ref_mn|``."""
-    actual = as_complex_array(actual, "actual")
-    reference = as_complex_array(reference, "reference")
-    if actual.shape != reference.shape:
-        raise ShapeError(f"shape mismatch: actual {actual.shape} vs reference {reference.shape}")
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    magnitude = np.abs(reference)
-    if eps == 0.0 and np.any(magnitude == 0.0):
-        raise ZeroDivisionError(
-            "reference matrix has zero-magnitude elements; pass eps > 0 to regularize the RVD"
-        )
-    return np.abs(actual - reference) / (magnitude + eps)
-
-
 def rvd_batch(actuals: np.ndarray, reference: np.ndarray, eps: float = 0.0) -> np.ndarray:
     """RVD of a stack of deviated matrices against one reference.
 

@@ -10,14 +10,11 @@ from .functional import (
     cross_entropy,
     log_softmax,
     modulus,
-    modulus_squared,
-    mse_loss,
     nll_loss,
     relu,
     sigmoid,
     softmax,
     softplus,
-    tanh,
 )
 from .grad_check import check_gradients, numerical_gradient
 from .tensor import Tensor, as_tensor
@@ -28,14 +25,11 @@ __all__ = [
     "softplus",
     "relu",
     "sigmoid",
-    "tanh",
     "softmax",
     "log_softmax",
     "modulus",
-    "modulus_squared",
     "nll_loss",
     "cross_entropy",
-    "mse_loss",
     "accuracy",
     "check_gradients",
     "numerical_gradient",

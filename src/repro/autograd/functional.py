@@ -62,17 +62,6 @@ def sigmoid(x: ArrayLike) -> Tensor:
     return Tensor._make(out_data, (x,), backward, "sigmoid")
 
 
-def tanh(x: ArrayLike) -> Tensor:
-    """Hyperbolic tangent for real tensors."""
-    x = _require_real(as_tensor(x), "tanh")
-    out_data = np.tanh(x.data)
-
-    def backward(grad: np.ndarray):
-        return (np.real(grad) * (1.0 - out_data**2),)
-
-    return Tensor._make(out_data, (x,), backward, "tanh")
-
-
 def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
     """Log of the softmax along ``axis`` with the usual max-shift stabilization."""
     x = _require_real(as_tensor(x), "log_softmax")
@@ -96,11 +85,6 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 def modulus(x: ArrayLike) -> Tensor:
     """Element-wise modulus ``|z|`` (alias of :meth:`Tensor.abs`)."""
     return as_tensor(x).abs()
-
-
-def modulus_squared(x: ArrayLike) -> Tensor:
-    """Element-wise squared modulus ``|z|^2`` (photodetector intensity)."""
-    return as_tensor(x).abs2()
 
 
 def nll_loss(log_probs: ArrayLike, targets: Union[Sequence[int], np.ndarray], reduction: str = "mean") -> Tensor:
@@ -158,21 +142,6 @@ def nll_loss(log_probs: ArrayLike, targets: Union[Sequence[int], np.ndarray], re
 def cross_entropy(logits: ArrayLike, targets: Union[Sequence[int], np.ndarray], reduction: str = "mean") -> Tensor:
     """Cross-entropy loss: ``nll_loss(log_softmax(logits), targets)``."""
     return nll_loss(log_softmax(logits, axis=-1), targets, reduction=reduction)
-
-
-def mse_loss(prediction: ArrayLike, target: ArrayLike, reduction: str = "mean") -> Tensor:
-    """Mean-squared-error loss for real tensors."""
-    prediction = _require_real(as_tensor(prediction), "mse_loss")
-    target = as_tensor(target).detach()
-    diff = prediction - target
-    squared = diff * diff
-    if reduction == "none":
-        return squared
-    if reduction == "sum":
-        return squared.sum()
-    if reduction == "mean":
-        return squared.mean()
-    raise AutogradError(f"unknown reduction {reduction!r}")
 
 
 def accuracy(log_probs: ArrayLike, targets: Union[Sequence[int], np.ndarray]) -> float:

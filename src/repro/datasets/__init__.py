@@ -1,14 +1,11 @@
 """Datasets and feature pipelines: synthetic MNIST and shifted-FFT features."""
 
 from .fft_features import (
-    FeatureConfig,
-    FFTFeatureExtractor,
     center_crop,
     fft_crop_features,
     full_fft_features,
     shifted_fft2,
 )
-from .loaders import batch_iterator, stratified_split, train_val_split
 from .synthetic_mnist import (
     IMAGE_SIZE,
     NUM_CLASSES,
@@ -33,9 +30,4 @@ __all__ = [
     "center_crop",
     "fft_crop_features",
     "full_fft_features",
-    "FeatureConfig",
-    "FFTFeatureExtractor",
-    "train_val_split",
-    "stratified_split",
-    "batch_iterator",
 ]

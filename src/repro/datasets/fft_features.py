@@ -9,13 +9,11 @@ uncompressed 784-dimensional variant used for the baseline-accuracy number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from ..exceptions import ShapeError
-from .synthetic_mnist import Dataset
 
 
 #: Images transformed together.  Only the kept coefficients outlive a
@@ -115,29 +113,3 @@ def fft_crop_features(images: np.ndarray, crop: int = 4, normalize: bool = True)
 def full_fft_features(images: np.ndarray, normalize: bool = True) -> np.ndarray:
     """Uncompressed shifted-FFT features flattened to ``(n, h*w)`` complex."""
     return _spectrum_features(images, None, normalize)
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Configuration of the SPNN input feature pipeline."""
-
-    crop: int = 4
-    normalize: bool = True
-
-    @property
-    def num_features(self) -> int:
-        return self.crop * self.crop
-
-
-class FFTFeatureExtractor:
-    """Callable object turning image datasets into complex feature matrices."""
-
-    def __init__(self, config: FeatureConfig | None = None):
-        self.config = config if config is not None else FeatureConfig()
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        return fft_crop_features(images, crop=self.config.crop, normalize=self.config.normalize)
-
-    def transform_dataset(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(features, labels)`` for a :class:`Dataset`."""
-        return self(dataset.images), dataset.labels.copy()

@@ -7,17 +7,10 @@ from .activations import (
     ModulusSquared,
     ReLU,
     Softplus,
-    Tanh,
 )
 from .layers import ComplexLinear, RealLinear
-from .losses import CrossEntropyLoss, MSELoss, NLLLoss
-from .metrics import (
-    RunningAverage,
-    TrainingHistory,
-    confusion_matrix,
-    per_class_accuracy,
-    top1_accuracy,
-)
+from .losses import CrossEntropyLoss
+from .metrics import RunningAverage, TrainingHistory, top1_accuracy
 from .module import Module, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer
 from .trainer import EarlyStopFn, Trainer, TrainerConfig, iterate_minibatches
@@ -34,10 +27,7 @@ __all__ = [
     "LogSoftmax",
     "Softplus",
     "ReLU",
-    "Tanh",
     "CrossEntropyLoss",
-    "NLLLoss",
-    "MSELoss",
     "Optimizer",
     "SGD",
     "Adam",
@@ -46,8 +36,6 @@ __all__ = [
     "EarlyStopFn",
     "iterate_minibatches",
     "top1_accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     "RunningAverage",
     "TrainingHistory",
 ]

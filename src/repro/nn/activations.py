@@ -87,10 +87,3 @@ class ReLU(Module):
 
     def forward(self, x) -> Tensor:
         return F.relu(x)
-
-
-class Tanh(Module):
-    """Plain real tanh activation."""
-
-    def forward(self, x) -> Tensor:
-        return F.tanh(x)

@@ -30,29 +30,3 @@ class CrossEntropyLoss(Module):
         if self.from_log_probs:
             return F.nll_loss(outputs, targets, reduction=self.reduction)
         return F.cross_entropy(outputs, targets, reduction=self.reduction)
-
-
-class NLLLoss(Module):
-    """Negative log-likelihood loss over log-probabilities."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        if reduction not in {"mean", "sum", "none"}:
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.reduction = reduction
-
-    def forward(self, log_probs, targets) -> Tensor:
-        return F.nll_loss(log_probs, np.asarray(targets, dtype=np.int64), reduction=self.reduction)
-
-
-class MSELoss(Module):
-    """Mean squared error between real-valued predictions and targets."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        if reduction not in {"mean", "sum", "none"}:
-            raise ValueError(f"unknown reduction {reduction!r}")
-        self.reduction = reduction
-
-    def forward(self, predictions, targets) -> Tensor:
-        return F.mse_loss(predictions, targets, reduction=self.reduction)

@@ -22,25 +22,6 @@ def top1_accuracy(outputs, targets) -> float:
     return float(np.mean(predictions == targets))
 
 
-def confusion_matrix(outputs, targets, num_classes: int) -> np.ndarray:
-    """Return the ``num_classes x num_classes`` confusion matrix (rows = true)."""
-    data = outputs.data if isinstance(outputs, Tensor) else np.asarray(outputs)
-    predictions = np.argmax(data, axis=-1)
-    targets = np.asarray(targets, dtype=np.int64)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for true, pred in zip(targets, predictions):
-        matrix[true, pred] += 1
-    return matrix
-
-
-def per_class_accuracy(conf_matrix: np.ndarray) -> np.ndarray:
-    """Per-class recall from a confusion matrix; NaN for absent classes."""
-    conf_matrix = np.asarray(conf_matrix, dtype=np.float64)
-    totals = conf_matrix.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(totals > 0, np.diag(conf_matrix) / totals, np.nan)
-
-
 @dataclass
 class RunningAverage:
     """Numerically simple running mean used for per-epoch loss tracking."""

@@ -10,7 +10,7 @@ from .builder import (
     spnn_from_model,
     train_software_model,
 )
-from .inference import hardware_accuracy, monte_carlo_accuracy, predict_batched
+from .inference import monte_carlo_accuracy
 from .spnn import (
     SPNN,
     NetworkPerturbation,
@@ -33,7 +33,5 @@ __all__ = [
     "extract_weights",
     "spnn_from_model",
     "build_trained_spnn",
-    "hardware_accuracy",
     "monte_carlo_accuracy",
-    "predict_batched",
 ]

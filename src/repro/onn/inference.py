@@ -26,7 +26,7 @@ backend and worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from ..execution.hosting import ArrayLike, resolve_array, resolve_network
 from ..utils.rng import RNGLike
 from ..variation import sampler
 from ..variation.models import UncertaintyModel
-from .spnn import SPNN, NetworkPerturbation
+from .spnn import SPNN
 
 
 def network_chunk_size(spnn) -> int:
@@ -60,16 +60,6 @@ def network_chunk_size(spnn) -> int:
         per_realization += 2 * 4 * sum(layer.num_mzis for layer in layers) * 8
         per_realization += 3 * 4 * largest_mesh * 16
     return max(1, CHUNK_TARGET_BYTES // per_realization)
-
-
-def hardware_accuracy(
-    spnn: SPNN,
-    features: np.ndarray,
-    labels: np.ndarray,
-    perturbations: Optional[NetworkPerturbation] = None,
-) -> float:
-    """Accuracy of the (optionally perturbed) hardware on a test set."""
-    return spnn.accuracy(features, labels, perturbations=perturbations, use_hardware=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,20 +190,3 @@ def monte_carlo_accuracy(
     )
     trial = NetworkAccuracyBatchTrial(spnn=spnn, features=features, labels=labels, model=model)
     return runner.run_batched(trial, rng=rng).samples
-
-
-def predict_batched(
-    spnn: SPNN,
-    features: np.ndarray,
-    perturbations: Optional[NetworkPerturbation] = None,
-    batch_size: int = 2048,
-) -> np.ndarray:
-    """Class predictions computed in batches (bounds peak memory on large sets)."""
-    features = np.asarray(features)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    outputs: List[np.ndarray] = []
-    for start in range(0, len(features), batch_size):
-        chunk = features[start : start + batch_size]
-        outputs.append(spnn.predict(chunk, perturbations=perturbations, use_hardware=True))
-    return np.concatenate(outputs) if outputs else np.zeros(0, dtype=np.int64)

@@ -1,7 +1,6 @@
-"""Physical device models: phase shifters, beam splitters, MZIs, amplifiers."""
+"""Physical device models: phase shifters, beam splitters and MZIs."""
 
 from . import constants
-from .amplifier import GainStage, OpticalAmplifier
 from .beam_splitter import BeamSplitter
 from .mzi import (
     MZI,
@@ -27,6 +26,4 @@ __all__ = [
     "mzi_first_order_deviation",
     "mzi_relative_deviation",
     "mzi_element_relative_deviation",
-    "OpticalAmplifier",
-    "GainStage",
 ]

@@ -29,7 +29,6 @@ from .noise_aware import (
     NoiseAwareTrainer,
     complex_linear_modules,
     forward_with_weight_offsets,
-    make_noise_aware_trainer,
 )
 from .schedule import SCHEDULE_KINDS, PerturbationSchedule
 
@@ -38,7 +37,6 @@ __all__ = [
     "PerturbationSchedule",
     "SCHEDULE_KINDS",
     "NoiseAwareTrainer",
-    "make_noise_aware_trainer",
     "forward_with_weight_offsets",
     "complex_linear_modules",
 ]

@@ -36,7 +36,6 @@ import numpy as np
 from ..autograd.tensor import Tensor, as_tensor
 from ..exceptions import ConfigurationError, ShapeError
 from ..nn.layers import ComplexLinear
-from ..nn.losses import CrossEntropyLoss
 from ..nn.module import Module, Sequential
 from ..nn.optim import Optimizer
 from ..nn.trainer import Trainer, TrainerConfig
@@ -193,25 +192,3 @@ class NoiseAwareTrainer(Trainer):
             tiled_targets = np.tile(np.asarray(batch_y, dtype=np.int64), draws)
             loss = self.loss_fn(flat, tiled_targets)
             return loss, flat, tiled_targets
-
-
-def make_noise_aware_trainer(
-    model: Sequential,
-    optimizer: Optimizer,
-    injector: NoiseInjector,
-    schedule: Optional[PerturbationSchedule] = None,
-    epochs: int = 60,
-    batch_size: int = 64,
-    clip_grad_norm: Optional[float] = None,
-    rng: RNGLike = None,
-) -> NoiseAwareTrainer:
-    """Convenience constructor mirroring the paper's training setup."""
-    return NoiseAwareTrainer(
-        model,
-        optimizer,
-        injector,
-        schedule=schedule,
-        loss_fn=CrossEntropyLoss(from_log_probs=True),
-        config=TrainerConfig(epochs=epochs, batch_size=batch_size, clip_grad_norm=clip_grad_norm),
-        rng=rng,
-    )

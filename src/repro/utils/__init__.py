@@ -2,36 +2,24 @@
 
 from .linalg import (
     assert_unitary,
-    condition_number,
     fidelity,
-    frobenius_distance,
-    global_phase_aligned,
     is_unitary,
     random_complex_matrix,
     random_unitary,
-    relative_frobenius_distance,
     svd_decompose,
-    svd_reconstruct,
     unitarity_deviation,
 )
 from .rng import RNGLike, ensure_rng, spawn_rngs
 from .serialization import (
     format_table,
-    load_arrays,
     load_json,
-    save_arrays,
     save_json,
     to_jsonable,
 )
 from .validation import (
     as_complex_array,
     as_float_array,
-    check_in_range,
-    check_index,
-    check_lengths_match,
-    check_matrix_shape,
     check_positive,
-    check_probability_vector,
     check_square_matrix,
 )
 
@@ -45,25 +33,13 @@ __all__ = [
     "assert_unitary",
     "unitarity_deviation",
     "fidelity",
-    "frobenius_distance",
-    "relative_frobenius_distance",
     "svd_decompose",
-    "svd_reconstruct",
-    "global_phase_aligned",
-    "condition_number",
     "as_complex_array",
     "as_float_array",
     "check_square_matrix",
-    "check_matrix_shape",
     "check_positive",
-    "check_in_range",
-    "check_probability_vector",
-    "check_index",
-    "check_lengths_match",
     "save_json",
     "load_json",
-    "save_arrays",
-    "load_arrays",
     "to_jsonable",
     "format_table",
 ]

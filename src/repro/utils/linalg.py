@@ -1,7 +1,7 @@
 """Linear-algebra utilities used throughout the photonic-mesh machinery.
 
 The functions here are intentionally small, pure and NumPy-only: Haar-random
-unitary sampling, unitarity checks, matrix distances and SVD helpers used by
+unitary sampling, unitarity checks, matrix fidelity and SVD helpers used by
 the SVD-based photonic linear layers (paper §II-B).
 """
 
@@ -103,24 +103,6 @@ def fidelity(actual: np.ndarray, target: np.ndarray) -> float:
     return float(num / den)
 
 
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-norm distance ``||a - b||_F``."""
-    a = as_complex_array(a, "a")
-    b = as_complex_array(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def relative_frobenius_distance(actual: np.ndarray, target: np.ndarray) -> float:
-    """``||actual - target||_F / ||target||_F`` (0 when both are zero)."""
-    target = as_complex_array(target, "target")
-    norm = np.linalg.norm(target)
-    if norm == 0:
-        return 0.0 if np.linalg.norm(as_complex_array(actual, "actual")) == 0 else np.inf
-    return frobenius_distance(actual, target) / float(norm)
-
-
 def svd_decompose(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular-value decomposition ``M = U @ diag(s) @ Vh`` (full matrices).
 
@@ -136,32 +118,6 @@ def svd_decompose(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return u, s, vh
 
 
-def svd_reconstruct(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """Rebuild ``M`` from the output of :func:`svd_decompose`."""
-    u = as_complex_array(u, "u")
-    vh = as_complex_array(vh, "vh")
-    s = np.asarray(s, dtype=np.float64)
-    m, n = u.shape[0], vh.shape[0]
-    sigma = np.zeros((m, n), dtype=np.complex128)
-    k = min(m, n)
-    if s.shape != (k,):
-        raise ShapeError(f"singular values must have length {k}, got shape {s.shape}")
-    sigma[:k, :k] = np.diag(s)
-    return u @ sigma @ vh
-
-
-def embed_two_mode_block(n: int, m: int, block: np.ndarray) -> np.ndarray:
-    """Embed a 2x2 ``block`` acting on modes ``(m, m+1)`` into an ``n x n`` identity."""
-    block = as_complex_array(block, "block")
-    if block.shape != (2, 2):
-        raise ShapeError(f"block must be 2x2, got {block.shape}")
-    if not 0 <= m < n - 1:
-        raise IndexError(f"mode index m must satisfy 0 <= m < n-1, got m={m}, n={n}")
-    full = np.eye(n, dtype=np.complex128)
-    full[m : m + 2, m : m + 2] = block
-    return full
-
-
 def apply_two_mode_left(matrix: np.ndarray, m: int, block: np.ndarray) -> np.ndarray:
     """Return ``embed(block) @ matrix`` without forming the embedded matrix."""
     matrix = as_complex_array(matrix, "matrix")
@@ -170,36 +126,3 @@ def apply_two_mode_left(matrix: np.ndarray, m: int, block: np.ndarray) -> np.nda
     rows = matrix[m : m + 2, :]
     out[m : m + 2, :] = block @ rows
     return out
-
-
-def apply_two_mode_right(matrix: np.ndarray, m: int, block: np.ndarray) -> np.ndarray:
-    """Return ``matrix @ embed(block)`` without forming the embedded matrix."""
-    matrix = as_complex_array(matrix, "matrix")
-    block = as_complex_array(block, "block")
-    out = matrix.copy()
-    cols = matrix[:, m : m + 2]
-    out[:, m : m + 2] = cols @ block
-    return out
-
-
-def global_phase_aligned(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rotate ``actual`` by a global phase so it best matches ``target``.
-
-    The optimal phase maximizes ``Re(e^{-i a} Tr(T^H A))``; it is the phase
-    of the trace inner product.
-    """
-    actual = as_complex_array(actual, "actual")
-    target = as_complex_array(target, "target")
-    inner = np.trace(target.conj().T @ actual)
-    if np.abs(inner) == 0:
-        return actual
-    return actual * np.exp(-1j * np.angle(inner))
-
-
-def condition_number(matrix: np.ndarray) -> float:
-    """2-norm condition number of a matrix (``inf`` for singular matrices)."""
-    matrix = as_complex_array(matrix, "matrix")
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[-1] == 0:
-        return float("inf")
-    return float(s[0] / s[-1])

@@ -1,9 +1,8 @@
 """Serialization helpers for experiment results.
 
 Experiment runners return plain dataclasses / dictionaries of NumPy arrays.
-These helpers persist them as JSON (human-readable summaries) or ``.npz``
-(full numeric payloads) so that benchmark runs can be archived and compared
-against the paper's reported numbers.
+These helpers persist them as JSON so that benchmark runs can be archived
+and compared against the paper's reported numbers.
 """
 
 from __future__ import annotations
@@ -76,20 +75,6 @@ def load_json(path: str | Path) -> Any:
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def save_arrays(path: str | Path, **arrays: np.ndarray) -> Path:
-    """Save named arrays to a compressed ``.npz`` archive."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
-    return path
-
-
-def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Load arrays from an ``.npz`` archive into a plain dictionary."""
-    with np.load(Path(path)) as data:
-        return {key: data[key] for key in data.files}
 
 
 def format_table(headers: list[str], rows: list[list[Any]], float_fmt: str = "{:.4f}") -> str:

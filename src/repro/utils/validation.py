@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from ..exceptions import ShapeError
@@ -41,14 +39,6 @@ def check_square_matrix(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return matrix
 
 
-def check_matrix_shape(matrix: np.ndarray, shape: Sequence[int], name: str = "matrix") -> np.ndarray:
-    """Ensure ``matrix`` has exactly ``shape``."""
-    matrix = np.asarray(matrix)
-    if tuple(matrix.shape) != tuple(shape):
-        raise ShapeError(f"{name} must have shape {tuple(shape)}, got {matrix.shape}")
-    return matrix
-
-
 def check_positive(value: float, name: str = "value", allow_zero: bool = False) -> float:
     """Ensure a scalar is positive (or non-negative when ``allow_zero``)."""
     value = float(value)
@@ -58,40 +48,3 @@ def check_positive(value: float, name: str = "value", allow_zero: bool = False) 
     elif value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
-
-
-def check_in_range(value: float, low: float, high: float, name: str = "value") -> float:
-    """Ensure ``low <= value <= high``."""
-    value = float(value)
-    if not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
-
-
-def check_probability_vector(vector: np.ndarray, name: str = "probabilities", atol: float = 1e-6) -> np.ndarray:
-    """Ensure a vector is a valid probability distribution."""
-    vector = as_float_array(vector, name)
-    if vector.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {vector.shape}")
-    if np.any(vector < -atol):
-        raise ValueError(f"{name} contains negative entries")
-    if not np.isclose(vector.sum(), 1.0, atol=atol):
-        raise ValueError(f"{name} must sum to 1, got {vector.sum()}")
-    return vector
-
-
-def check_index(index: int, size: int, name: str = "index") -> int:
-    """Ensure ``0 <= index < size`` and return ``index`` as ``int``."""
-    index = int(index)
-    if not 0 <= index < size:
-        raise IndexError(f"{name} must be in [0, {size}), got {index}")
-    return index
-
-
-def check_lengths_match(*sequences: Iterable, names: Sequence[str] | None = None) -> None:
-    """Ensure all sequences have the same length."""
-    lengths = [len(list(s)) if not hasattr(s, "__len__") else len(s) for s in sequences]
-    if len(set(lengths)) > 1:
-        labels = names if names is not None else [f"arg{i}" for i in range(len(sequences))]
-        detail = ", ".join(f"{label}={length}" for label, length in zip(labels, lengths))
-        raise ShapeError(f"sequence lengths differ: {detail}")

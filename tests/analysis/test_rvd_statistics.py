@@ -11,7 +11,6 @@ from repro.analysis import (
     required_iterations,
     rvd,
     rvd_batch,
-    rvd_matrix,
     summarize,
     worst_case_margin_of_error,
 )
@@ -51,11 +50,6 @@ class TestRVD:
         with pytest.raises(ShapeError):
             rvd(np.eye(2), np.eye(3))
 
-    def test_rvd_matrix_elementwise(self):
-        reference = np.full((2, 2), 2.0, dtype=complex)
-        actual = reference + 0.2
-        assert np.allclose(rvd_matrix(actual, reference), 0.1)
-
     def test_mean_rvd(self):
         reference = random_unitary(3, rng=5)
         actuals = [reference, reference]
@@ -69,12 +63,9 @@ class TestRVD:
         assert normalized_rvd(actual, reference) == pytest.approx(0.1)
 
     def test_negative_eps_rejected_everywhere(self):
-        """Regression: rvd validated eps < 0 but rvd_matrix did not."""
         reference = random_unitary(3, rng=6)
         with pytest.raises(ValueError):
             rvd(reference, reference, eps=-1e-3)
-        with pytest.raises(ValueError):
-            rvd_matrix(reference, reference, eps=-1e-3)
         with pytest.raises(ValueError):
             normalized_rvd(reference, reference, eps=-1e-3)
         with pytest.raises(ValueError):

@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import (
-    FeatureConfig,
-    FFTFeatureExtractor,
     center_crop,
     fft_crop_features,
     full_fft_features,
@@ -100,14 +98,6 @@ class TestFeaturePipelines:
         ]
         spread = np.std(np.stack(class_means), axis=0).sum()
         assert spread > 0.01
-
-    def test_extractor_object(self):
-        extractor = FFTFeatureExtractor(FeatureConfig(crop=3))
-        assert extractor.config.num_features == 9
-        data = generate_dataset(5, rng=5)
-        features, labels = extractor.transform_dataset(data)
-        assert features.shape == (5, 9)
-        assert np.array_equal(labels, data.labels)
 
 
 def _unblocked(images, crop):

@@ -6,7 +6,13 @@ streams are spawned deterministically before any scheduling happens and
 chunks reassemble by start index into the exact serial order.
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -65,6 +71,40 @@ def wrong_shape_batch_trial(generators):
     return np.zeros(len(generators) + 1)
 
 
+@dataclass(frozen=True)
+class SelfKillingBatchTrial:
+    """Batch trial whose first worker chunk to claim ``marker`` SIGKILLs its process."""
+
+    marker: str
+    parent_pid: int
+
+    def __call__(self, generators):
+        if os.getpid() != self.parent_pid:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return normal_batch_trial(generators)
+
+
+def _children(pid: int) -> list:
+    """Pids whose parent is ``pid``, zombies included, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
 class TestWorkerCountInvariance:
     def test_scalar_run_bit_identical_across_worker_counts(self):
         serial = MonteCarloRunner(iterations=23).run(normal_trial, rng=11).samples
@@ -102,6 +142,21 @@ class TestWorkerCountInvariance:
             MonteCarloRunner(iterations=5, backend="gpu")
         with pytest.raises(ValueError):
             MonteCarloRunner(iterations=5, workers=0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads child pids from /proc")
+class TestWorkerDeath:
+    def test_killed_worker_fails_the_sweep_and_leaves_no_child(self, tmp_path):
+        """A worker killed mid-sweep breaks the pool loudly; nothing outlives the run."""
+        trial = SelfKillingBatchTrial(marker=str(tmp_path / "killed"), parent_pid=os.getpid())
+        runner = MonteCarloRunner(iterations=400, backend="multiprocess", workers=2, chunk_size=10)
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            runner.run_batched(trial, rng=0)
+        assert time.monotonic() - start < 10
+        assert (tmp_path / "killed").exists()
+        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == []
 
 
 class TestChunkBoundaries:

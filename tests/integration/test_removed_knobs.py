@@ -5,7 +5,9 @@ training entry point takes a ``device``, and no module speaks a network
 protocol or unpickles bytes it did not write itself.  Every hot path
 allocates its own buffers, so no entry point takes a scratch arena
 (``workspace``) or a forward sub-chunk override, and the trainer leaves the
-injector's noise modes to the injector.
+injector's noise modes to the injector.  The library ships only the
+helpers its studies run, so the public helpers no caller used are gone from
+their modules, their packages and the top-level namespace.
 """
 
 from __future__ import annotations
@@ -149,3 +151,78 @@ def test_training_package_exports_no_arena():
         assert name not in training.__all__
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.training.workspace")
+
+
+#: Public helpers deleted because nothing outside their own tests called them.
+REMOVED_HELPERS = {
+    "repro.analysis.rvd": ("rvd_matrix",),
+    "repro.autograd.functional": ("modulus_squared", "mse_loss", "tanh"),
+    "repro.datasets.fft_features": ("FeatureConfig", "FFTFeatureExtractor"),
+    "repro.nn.activations": ("Tanh",),
+    "repro.nn.losses": ("MSELoss", "NLLLoss"),
+    "repro.nn.metrics": ("confusion_matrix", "per_class_accuracy"),
+    "repro.onn.inference": ("hardware_accuracy", "predict_batched"),
+    "repro.training.noise_aware": ("make_noise_aware_trainer",),
+    "repro.utils.linalg": (
+        "apply_two_mode_right",
+        "condition_number",
+        "embed_two_mode_block",
+        "frobenius_distance",
+        "global_phase_aligned",
+        "relative_frobenius_distance",
+        "svd_reconstruct",
+    ),
+    "repro.utils.serialization": ("load_arrays", "save_arrays"),
+    "repro.utils.validation": (
+        "check_in_range",
+        "check_index",
+        "check_lengths_match",
+        "check_matrix_shape",
+        "check_probability_vector",
+    ),
+}
+
+#: Whole modules deleted with their public names.
+REMOVED_MODULES = {
+    "repro.datasets.loaders": ("batch_iterator", "stratified_split", "train_val_split"),
+    "repro.photonics.amplifier": ("GainStage", "OpticalAmplifier"),
+}
+
+
+def _package_of(module: str):
+    return importlib.import_module(module.rsplit(".", 1)[0])
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in REMOVED_HELPERS.items() for name in names],
+    ids=lambda value: value,
+)
+def test_removed_helper_is_gone_from_module_and_package(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+    package = _package_of(module)
+    assert not hasattr(package, name)
+    assert name not in package.__all__
+    assert not hasattr(repro, name)
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED_MODULES))
+def test_removed_module_and_its_names_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+    package = _package_of(module)
+    for name in REMOVED_MODULES[module]:
+        assert not hasattr(package, name)
+        assert name not in package.__all__
+        assert not hasattr(repro, name)
+
+
+def test_no_module_defines_a_removed_helper():
+    removed = {name for names in (*REMOVED_HELPERS.values(), *REMOVED_MODULES.values()) for name in names}
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in removed:
+                offenders.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert offenders == []

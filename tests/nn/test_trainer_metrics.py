@@ -14,9 +14,7 @@ from repro.nn import (
     Trainer,
     TrainerConfig,
     TrainingHistory,
-    confusion_matrix,
     iterate_minibatches,
-    per_class_accuracy,
     top1_accuracy,
 )
 
@@ -73,17 +71,6 @@ class TestMetrics:
             top1_accuracy(np.zeros((2, 2)), [0])
         with pytest.raises(ValueError):
             top1_accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-    def test_confusion_matrix_and_per_class(self):
-        outputs = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
-        cm = confusion_matrix(outputs, [0, 1, 1], num_classes=2)
-        assert cm.tolist() == [[1, 0], [1, 1]]
-        pca = per_class_accuracy(cm)
-        assert pca[0] == 1.0 and pca[1] == 0.5
-
-    def test_per_class_accuracy_handles_absent_class(self):
-        pca = per_class_accuracy(np.array([[2, 0], [0, 0]]))
-        assert np.isnan(pca[1])
 
     def test_running_average(self):
         avg = RunningAverage()

@@ -10,9 +10,7 @@ from repro.onn import (
     build_software_model,
     build_trained_spnn,
     extract_weights,
-    hardware_accuracy,
     monte_carlo_accuracy,
-    predict_batched,
     spnn_from_model,
 )
 from repro.variation import UncertaintyModel
@@ -106,22 +104,3 @@ class TestMonteCarloAccuracy:
                 UncertaintyModel.both(0.05),
                 iterations=0,
             )
-
-
-class TestInferenceHelpers:
-    def test_hardware_accuracy_matches_spnn_method(self, small_task):
-        features, labels = small_task.test_features[:50], small_task.test_labels[:50]
-        assert hardware_accuracy(small_task.spnn, features, labels) == pytest.approx(
-            small_task.spnn.accuracy(features, labels, use_hardware=True)
-        )
-
-    def test_predict_batched_matches_unbatched(self, small_task):
-        features = small_task.test_features[:70]
-        batched = predict_batched(small_task.spnn, features, batch_size=16)
-        direct = small_task.spnn.predict(features)
-        assert np.array_equal(batched, direct)
-
-    def test_predict_batched_validation_and_empty(self, small_task):
-        with pytest.raises(ValueError):
-            predict_batched(small_task.spnn, small_task.test_features[:5], batch_size=0)
-        assert predict_batched(small_task.spnn, small_task.test_features[:0]).size == 0

@@ -7,9 +7,7 @@ import pytest
 
 from repro.utils.serialization import (
     format_table,
-    load_arrays,
     load_json,
-    save_arrays,
     save_json,
     to_jsonable,
 )
@@ -43,14 +41,6 @@ def test_save_and_load_json(tmp_path):
     save_json({"a": np.array([1.0, 2.0]), "b": 3}, path)
     loaded = load_json(path)
     assert loaded == {"a": [1.0, 2.0], "b": 3}
-
-
-def test_save_and_load_arrays(tmp_path):
-    path = tmp_path / "arrays.npz"
-    save_arrays(path, x=np.arange(4), y=np.eye(2))
-    loaded = load_arrays(path)
-    assert np.array_equal(loaded["x"], np.arange(4))
-    assert np.array_equal(loaded["y"], np.eye(2))
 
 
 def test_format_table_alignment_and_floats():

@@ -7,12 +7,7 @@ from repro.exceptions import ShapeError
 from repro.utils.validation import (
     as_complex_array,
     as_float_array,
-    check_in_range,
-    check_index,
-    check_lengths_match,
-    check_matrix_shape,
     check_positive,
-    check_probability_vector,
     check_square_matrix,
 )
 
@@ -47,12 +42,6 @@ def test_check_square_matrix_rejects(shape):
         check_square_matrix(np.zeros(shape))
 
 
-def test_check_matrix_shape():
-    check_matrix_shape(np.zeros((2, 5)), (2, 5))
-    with pytest.raises(ShapeError):
-        check_matrix_shape(np.zeros((2, 5)), (5, 2))
-
-
 def test_check_positive():
     assert check_positive(1.5) == 1.5
     with pytest.raises(ValueError):
@@ -60,42 +49,3 @@ def test_check_positive():
     assert check_positive(0.0, allow_zero=True) == 0.0
     with pytest.raises(ValueError):
         check_positive(-1.0, allow_zero=True)
-
-
-def test_check_in_range():
-    assert check_in_range(0.5, 0.0, 1.0) == 0.5
-    with pytest.raises(ValueError):
-        check_in_range(1.5, 0.0, 1.0)
-
-
-def test_check_probability_vector_valid():
-    check_probability_vector(np.array([0.25, 0.25, 0.5]))
-
-
-def test_check_probability_vector_rejects_negative():
-    with pytest.raises(ValueError):
-        check_probability_vector(np.array([-0.1, 1.1]))
-
-
-def test_check_probability_vector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        check_probability_vector(np.array([0.3, 0.3]))
-
-
-def test_check_probability_vector_rejects_matrix():
-    with pytest.raises(ShapeError):
-        check_probability_vector(np.eye(2))
-
-
-def test_check_index():
-    assert check_index(2, 5) == 2
-    with pytest.raises(IndexError):
-        check_index(5, 5)
-    with pytest.raises(IndexError):
-        check_index(-1, 5)
-
-
-def test_check_lengths_match():
-    check_lengths_match([1, 2], [3, 4])
-    with pytest.raises(ShapeError):
-        check_lengths_match([1, 2], [3])
