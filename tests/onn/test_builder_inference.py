@@ -13,6 +13,8 @@ from repro.onn import (
     monte_carlo_accuracy,
     spnn_from_model,
 )
+from repro.onn import inference
+from repro.onn.inference import NetworkAccuracyBatchTrial, network_chunk_size
 from repro.variation import UncertaintyModel
 
 
@@ -104,3 +106,28 @@ class TestMonteCarloAccuracy:
                 UncertaintyModel.both(0.05),
                 iterations=0,
             )
+
+
+class TestInferenceHelpers:
+    def test_hardware_accuracy_matches_predictions(self, small_task):
+        features, labels = small_task.test_features[:50], small_task.test_labels[:50]
+        predictions = small_task.spnn.predict(features, use_hardware=True)
+        assert small_task.spnn.accuracy(features, labels, use_hardware=True) == pytest.approx(
+            np.mean(predictions == labels)
+        )
+
+    def test_network_chunk_size_is_the_trial_preference(self, small_task):
+        trial = NetworkAccuracyBatchTrial(
+            spnn=small_task.spnn,
+            features=small_task.test_features[:10],
+            labels=small_task.test_labels[:10],
+            model=UncertaintyModel.both(0.05),
+        )
+        assert trial.preferred_chunk_size() == network_chunk_size(small_task.spnn) >= 1
+
+    def test_network_chunk_size_scales_with_the_byte_target(self, small_task, monkeypatch):
+        chunk = network_chunk_size(small_task.spnn)
+        monkeypatch.setattr(inference, "CHUNK_TARGET_BYTES", 2 * inference.CHUNK_TARGET_BYTES)
+        assert 2 * chunk <= network_chunk_size(small_task.spnn) <= 2 * chunk + 1
+        monkeypatch.setattr(inference, "CHUNK_TARGET_BYTES", 1)
+        assert network_chunk_size(small_task.spnn) == 1

@@ -120,3 +120,15 @@ class TestTwoModeOps:
         embedded = np.eye(5, dtype=np.complex128)
         embedded[2:4, 2:4] = block
         assert np.allclose(apply_two_mode_left(matrix, 2, block), embedded @ matrix)
+
+    def test_apply_left_changes_only_the_two_rows_of_a_copy(self):
+        matrix = random_complex_matrix(5, 4, rng=11)
+        before = matrix.copy()
+        out = apply_two_mode_left(matrix, 1, random_unitary(2, rng=12))
+        assert np.array_equal(matrix, before)
+        assert np.array_equal(np.delete(out, [1, 2], axis=0), np.delete(before, [1, 2], axis=0))
+        assert not np.allclose(out[1:3], before[1:3])
+
+    def test_apply_left_keeps_a_unitary_unitary(self):
+        unitary = random_unitary(6, rng=13)
+        assert is_unitary(apply_two_mode_left(unitary, 4, random_unitary(2, rng=14)))

@@ -64,3 +64,21 @@ def test_failed_save_json_leaves_existing_file_untouched(tmp_path):
         save_json({"a": object()}, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
+
+
+@dataclasses.dataclass
+class _WithLiveField:
+    value: complex
+    live: object = dataclasses.field(default=None, metadata={"json": False})
+
+
+def test_to_jsonable_skips_fields_marked_not_json():
+    payload = to_jsonable(_WithLiveField(value=1 + 2j, live=object()))
+    assert payload == {"value": {"real": 1.0, "imag": 2.0, "__complex__": True}}
+
+
+def test_save_json_writes_complex_arrays_with_sorted_keys(tmp_path):
+    path = save_json({"z": np.array([[1 - 1j]]), "a": 1}, tmp_path / "result.json")
+    text = path.read_text()
+    assert text.index('"a"') < text.index('"z"') and text.endswith("\n")
+    assert load_json(path)["z"] == {"real": [[1.0]], "imag": [[-1.0]], "__complex_array__": True}
